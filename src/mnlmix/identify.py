@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .model import (
@@ -17,7 +18,6 @@ from .model import (
     OracleTable,
     ParameterError,
     Slate,
-    all_slates,
     format_number,
     oracle_table,
 )
@@ -492,7 +492,11 @@ def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> Identifiabi
 
     # n = 3 and n = 4 get every slate; larger universes keep the 2-, (n-1)-
     # and n-slates, the sizes the reduction and its filters consume
-    budget = [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
+    budget = [
+        Slate.of(c)
+        for k in sorted({2, n - 1, n})
+        for c in combinations(range(1, n + 1), k)
+    ]
     table = oracle_table(model, budget)
 
     full_cands, _ = enumerate_candidates(

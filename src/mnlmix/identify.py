@@ -287,8 +287,15 @@ def _extend_candidate(
     lam,
     items: Sequence[int],
     systems: dict,
+    polish: bool,
 ) -> Optional[tuple]:
-    """Complete (b1, b2) on the first two items to weights over all items."""
+    """Complete (b1, b2) on the first two items to weights over all items.
+
+    Each b_j comes from the (pivot, j) partner map. Near the pin the map's
+    denominator is small and amplifies any pivot error, so with polish=True
+    a float b_j is Newton-refined on the (pivot, j) system; the pivot keeps
+    its value from the first pair.
+    """
     m = len(items)
     full = Slate.of(items)
     c_full = {i: oracle.value_for(full, i) for i in items}
@@ -299,15 +306,20 @@ def _extend_candidate(
         return (a1, a2, a3), (b1, b2, b3)
     bs = {items[0]: b1, items[1]: b2}
     for j in items[2:]:
-        try:
-            bs[j] = partner_value(b1, systems[(items[0], j)])
-        except DegenerateBranchSignal:
+        for pivot, bp in ((items[0], b1), (items[1], b2)):
+            sys_pj = systems[(pivot, j)]
             try:
-                bs[j] = partner_value(b2, systems[(items[1], j)])
+                bj = partner_value(bp, sys_pj)
             except DegenerateBranchSignal:
-                # both pivots pinned: fall through to the all-pinned branch,
-                # which is exact for fully collapsed models
-                bs[j] = c_full[j] / (1 + lam)
+                continue
+            if polish and not isinstance(bp, (Fraction, int)):
+                bj = _polish_pair(sys_pj, bp, bj)[1]
+            bs[j] = bj
+            break
+        else:
+            # both pivots pinned: fall through to the all-pinned branch,
+            # which is exact for fully collapsed models
+            bs[j] = c_full[j] / (1 + lam)
     a = tuple(c_full[i] - lam * bs[i] for i in items)
     b = tuple(bs[i] for i in items)
     return a, b
@@ -397,7 +409,8 @@ def enumerate_candidates(
 
     cands = []
     for b1, b2, branch in pairs:
-        ext = _extend_candidate(b1, b2, oracle, lam, items, systems)
+        # in sampling mode the caller's least-squares refit corrects b_j
+        ext = _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
         if ext is None:
             continue
         a, b = ext

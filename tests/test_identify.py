@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mnlmix.identify as identify
 from mnlmix.identify import (
     CandidateSolution,
+    _close,
     check_identifiability,
     enumerate_candidates,
     exact_model,
@@ -338,3 +342,85 @@ def test_exact_model_of_float_weights():
     assert ex.exact and sum(ex.a.w) == 1 and sum(ex.b.w) == 1
     assert [float(v) for v in ex.a.w[:-1]] == list(m.a.w[:-1])
     assert exact_model(counterexample()) == counterexample()
+
+
+def _truth_among_full(rep, m):
+    truth = m.a.w + m.b.w
+    return any(
+        s.level == "full" and _close(s.a + s.b, truth) for s in rep.solutions
+    )
+
+
+def test_pinned_pivot_extension_polished():
+    """b_1 lies 1e-4 from the pin c_1 / (1 + lambda), so the partner maps'
+    denominators are about -6e-4 and amplify the 2e-13 pivot error into full
+    residuals near 1.5e-8 > tol; each b_j is now polished on its own pair
+    system and the truth's residual stays far below tol."""
+    m = random_instance(14, 2.0, 73186270)
+    rep = check_identifiability(m)
+    assert rep.unique and rep.codes == ()
+    assert _truth_among_full(rep, m)
+    assert rep.solutions[0].residual <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_budget_reads_only_pair_drop_and_full_slates(n, monkeypatch):
+    requests = []
+
+    def spy(model, slates):
+        slates = list(slates)
+        requests.append(slates)
+        return oracle_table(model, slates)
+
+    monkeypatch.setattr(identify, "oracle_table", spy)
+    for seed in range(3):
+        requests.clear()
+        m = random_instance(n, 2.0, seed)
+        rep = check_identifiability(m)
+        assert rep.unique
+        assert _truth_among_full(rep, m)
+        budget = requests[0]
+        assert len(set(budget)) == len(budget)
+        assert len(budget) == (4 if n == 3 else n * (n - 1) // 2 + n + 1)
+        assert {len(s) for s in budget} == {2, n - 1, n}
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(
+    st.sampled_from([4, 5, 6]).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0.5, 2.0, 3.0]),
+            st.permutations(range(n)),
+        )
+    )
+)
+def test_relabelling_items_keeps_verdict(case):
+    seed, lam, perm = case
+    m = random_instance(len(perm), lam, seed)
+    relabelled = MixtureModel.of(
+        [m.a[p] for p in perm], [m.b[p] for p in perm], m.lam
+    )
+    rep, rep_perm = check_identifiability(m), check_identifiability(relabelled)
+    assert rep_perm.unique == rep.unique
+    assert _truth_among_full(rep_perm, relabelled)
+
+
+@_PROPERTY
+@given(
+    st.sampled_from([4, 5, 6]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_component_swap_keeps_verdict(n, seed, lam):
+    m = random_instance(n, lam, seed)
+    swapped = MixtureModel.of(m.b.w, m.a.w, 1 / m.lam)
+    rep_swap = check_identifiability(swapped)
+    assert rep_swap.unique == check_identifiability(m).unique
+    # at lambda = 1 the report keeps one representative of each swap class
+    assert _truth_among_full(rep_swap, swapped) or (
+        lam == 1.0 and _truth_among_full(rep_swap, m)
+    )

@@ -354,8 +354,8 @@ def _truth_among_full(rep, m):
 def test_pinned_pivot_extension_polished():
     """b_1 lies 1e-4 from the pin c_1 / (1 + lambda), so the partner maps'
     denominators are about -6e-4 and amplify the 2e-13 pivot error into full
-    residuals near 1.5e-8 > tol; each b_j is now polished on its own pair
-    system and the truth's residual stays far below tol."""
+    residuals near 1.5e-8 > tol; polishing each b_j on its own pair system
+    keeps the truth's residual far below tol."""
     m = random_instance(14, 2.0, 73186270)
     rep = check_identifiability(m)
     assert rep.unique and rep.codes == ()

@@ -21,7 +21,6 @@ from .model import (
 from .polynomials import (
     RealPolynomial,
     RootSet,
-    Tolerances,
     count_real_roots_sturm,
     cubic_discriminant,
     deflate_root,
@@ -34,8 +33,6 @@ from .polynomials import (
 from .systems import (
     PairSystemInput,
     back_substitute,
-    formal_pair_system,
-    gate_aggregate,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
@@ -47,7 +44,6 @@ from .identify import (
     IdentifiabilityReport,
     check_identifiability,
     enumerate_candidates,
-    solve_3item,
     solve_pair_system,
 )
 from .learn import (
@@ -55,7 +51,6 @@ from .learn import (
     LearnReport,
     learn_from_oracle,
     learn_from_samples,
-    solve_normalization,
 )
 
 __version__ = "0.1.0"

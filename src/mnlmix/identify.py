@@ -191,19 +191,34 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
     return best[1], best[2]
 
 
-def _quartic_pivot_roots(sys: PairSystemInput, tau_adm: float, exact: bool) -> list:
-    quartic = pair_quartic(sys)
-    if quartic.as_float().is_zero():
+def _band_roots(poly: RealPolynomial, tau_adm: float, exact: bool) -> list:
+    """Real roots of `poly` in the admissible band, rationalized when exact."""
+    p = poly.as_float()
+    if p.is_zero() or p.degree < 1:
         return []
-    roots = solve_all_roots(quartic.as_float())
     out = []
-    for r in roots.real_roots_in(-tau_adm, 1 + tau_adm):
-        if exact:
-            fr = _rationalize_root(quartic, r)
-            out.append(fr if fr is not None else r)
-        else:
-            out.append(r)
+    for r in solve_all_roots(p).real_roots_in(-tau_adm, 1 + tau_adm):
+        fr = _rationalize_root(poly, r) if exact else None
+        out.append(fr if fr is not None else r)
     return out
+
+
+def _pivot_pairs(sys: PairSystemInput, pivots, polish: bool = True) -> list:
+    """(b_i, b_j) for each pivot value b_i through the partner map of `sys`.
+
+    Pivot values on the pinned branch are skipped; float pairs are
+    Newton-polished on the two drop-slate equations unless polish is False.
+    """
+    pairs = []
+    for bi in pivots:
+        try:
+            bj = partner_value(bi, sys)
+        except DegenerateBranchSignal:
+            continue
+        if polish and not isinstance(bi, (Fraction, int)):
+            bi, bj = _polish_pair(sys, bi, bj)
+        pairs.append((bi, bj))
+    return pairs
 
 
 def solve_pair_system(
@@ -222,27 +237,14 @@ def solve_pair_system(
         exact = sys.exact
     lam = sys.lam
     raw = []
-    for bi in _quartic_pivot_roots(sys, tau_adm, exact):
-        try:
-            bj = partner_value(bi, sys)
-        except DegenerateBranchSignal:
-            continue
-        if not isinstance(bi, (Fraction, int)):
-            bi, bj = _polish_pair(sys, bi, bj)
+    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), tau_adm, exact)):
         ai = sys.c_full_i - lam * bi
         aj = sys.c_full_j - lam * bj
         raw.append(((ai, aj, bi, bj), "root"))
     # pinned branch: pivot fixed at c_full_i/(1+lam)
     m = sys.pivot_pin()
     quad = degenerate_partner_quadratic(sys)
-    pinned_js = [sys.c_full_j / (1 + lam)]
-    if not quad.as_float().is_zero() and quad.as_float().degree >= 1:
-        for y in solve_all_roots(quad.as_float()).real_roots_in(-tau_adm, 1 + tau_adm):
-            if exact:
-                fy = _rationalize_root(quad, y)
-                pinned_js.append(fy if fy is not None else y)
-            else:
-                pinned_js.append(y)
+    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, tau_adm, exact)
     for bj in pinned_js:
         aj = sys.c_full_j - lam * bj
         raw.append(((m, aj, m, bj), "pinned"))
@@ -307,15 +309,10 @@ def _extend_candidate(
     bs = {items[0]: b1, items[1]: b2}
     for j in items[2:]:
         for pivot, bp in ((items[0], b1), (items[1], b2)):
-            sys_pj = systems[(pivot, j)]
-            try:
-                bj = partner_value(bp, sys_pj)
-            except DegenerateBranchSignal:
-                continue
-            if polish and not isinstance(bp, (Fraction, int)):
-                bj = _polish_pair(sys_pj, bp, bj)[1]
-            bs[j] = bj
-            break
+            found = _pivot_pairs(systems[(pivot, j)], [bp], polish)
+            if found:
+                bs[j] = found[0][1]
+                break
         else:
             # both pivots pinned: fall through to the all-pinned branch,
             # which is exact for fully collapsed models
@@ -361,7 +358,6 @@ def enumerate_candidates(
         systems[(i0, j)] = pair_system(oracle, i0, j, items=items)
         systems[(i1, j)] = pair_system(oracle, i1, j, items=items)
 
-    pairs: list = []
     if noisy:
         quartic = pair_quartic(sys01).as_float()
         if quartic.is_zero():
@@ -378,34 +374,14 @@ def enumerate_candidates(
             g0, g1 = abs(inside[0].imag), abs(inside[1].imag)
             if g1 - g0 < sel_rtol * (1 + g0):
                 statuses.append("root-ambiguity")
-        for r in inside:
-            b1 = r.real
-            try:
-                b2 = partner_value(b1, sys01)
-            except DegenerateBranchSignal:
-                continue
-            b1, b2 = _polish_pair(sys01, b1, b2)
-            pairs.append((b1, b2, "root"))
+        pivots = [r.real for r in inside]
+        pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, pivots)]
     else:
-        for b1 in _quartic_pivot_roots(sys01, tau_adm, exact):
-            try:
-                b2 = partner_value(b1, sys01)
-            except DegenerateBranchSignal:
-                continue
-            if not isinstance(b1, (Fraction, int)):
-                b1, b2 = _polish_pair(sys01, b1, b2)
-            pairs.append((b1, b2, "root"))
-        for b2 in _quartic_pivot_roots(sys10, tau_adm, exact):
-            try:
-                b1 = partner_value(b2, sys10)
-            except DegenerateBranchSignal:
-                continue
-            if not isinstance(b2, (Fraction, int)):
-                b2, b1 = _polish_pair(sys10, b2, b1)
-            pairs.append((b1, b2, "root"))
-        pairs.append(
-            (sys01.pivot_pin(), sys10.pivot_pin(), "pinned")
-        )
+        roots = _band_roots(pair_quartic(sys01), tau_adm, exact)
+        pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
+        roots = _band_roots(pair_quartic(sys10), tau_adm, exact)
+        pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
+        pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
 
     cands = []
     for b1, b2, branch in pairs:
@@ -437,29 +413,6 @@ def enumerate_candidates(
         else:
             statuses.append("no-admissible-candidate")
     return _dedup(good), statuses
-
-
-def solve_3item(
-    oracle: OracleTable,
-    lam,
-    tol: float = 1e-8,
-    tau_adm: float = TAU_ADM,
-    exact: Optional[bool] = None,
-) -> list:
-    """All admissible 6-tuples consistent with a 3-item oracle.
-
-    Needs the full slate and all three 2-slates; the 2-slate not consumed by
-    the reduction acts as the informative held-out filter, and the residual
-    here is taken over every oracle equation at once.
-    """
-    needed = {(1, 2), (1, 3), (2, 3), (1, 2, 3)}
-    if not needed <= set(oracle.entries):
-        missing = needed - set(oracle.entries)
-        raise ValueError(f"3-item solve needs slates {sorted(missing)}")
-    cands, _ = enumerate_candidates(
-        oracle, lam, (1, 2, 3), tol=tol, tau_adm=tau_adm, exact=exact
-    )
-    return cands
 
 
 def _swap_equivalent(c1: CandidateSolution, c2: CandidateSolution) -> bool:

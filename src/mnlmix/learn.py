@@ -1,12 +1,12 @@
 """Weight recovery from an oracle or from finite samples.
 
 The learner solves a constant-size block of the first k items outright, then
-extends one item at a time: each new item joins a pair system with a pivot
-from the solved block, costing three new oracle values, and its weight is a
-rational function of the pivot weight. A final scalar normalization equation
-recovers the block's share of the total mass. Query accounting charges one
-query per (slate, item) value, so the extension phase costs 3 per item and
-everything else a constant.
+extends one item at a time: each new item j and a pivot from the solved block
+form a `systems` pair system (full, drop-j and drop-pivot slates), costing
+three new oracle values, and b_j is that system's partner map of the pivot
+weight. A final scalar normalization equation recovers the block's share of
+the total mass. Query accounting charges one query per (slate, item) value,
+so the extension phase costs 3 per item and everything else a constant.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .model import (
     sample_empirical,
     slate_distribution,
 )
-from .polynomials import RealPolynomial, interpolate, solve_all_roots
+from .polynomials import interpolate, solve_all_roots
+from .systems import PairSystemInput, partner_map
 
 
 class LearnError(Exception):
@@ -98,13 +99,21 @@ class LearnReport:
 
 
 class _ValueOracle:
-    """Caches slate rows and counts distinct (slate, item) value queries."""
+    """Caches slate rows and counts distinct (slate, item) value queries.
 
-    def __init__(self, row_source: Callable[[Slate], tuple], lam, n: int):
+    `noise_size` is the number of samples behind each row of a sampled
+    oracle (None for exact values); it enables the multinomial refit.
+    """
+
+    def __init__(
+        self, row_source: Callable[[Slate], tuple], lam, n: int,
+        noise_size: Optional[int] = None,
+    ):
         self._source = row_source
         self._rows: dict = {}
         self.lam = lam
         self.n = n
+        self.noise_size = noise_size
         self.counts = {"kblock": 0, "extension": 0}
         self._seen: set = set()
 
@@ -122,6 +131,10 @@ class _ValueOracle:
             self._seen.add(key)
             self.counts[bucket] += 1
         return self.row(slate)[slate.items.index(item)]
+
+    def sampled_rows(self) -> list:
+        """Every cached (items, row) pair, in slate order."""
+        return [(items, self._rows[items]) for items in sorted(self._rows)]
 
     def table_for(self, slates: Sequence[Slate], bucket: str) -> OracleTable:
         entries = {}
@@ -232,7 +245,7 @@ def _solve_block(
         raise OracleInconsistentError("no admissible block solution")
     if noisy:
         blocks = _noisy_block_estimate(
-            table, float(lam), items, cands, getattr(oracle, "noise_size", None)
+            table, float(lam), items, cands, oracle.noise_size
         )
         if not blocks:
             statuses.append("sampling-too-noisy")
@@ -255,13 +268,6 @@ def _solve_block(
     return blocks, statuses
 
 
-def _normalization_roots(poly: RealPolynomial) -> list:
-    p = poly.as_float()
-    if p.is_zero() or p.degree < 1:
-        return []
-    return [r for r in solve_all_roots(p).real_roots if 0 < r <= 1 + 1e-12]
-
-
 def _learn(
     oracle: _ValueOracle,
     lam,
@@ -269,7 +275,6 @@ def _learn(
     n: int,
     noisy: bool,
     truth: Optional[MixtureModel],
-    samples_used: int,
 ) -> LearnReport:
     k = max(3, min(cfg.k, n))
     statuses: list = []
@@ -287,7 +292,8 @@ def _learn(
             queries_used=oracle.counts["kblock"] + oracle.counts["extension"],
             queries_kblock=oracle.counts["kblock"],
             queries_extension=oracle.counts["extension"],
-            samples_used=samples_used,
+            # the source runs once per distinct slate
+            samples_used=(oracle.noise_size or 0) * len(oracle.sampled_rows()),
             max_rel_error=err,
             status=tuple(dict.fromkeys(statuses)),
         )
@@ -341,95 +347,50 @@ def _extend_block(
     if k == n:
         starts = [(a_rel, b_rel)]
     else:
-        drop_pivot = Slate.of(i for i in range(1, n + 1) if i != pivot)
-        tail = list(range(k + 1, n + 1))
-        c_full_j = {j: float(oracle.value(full, j, "extension")) for j in tail}
-        c_dropp_j = {j: float(oracle.value(drop_pivot, j, "extension")) for j in tail}
-        # ratio-boundedness diagnostic on the large-slate values we paid for
-        lo_prob = min([c_piv] + list(c_full_j.values())) / (1 + float(lam))
-        if lo_prob * n < cfg.c_low:
-            statuses.append("low-regularity")
-        # third value per tail item: drop-j slate for the pivot, used as a
-        # residual check on each extension step
-        c_dropj_piv = {}
-        for j in tail:
-            drop_j = Slate.of(i for i in range(1, n + 1) if i != j)
-            c_dropj_piv[j] = float(oracle.value(drop_j, pivot, "extension"))
-
         lamf = float(lam)
 
-        def den(x):
-            return lamf * ((1 + lamf) * x - c_piv)
+        def drop(t):
+            return Slate.of(i for i in range(1, n + 1) if i != t)
 
-        def num_j(j, x):
-            return (c_dropp_j[j] * (1 - c_piv + lamf * x) - c_full_j[j]) * (1 - x)
-
-        r = b_rel[piv_idx]
-
-        def cleared(s):
-            x = r * s
-            return (s - 1) * den(x) + sum(num_j(j, x) for j in tail)
-
-        nodes = [0.0, 0.5, 1.0]
-        scale_poly = interpolate(nodes, [cleared(t) for t in nodes])
-
-        margin = NOISY_ADM_MARGIN if noisy else 0.0
-
-        def admissible_scale(s):
-            x = r * s
-            d = den(x)
-            if abs(d) < 1e-12 * (1 + lamf):
-                return None
-            bj = {j: num_j(j, x) / d for j in tail}
-            if not all(-margin < v < 1 for v in bj.values()):
-                return None
-            if not 0 < x < 1:
-                return None
-            return bj
-
-        def extension_residual(s, bj):
-            x = r * s
-            worst = 0.0
-            for j in tail:
-                da = 1 - (c_full_j[j] - lamf * bj[j])
-                db = 1 - bj[j]
-                if abs(da) < 1e-12 or abs(db) < 1e-12:
-                    return float("inf")
-                e = (c_piv - lamf * x) / da + lamf * x / db - c_dropj_piv[j]
-                worst = max(worst, abs(e))
-            return worst
-
-        options = []
-        for s in _normalization_roots(scale_poly):
-            bj = admissible_scale(s)
-            if bj is None:
-                continue
-            options.append((extension_residual(s, bj), s, bj))
-        if not options:
-            # bisection fallback on the raw normalization equation, then a
-            # grid argmin of |equation| over the admissible range (noise can
-            # leave the polynomial rootless while a near-solution exists)
-            s = _bisect_normalization(cleared, admissible_scale)
-            if s is None:
-                s = _argmin_normalization(cleared, admissible_scale)
-            if s is None:
-                if noisy:
-                    statuses.append("degenerate-normalization")
-                    return None, statuses
-                raise DegenerateInstanceError("no admissible normalization root")
+        # per tail item j, the (pivot, j) pair system: three new values, of
+        # which the drop-j one is held out as a residual check on the step
+        tail = [
+            PairSystemInput(
+                lamf,
+                c_piv,
+                float(oracle.value(full, j, "extension")),
+                c_drop_j_i=float(oracle.value(drop(j), pivot, "extension")),
+                c_drop_i_j=float(oracle.value(drop(pivot), j, "extension")),
+                pivot=pivot,
+                partner=j,
+            )
+            for j in range(k + 1, n + 1)
+        ]
+        # ratio-boundedness diagnostic on the large-slate values we paid for
+        lo_prob = min([c_piv] + [sys.c_full_j for sys in tail]) / (1 + lamf)
+        if lo_prob * n < cfg.c_low:
+            statuses.append("low-regularity")
+        try:
+            options, fallback = _normalization_scales(
+                b_rel[piv_idx], tail, NOISY_ADM_MARGIN if noisy else 0.0
+            )
+        except DegenerateInstanceError:
+            if not noisy:
+                raise
+            statuses.append("degenerate-normalization")
+            return None, statuses
+        if fallback:
             statuses.append("normalization-bisection")
-            options = [(0.0, s, admissible_scale(s))]
-        options.sort(key=lambda t: (t[0], t[1]))
         # exact mode keeps the root that best fits the held-out drop-j
         # values; under noise that pick can be the wrong root, so every
         # admissible root goes on to the refit
         starts = []
-        for _, scale, b_tail in options if noisy else options[:1]:
-            b_hat = [v * scale for v in b_rel] + [b_tail[j] for j in tail]
-            a_tail = {j: c_full_j[j] - lamf * b_tail[j] for j in tail}
+        for scale, b_tail in options if noisy else options[:1]:
+            b_hat = [v * scale for v in b_rel] + b_tail
+            a_tail = [sys.c_full_j - lamf * bj for sys, bj in zip(tail, b_tail)]
             a_piv = c_piv - lamf * b_hat[piv_idx]
             total_a = a_piv / a_rel[piv_idx]
-            a_hat = [v * total_a for v in a_rel] + [a_tail[j] for j in tail]
+            a_hat = [v * total_a for v in a_rel] + a_tail
             starts.append((a_hat, b_hat))
 
     def finish(a_hat, b_hat) -> tuple:
@@ -575,10 +536,80 @@ def _refine_weights(
 
 
 def _refine_full(a0: list, b0: list, lam: float, oracle: "_ValueOracle") -> tuple:
-    rows = [(items, oracle._rows[items]) for items in sorted(oracle._rows)]
-    size = getattr(oracle, "noise_size", None)
     n = len(a0)
-    return _refine_weights(a0, b0, lam, range(1, n + 1), rows, size)
+    return _refine_weights(
+        a0, b0, lam, range(1, n + 1), oracle.sampled_rows(), oracle.noise_size
+    )
+
+
+def _normalization_scales(
+    r: float, tail: Sequence[PairSystemInput], margin: float
+) -> tuple:
+    """Block share s of the total mass from the scalar normalization equation.
+
+    `r` is the pivot's weight relative to the block, and `tail` holds one
+    pivot-sharing pair system per tail item, so every partner map has the
+    same denominator. With the pivot at x = r s, the tail weights
+    b_j = num_j(x) / den(x) complete the mass to one when
+    (s - 1) den(x) + sum_j num_j(x) = 0, a quadratic in s. A root on (0, 1]
+    is admissible when x lies in (0, 1) and every b_j in (-margin, 1).
+
+    Returns (options, fallback). `options` lists (s, [b_j]) for every
+    admissible root, best fit to the held-out drop-j values first. When no
+    root is admissible, fallback is True and `options` holds one scale found
+    by bisection on the equation or, failing that, by a grid argmin of its
+    magnitude (noise can leave the polynomial rootless while a near-solution
+    exists). Raises DegenerateInstanceError when neither finds one.
+    """
+    lam = tail[0].lam
+    maps = [partner_map(sys) for sys in tail]
+    den = maps[0][1]
+
+    def cleared(s):
+        x = r * s
+        return (s - 1) * den(x) + sum(num(x) for num, _ in maps)
+
+    def admissible(s):
+        x = r * s
+        d = den(x)
+        if abs(d) < 1e-12 * (1 + lam):
+            return None
+        bj = [num(x) / d for num, _ in maps]
+        if not all(-margin < v < 1 for v in bj) or not 0 < x < 1:
+            return None
+        return bj
+
+    def held_out(s, bj):
+        x = r * s
+        worst = 0.0
+        for sys, v in zip(tail, bj):
+            da = 1 - (sys.c_full_j - lam * v)
+            db = 1 - v
+            if abs(da) < 1e-12 or abs(db) < 1e-12:
+                return float("inf")
+            e = (sys.c_full_i - lam * x) / da + lam * x / db - sys.c_drop_j_i
+            worst = max(worst, abs(e))
+        return worst
+
+    nodes = [0.0, 0.5, 1.0]
+    poly = interpolate(nodes, [cleared(t) for t in nodes])
+    roots = []
+    if not poly.is_zero() and poly.degree >= 1:
+        roots = [s for s in solve_all_roots(poly).real_roots if 0 < s <= 1 + 1e-12]
+    scored = []
+    for s in roots:
+        bj = admissible(s)
+        if bj is not None:
+            scored.append((held_out(s, bj), s, bj))
+    if scored:
+        scored.sort(key=lambda t: (t[0], t[1]))
+        return [(s, bj) for _, s, bj in scored], False
+    s = _bisect_normalization(cleared, admissible)
+    if s is None:
+        s = _argmin_normalization(cleared, admissible)
+    if s is None:
+        raise DegenerateInstanceError("no admissible normalization root")
+    return [(s, admissible(s))], True
 
 
 def _bisect_normalization(cleared, admissible_scale, grid: int = 2000):
@@ -650,7 +681,7 @@ def learn_from_oracle(
         oracle = _ValueOracle(source, lam, n)
     else:
         raise TypeError(f"unsupported oracle source {type(source)!r}")
-    return _learn(oracle, lam, cfg, n, noisy=False, truth=truth, samples_used=0)
+    return _learn(oracle, lam, cfg, n, noisy=False, truth=truth)
 
 
 def learn_from_samples(
@@ -671,16 +702,13 @@ def learn_from_samples(
         lam = model.lam
     n = model.n
     size = cfg.samples_per_slate or cfg.auto_samples(n)
-    tally = {"slates": 0}
 
     def rows(slate: Slate) -> tuple:
-        tally["slates"] += 1
         return tuple(
             float(v) for v in sample_empirical(model, slate, size, cfg.seed)
         )
 
-    oracle = _ValueOracle(rows, float(lam), n)
-    oracle.noise_size = size  # enables the efficient multinomial refit
+    oracle = _ValueOracle(rows, float(lam), n, noise_size=size)
     # sample the whole large-slate family up front: the final refit uses
     # every sampled row, and at a fixed per-slate budget the extra drop-one
     # slates buy a sizable accuracy margin for the tail items
@@ -694,67 +722,4 @@ def learn_from_samples(
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
             oracle.row(Slate.of((i, j)))
-    report = _learn(
-        oracle, float(lam), cfg, n, noisy=True, truth=model, samples_used=0
-    )
-    return LearnReport(
-        a_hat=report.a_hat,
-        b_hat=report.b_hat,
-        queries_used=report.queries_used,
-        queries_kblock=report.queries_kblock,
-        queries_extension=report.queries_extension,
-        samples_used=size * tally["slates"],
-        max_rel_error=report.max_rel_error,
-        status=report.status,
-    )
-
-
-def solve_normalization(
-    b1_rel: float,
-    partner_maps: Sequence[tuple],
-    lam: float,
-    c_pivot: float,
-    residual_fn: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Block share of the total mass from the scalar normalization equation.
-
-    partner_maps holds (c_full_j, c_drop_pivot_j) per tail item; all share the
-    common linear denominator lam*((1+lam) x - c_pivot). Solves
-    s + sum_j f_j(b1_rel * s) = 1 on (0, 1], preferring polynomial roots and
-    falling back to bisection. The cleared equation is quadratic and can have
-    two admissible roots; pass residual_fn (held-out equation violation at a
-    candidate scale) to break such ties.
-    """
-    if not partner_maps:
-        return 1.0
-
-    def den(x):
-        return lam * ((1 + lam) * x - c_pivot)
-
-    def num(cf, cd, x):
-        return (cd * (1 - c_pivot + lam * x) - cf) * (1 - x)
-
-    def cleared(s):
-        x = b1_rel * s
-        return (s - 1) * den(x) + sum(num(cf, cd, x) for cf, cd in partner_maps)
-
-    def admissible(s):
-        x = b1_rel * s
-        d = den(x)
-        if abs(d) < 1e-12 * (1 + lam) or not 0 < x < 1:
-            return None
-        vals = [num(cf, cd, x) / d for cf, cd in partner_maps]
-        if not all(0 < v < 1 for v in vals):
-            return None
-        return vals
-
-    nodes = [0.0, 0.5, 1.0]
-    poly = interpolate(nodes, [cleared(t) for t in nodes])
-    roots = [s for s in _normalization_roots(poly) if admissible(s) is not None]
-    if roots:
-        rank = residual_fn if residual_fn is not None else (lambda s: abs(cleared(s)))
-        return min(roots, key=rank)
-    s = _bisect_normalization(cleared, admissible)
-    if s is None:
-        raise DegenerateInstanceError("no admissible normalization root")
-    return s
+    return _learn(oracle, float(lam), cfg, n, noisy=True, truth=model)

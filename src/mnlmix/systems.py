@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import MixtureModel, OracleTable, Slate, oracle_table
+from .model import OracleTable, Slate
 from .polynomials import (
     DegenerateInputError,
     RealPolynomial,
-    deflate_root,
     interpolate,
     sylvester_resultant,
 )
@@ -93,7 +92,12 @@ def pair_system(
     )
 
 
-def _numden(sys: PairSystemInput):
+def partner_map(sys: PairSystemInput):
+    """Numerator and denominator of the partner weight b_j = num(b_i) / den(b_i).
+
+    The denominator, lam * ((1 + lam) b_i - c_full_i), vanishes on the pinned
+    branch. Both are plain expressions, so Fractions stay exact.
+    """
     lam = sys.lam
 
     def num(x):
@@ -112,7 +116,7 @@ def partner_value(bi, sys: PairSystemInput):
     i.e. b_i is (numerically) the pinned value c_full_i / (1 + lam); callers
     switch to the degenerate branch.
     """
-    num, den = _numden(sys)
+    num, den = partner_map(sys)
     d = den(bi)
     if sys.exact and isinstance(bi, (Fraction, int)):
         if d == 0:
@@ -173,7 +177,7 @@ def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
     the roots (plus possibly the degenerate pinned branch).
     """
     lam = sys.lam
-    num, den = _numden(sys)
+    num, den = partner_map(sys)
 
     def cleared(x):
         nx, dx = num(x), den(x)
@@ -193,7 +197,7 @@ def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
     if sys.c_pair_i is None:
         raise ValueError("pair-slate value missing from the system input")
     lam = sys.lam
-    num, den = _numden(sys)
+    num, den = partner_map(sys)
 
     def cleared(x):
         nx, dx = num(x), den(x)
@@ -270,59 +274,6 @@ def resultant_gate(cubic_a: RealPolynomial, cubic_b: RealPolynomial):
     where a second solution of the joint system can exist.
     """
     return sylvester_resultant(cubic_a.scaled_to_unit(), cubic_b.scaled_to_unit())
-
-
-def deflated_pair_cubic(
-    model: MixtureModel,
-    pivot: int,
-    partner: int,
-    use_pair_slate: bool = False,
-    exact: Optional[bool] = None,
-) -> RealPolynomial:
-    """Pair quartic from the model's exact oracle, deflated at the true pivot weight."""
-    n = model.n
-    universe = tuple(range(1, n + 1))
-    needed = [
-        Slate.of(universe),
-        Slate.of(i for i in universe if i != partner),
-        Slate.of(i for i in universe if i != pivot),
-    ]
-    if use_pair_slate:
-        needed.append(Slate.of((pivot, partner)))
-    table = oracle_table(model, needed)
-    sys = pair_system(table, pivot, partner, include_pair=use_pair_slate)
-    quartic = pair_slate_quartic(sys) if use_pair_slate else pair_quartic(sys)
-    return deflate_root(quartic, model.b[pivot - 1])
-
-
-def gate_aggregate(
-    model: MixtureModel,
-    pairs: Optional[Sequence[tuple]] = None,
-    pivot: int = 1,
-):
-    """Sum of squared scaled resultant gates over the listed partner pairs.
-
-    Defaults to every pair (j, k) with pivot < j < k <= n. Zero means every
-    listed gate vanishes; generic models give a strictly positive value.
-    """
-    n = model.n
-    if pairs is None:
-        others = [i for i in range(1, n + 1) if i != pivot]
-        pairs = [(j, k) for idx, j in enumerate(others) for k in others[idx + 1:]]
-    cubics = {}
-
-    def cubic(j):
-        if j not in cubics:
-            cubics[j] = deflated_pair_cubic(model, pivot, j)
-        return cubics[j]
-
-    total = None
-    for j, k in pairs:
-        w = resultant_gate(cubic(j), cubic(k))
-        total = w * w if total is None else total + w * w
-    if total is None:
-        raise ValueError("empty pair list")
-    return total
 
 
 def formal_pair_system(lam, a1, a2, b1, b2, include_pair: bool = False) -> PairSystemInput:

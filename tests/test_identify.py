@@ -15,7 +15,6 @@ from mnlmix.identify import (
     enumerate_candidates,
     exact_model,
     pair_certified_unique,
-    solve_3item,
     solve_pair_system,
 )
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
@@ -83,7 +82,7 @@ def test_pair_system_truth_always_contained():
 def test_solve_3item_generic_singleton(seed):
     m = random_instance(3, 2.0, seed)
     table = oracle_table(m, all_slates(3))
-    sols = solve_3item(table, m.lam)
+    sols = enumerate_candidates(table, m.lam, (1, 2, 3))[0]
     assert len(sols) == 1
     got = tuple(map(float, sols[0].a + sols[0].b))
     assert got == pytest.approx(m.a.w + m.b.w, abs=1e-8)
@@ -93,7 +92,7 @@ def test_solve_3item_generic_singleton(seed):
 def test_solve_3item_uniform_mixture_swap_pair():
     m = random_instance(3, 1.0, 4)
     table = oracle_table(m, all_slates(3))
-    sols = solve_3item(table, 1.0)
+    sols = enumerate_candidates(table, 1.0, (1, 2, 3))[0]
     assert len(sols) == 2
     flat = sorted(tuple(map(float, s.a + s.b)) for s in sols)
     direct = m.a.w + m.b.w
@@ -101,13 +100,6 @@ def test_solve_3item_uniform_mixture_swap_pair():
     expect = sorted([direct, swapped])
     for got, want in zip(flat, expect):
         assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_solve_3item_missing_slate():
-    m = random_instance(3, 2.0, 0)
-    table = oracle_table(m, [Slate.of([1, 2]), Slate.of([1, 2, 3])])
-    with pytest.raises(ValueError):
-        solve_3item(table, 2.0)
 
 
 def _grid_search_3item(table, lam, step=2e-3):
@@ -196,7 +188,7 @@ def _residual_at(table, lam, c_full, x, y):
 def test_solve_3item_matches_grid_search(seed):
     m = random_instance(3, 2.0, seed)
     table = oracle_table(m, all_slates(3))
-    sols = solve_3item(table, 2.0)
+    sols = enumerate_candidates(table, 2.0, (1, 2, 3))[0]
     brute = _grid_search_3item(table, 2.0)
     assert len(sols) == len(brute)
     for s in sols:
@@ -270,7 +262,7 @@ def test_check_identifiability_collapse():
 def test_swap_closure_uniform_mixture():
     m = random_instance(3, 1.0, 17)
     table = oracle_table(m, all_slates(3))
-    sols = solve_3item(table, 1.0)
+    sols = enumerate_candidates(table, 1.0, (1, 2, 3))[0]
     flats = [tuple(map(float, s.a + s.b)) for s in sols]
     for s in sols:
         swapped = tuple(map(float, s.b + s.a))

@@ -9,10 +9,10 @@ from mnlmix.learn import (
     OracleInconsistentError,
     _cell_residuals,
     _learn,
+    _normalization_scales,
     _ValueOracle,
     learn_from_oracle,
     learn_from_samples,
-    solve_normalization,
 )
 from mnlmix.experiments import regular_instance
 from mnlmix.model import (
@@ -24,6 +24,7 @@ from mnlmix.model import (
     random_instance,
     slate_distribution,
 )
+from mnlmix.systems import PairSystemInput, pair_system
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8])
@@ -111,48 +112,20 @@ def test_inconsistent_oracle_raises():
         learn_from_oracle(OracleTable(5, float(m.lam), bad))
 
 
-def test_solve_normalization_empty_tail():
-    assert solve_normalization(0.4, [], 2.0, 1.2) == 1.0
-
-
 def test_solve_normalization_round_trip():
     # the cleared scalar equation is quadratic and may carry a second
     # admissible root, so the tie-break uses the held-out drop-j equations
     for seed in range(20):
         n, k = 6, 4
         m = random_instance(n, 2.0, seed)
-        lam = float(m.lam)
         slates = [Slate.of(range(1, n + 1))] + [
             Slate.of([i for i in range(1, n + 1) if i != j]) for j in range(1, n + 1)
         ]
         table = oracle_table(m, slates)
-        full = Slate.of(range(1, n + 1))
-        drop1 = Slate.of(range(2, n + 1))
-        c_piv = float(table.value_for(full, 1))
-        tail = list(range(k + 1, n + 1))
-        maps = [
-            (float(table.value_for(full, j)), float(table.value_for(drop1, j)))
-            for j in tail
-        ]
+        tail = [pair_system(table, 1, j) for j in range(k + 1, n + 1)]
         s_true = sum(m.b.w[:k])
-        b1_rel = m.b[0] / s_true
-
-        def held_out(s):
-            x = b1_rel * s
-            den = lam * ((1 + lam) * x - c_piv)
-            worst = 0.0
-            for j, (cf, cd) in zip(tail, maps):
-                bj = (cd * (1 - c_piv + lam * x) - cf) * (1 - x) / den
-                aj = cf - lam * bj
-                drop_j = Slate.of([i for i in range(1, n + 1) if i != j])
-                target = float(table.value_for(drop_j, 1))
-                worst = max(
-                    worst,
-                    abs((c_piv - lam * x) / (1 - aj) + lam * x / (1 - bj) - target),
-                )
-            return worst
-
-        got = solve_normalization(b1_rel, maps, lam, c_piv, residual_fn=held_out)
+        options, _ = _normalization_scales(m.b[0] / s_true, tail, 0.0)
+        got = options[0][0]
         assert got == pytest.approx(s_true, abs=1e-9)
 
 
@@ -162,7 +135,8 @@ def test_solve_normalization_rejects_inadmissible_root():
     lam = 2.0
     table = oracle_table(
         m,
-        [Slate.of(range(1, 7)), Slate.of(range(2, 7))],
+        [Slate.of(range(1, 7)), Slate.of(range(2, 7))]
+        + [Slate.of([i for i in range(1, 7) if i != j]) for j in (5, 6)],
     )
     full, drop1 = Slate.of(range(1, 7)), Slate.of(range(2, 7))
     c_piv = float(table.value_for(full, 1))
@@ -170,8 +144,10 @@ def test_solve_normalization_rejects_inadmissible_root():
         (float(table.value_for(full, j)), float(table.value_for(drop1, j)))
         for j in (5, 6)
     ]
+    tail = [pair_system(table, 1, j) for j in (5, 6)]
     s_true = sum(m.b.w[:4])
-    got = solve_normalization(m.b[0] / s_true, maps, lam, c_piv)
+    options, _ = _normalization_scales(m.b[0] / s_true, tail, 0.0)
+    got = options[0][0]
     x = got * m.b[0] / s_true
     den = lam * ((1 + lam) * x - c_piv)
     for cf, cd in maps:
@@ -181,8 +157,10 @@ def test_solve_normalization_rejects_inadmissible_root():
 
 def test_degenerate_normalization_raises():
     with pytest.raises(DegenerateInstanceError):
-        # partner maps that never admit a solution on (0, 1]
-        solve_normalization(0.5, [(2.9, 2.95)], 2.0, 1.5)
+        # a partner map that never admits a solution on (0, 1]; the held-out
+        # drop-j value is never read
+        tail = [PairSystemInput(2.0, 1.5, 2.9, c_drop_j_i=1.0, c_drop_i_j=2.95)]
+        _normalization_scales(0.5, tail, 0.0)
 
 
 def test_samples_zero_noise_injection_matches_oracle():
@@ -195,9 +173,7 @@ def test_samples_zero_noise_injection_matches_oracle():
         return tuple(float(scale * d) for d in slate_distribution(m, slate))
 
     oracle = _ValueOracle(rows, float(m.lam), m.n)
-    noisy_path = _learn(
-        oracle, float(m.lam), LearnConfig(), m.n, noisy=True, truth=m, samples_used=0
-    )
+    noisy_path = _learn(oracle, float(m.lam), LearnConfig(), m.n, noisy=True, truth=m)
     ref = learn_from_oracle(m)
     assert noisy_path.a_hat is not None
     assert max(
@@ -270,6 +246,16 @@ def test_samples_block_basin_chosen_on_all_rows(seed):
     m = regular_instance(6, 2.0, seed)
     rep = learn_from_samples(m, cfg=LearnConfig(eps=0.05, samples_per_slate=691200, seed=seed))
     assert rep.ok
+    assert rep.max_rel_error <= 0.05
+
+
+def test_samples_normalization_fallback():
+    """No normalization root is admissible on this draw. The fallback (here
+    the grid argmin, as bisection finds no admissible root) supplies the block's
+    share, and the refit still lands within eps."""
+    m = random_instance(6, 2.0, 1032)
+    rep = learn_from_samples(m, cfg=LearnConfig(eps=0.05, seed=32))
+    assert "normalization-bisection" in rep.status
     assert rep.max_rel_error <= 0.05
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mnlmix.identify import check_identifiability
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
     RealPolynomial,
@@ -24,7 +25,6 @@ from mnlmix.systems import (
     DegenerateBranchSignal,
     back_substitute,
     formal_pair_system,
-    gate_aggregate,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
@@ -284,17 +284,17 @@ def test_generic_gate_positive_exact():
 
 def test_gate_aggregate():
     m = random_instance(4, 2.0, 11)
-    single = gate_aggregate(m, pairs=[(2, 3)])
+    gates = check_identifiability(m).gate_values
     table = oracle_table(m, all_slates(4))
     q2 = deflate_root(pair_quartic(pair_system(table, 1, 2)), m.b[0])
     q3 = deflate_root(pair_quartic(pair_system(table, 1, 3)), m.b[0])
     w = resultant_gate(q2, q3)
-    assert single == pytest.approx(w * w, rel=1e-12)
-    assert gate_aggregate(m) > 0
+    assert gates["drop:2,3"] ** 2 == pytest.approx(w * w, rel=1e-12)
+    assert sum(v * v for key, v in gates.items() if key.startswith("drop:")) > 0
 
 
 def test_gate_aggregate_counterexample_symmetric_pair():
     # the symmetric tail pair of the two-solution instance lies on the
-    # variety: its gate vanishes, so the aggregate over it is ~0
+    # variety: its gate vanishes, so its square is ~0
     m = counterexample()
-    assert float(gate_aggregate(m, pairs=[(3, 4)])) <= 1e-15
+    assert check_identifiability(m).gate_values["drop:3,4"] ** 2 <= 1e-15

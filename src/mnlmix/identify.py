@@ -148,6 +148,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
     c_ji, c_ij = float(sys.c_drop_j_i), float(sys.c_drop_i_j)
 
     def eqs(x, y):
+        """Residuals of the two equations and their closed-form Jacobian."""
         ai = c_fi - lam * x
         aj = c_fj - lam * y
         da, db = 1 - aj, 1 - y
@@ -156,7 +157,13 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
             return None
         e1 = ai / da + lam * x / db - c_ji
         e2 = aj / dc + lam * y / dd - c_ij
-        return e1, e2
+        jac = (
+            lam / db - lam / da,
+            lam * x / db**2 - lam * ai / da**2,
+            lam * y / dd**2 - lam * aj / dc**2,
+            lam / dd - lam / dc,
+        )
+        return e1, e2, jac
 
     x, y = float(bi), float(bj)
     cur = eqs(x, y)
@@ -164,21 +171,12 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
         return bi, bj
     best = (abs(cur[0]) + abs(cur[1]), x, y)
     for _ in range(steps):
-        h = 1e-7
-        f0 = eqs(x, y)
-        fx = eqs(x + h, y)
-        fy = eqs(x, y + h)
-        if f0 is None or fx is None or fy is None:
-            break
-        j11 = (fx[0] - f0[0]) / h
-        j12 = (fy[0] - f0[0]) / h
-        j21 = (fx[1] - f0[1]) / h
-        j22 = (fy[1] - f0[1]) / h
+        f1, f2, (j11, j12, j21, j22) = cur
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             break
-        dx = (-f0[0] * j22 + f0[1] * j12) / det
-        dy = (-j11 * f0[1] + j21 * f0[0]) / det
+        dx = (-f1 * j22 + f2 * j12) / det
+        dy = (-j11 * f2 + j21 * f1) / det
         x, y = x + dx, y + dy
         cur = eqs(x, y)
         if cur is None:

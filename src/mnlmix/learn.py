@@ -26,7 +26,7 @@ from .model import (
     sample_empirical,
     slate_distribution,
 )
-from .polynomials import interpolate, solve_all_roots
+from .polynomials import X, RealPolynomial, solve_all_roots
 from .systems import PairSystemInput, partner_map
 
 
@@ -380,7 +380,7 @@ def _extend_block(
             statuses.append("degenerate-normalization")
             return None, statuses
         if fallback:
-            statuses.append("normalization-bisection")
+            statuses.append("normalization-argmin")
         # exact mode keeps the root that best fits the held-out drop-j
         # values; under noise that pick can be the wrong root, so every
         # admissible root goes on to the refit
@@ -556,10 +556,11 @@ def _normalization_scales(
 
     Returns (options, fallback). `options` lists (s, [b_j]) for every
     admissible root, best fit to the held-out drop-j values first. When no
-    root is admissible, fallback is True and `options` holds one scale found
-    by bisection on the equation or, failing that, by a grid argmin of its
-    magnitude (noise can leave the polynomial rootless while a near-solution
-    exists). Raises DegenerateInstanceError when neither finds one.
+    root is admissible, fallback is True and `options` holds the admissible
+    grid scale that minimizes the equation's magnitude (noise can leave the
+    polynomial rootless while a near-solution exists; a sign change on
+    (0, 1] would be one of the roots already tested). Raises
+    DegenerateInstanceError when no grid scale is admissible.
     """
     lam = tail[0].lam
     maps = [partner_map(sys) for sys in tail]
@@ -591,8 +592,7 @@ def _normalization_scales(
             worst = max(worst, abs(e))
         return worst
 
-    nodes = [0.0, 0.5, 1.0]
-    poly = interpolate(nodes, [cleared(t) for t in nodes])
+    poly = RealPolynomial.of(cleared(X))
     roots = []
     if not poly.is_zero() and poly.degree >= 1:
         roots = [s for s in solve_all_roots(poly).real_roots if 0 < s <= 1 + 1e-12]
@@ -604,32 +604,10 @@ def _normalization_scales(
     if scored:
         scored.sort(key=lambda t: (t[0], t[1]))
         return [(s, bj) for _, s, bj in scored], False
-    s = _bisect_normalization(cleared, admissible)
-    if s is None:
-        s = _argmin_normalization(cleared, admissible)
+    s = _argmin_normalization(cleared, admissible)
     if s is None:
         raise DegenerateInstanceError("no admissible normalization root")
     return [(s, admissible(s))], True
-
-
-def _bisect_normalization(cleared, admissible_scale, grid: int = 2000):
-    prev = None
-    for idx in range(1, grid + 1):
-        s = idx / grid
-        val = cleared(s)
-        if prev is not None and val * prev < 0:
-            a, b = (idx - 1) / grid, s
-            for _ in range(80):
-                mid = (a + b) / 2
-                if cleared(a) * cleared(mid) <= 0:
-                    b = mid
-                else:
-                    a = mid
-            mid = (a + b) / 2
-            if admissible_scale(mid) is not None:
-                return mid
-        prev = val
-    return None
 
 
 def _argmin_normalization(cleared, admissible_scale, grid: int = 2000):

@@ -3,7 +3,8 @@
 Dense ascending-coefficient polynomials with closed-form cubic/quartic
 solvers (Newton-polished), discriminants, synthetic deflation, Sylvester
 resultants, and a Sturm-sequence real-root counter used as an independent
-cross-check on the closed forms.
+cross-check on the closed forms. ``Coeffs`` carries the polynomial
+arithmetic that builds coefficients from an expression evaluated at ``X``.
 
 Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
@@ -128,20 +129,50 @@ class RootSet:
         return tuple(r for r in self.real_roots if lo < r <= hi)
 
 
-def poly_add(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:
-    n = max(len(p.coeffs), len(q.coeffs))
-    pc = list(p.coeffs) + [p.coeffs[0] * 0] * (n - len(p.coeffs))
-    qc = list(q.coeffs) + [q.coeffs[0] * 0] * (n - len(q.coeffs))
-    return RealPolynomial.of([a + b for a, b in zip(pc, qc)])
+class Coeffs(tuple):
+    """Ascending coefficients with polynomial +, - and *.
+
+    A plain number acts as a constant polynomial, so an expression written
+    for numbers returns its own coefficients when evaluated at ``X``, in
+    whichever arithmetic its constants carry (Fractions stay exact).
+    """
+
+    __slots__ = ()
+    # a numpy scalar on the left would broadcast over the tuple; this makes
+    # numpy hand the operation to the reflected method below instead
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, tuple):
+            return Coeffs((self[0] + other, *self[1:]))
+        if len(self) < len(other):
+            self, other = other, self
+        return Coeffs([a + b for a, b in zip(self, other)] + list(self[len(other):]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Coeffs([-c for c in self])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, tuple):
+            return Coeffs([c * other for c in self])
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for k, b in enumerate(other, i):
+                out[k] += a * b
+        return Coeffs(out)
+
+    __rmul__ = __mul__
 
 
-def poly_mul(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:
-    zero = p.coeffs[0] * q.coeffs[0] * 0
-    out = [zero] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return RealPolynomial.of(out)
+X = Coeffs((0, 1))
 
 
 def poly_scale(p: RealPolynomial, c) -> RealPolynomial:

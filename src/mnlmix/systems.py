@@ -7,9 +7,10 @@ function of the pivot weight, and substituting it into the remaining
 drop-slate equation and clearing denominators leaves a degree-4 polynomial.
 A second quartic arises the same way from the two-item slate {i, j}.
 
-Quartics are constructed by evaluating the cleared expression at five
-abscissae and interpolating, which is exact in rational arithmetic and
-avoids hand-expanded coefficient formulas.
+Each polynomial is stated once, as its cleared expression: evaluated at a
+number it gives the polynomial's value, and evaluated at the polynomial
+``X`` it gives the coefficients, exactly when the oracle values are
+Fractions and with no hand-expanded coefficient formulas.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import OracleTable, Slate
-from .polynomials import (
-    DegenerateInputError,
-    RealPolynomial,
-    interpolate,
-    sylvester_resultant,
-)
+from .polynomials import X, RealPolynomial, sylvester_resultant
 
 
 class DegenerateBranchSignal(ArithmeticError):
@@ -141,35 +137,6 @@ def back_substitute(b1, b2, c_full_row: Sequence, lam):
     return a1, a2, a3, b3
 
 
-def _interp_nodes(exact: bool, shift=0):
-    if exact:
-        return [Fraction(k, 4) + Fraction(shift, 17) for k in range(5)]
-    return [k / 4 + shift / 17 for k in range(5)]
-
-
-def _build_by_interpolation(value_at, exact: bool) -> RealPolynomial:
-    for attempt in range(10):
-        xs = _interp_nodes(exact, attempt)
-        ys = []
-        ok = True
-        for x in xs:
-            y = value_at(x)
-            if not exact and not _finite(y):
-                ok = False
-                break
-            ys.append(y)
-        if ok:
-            return interpolate(xs, ys)
-    raise DegenerateInputError("no usable interpolation abscissae after 10 retries")
-
-
-def _finite(y) -> bool:
-    try:
-        return abs(float(y)) < float("inf")
-    except (OverflowError, ValueError):
-        return False
-
-
 def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
     """Quartic in the pivot weight from the drop-partner slate equation.
 
@@ -189,7 +156,7 @@ def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
             - lam * x * dx * one_minus_aj
         )
 
-    return _build_by_interpolation(cleared, sys.exact)
+    return RealPolynomial.of(cleared(X))
 
 
 def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
@@ -209,7 +176,7 @@ def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
             - lam * x * dx * sum_a
         )
 
-    return _build_by_interpolation(cleared, sys.exact)
+    return RealPolynomial.of(cleared(X))
 
 
 def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
@@ -262,9 +229,7 @@ def degenerate_partner_quadratic(sys: PairSystemInput) -> RealPolynomial:
             1 + lam * (1 - sys.c_full_j) + (lam * lam - 1) * y
         )
 
-    exact = sys.exact
-    xs = _interp_nodes(exact)[:3]
-    return interpolate(xs, [cleared(x) for x in xs])
+    return RealPolynomial.of(cleared(X))
 
 
 def resultant_gate(cubic_a: RealPolynomial, cubic_b: RealPolynomial):

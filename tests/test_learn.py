@@ -250,12 +250,12 @@ def test_samples_block_basin_chosen_on_all_rows(seed):
 
 
 def test_samples_normalization_fallback():
-    """No normalization root is admissible on this draw. The fallback (here
-    the grid argmin, as bisection finds no admissible root) supplies the block's
-    share, and the refit still lands within eps."""
+    """No normalization root is admissible on this draw. The grid argmin of
+    the normalization equation supplies the block's share, and the refit
+    still lands within eps."""
     m = random_instance(6, 2.0, 1032)
     rep = learn_from_samples(m, cfg=LearnConfig(eps=0.05, seed=32))
-    assert "normalization-bisection" in rep.status
+    assert "normalization-argmin" in rep.status
     assert rep.max_rel_error <= 0.05
 
 

@@ -8,6 +8,8 @@ import pytest
 
 from mnlmix.polynomials import (
     DEFAULT_TOL,
+    X,
+    Coeffs,
     DegenerateInputError,
     NotARootError,
     PolynomialShapeError,
@@ -18,7 +20,6 @@ from mnlmix.polynomials import (
     interpolate,
     is_exact_root,
     poly_gcd,
-    poly_mul,
     solve_all_roots,
     solve_cubic,
     solve_quartic,
@@ -28,10 +29,10 @@ from mnlmix.polynomials import (
 
 def expand_roots(roots):
     """Ascending coefficients of prod (x - r)."""
-    p = RealPolynomial.of([1.0])
+    p = Coeffs([1.0])
     for r in roots:
-        p = poly_mul(p, RealPolynomial.of([-r, 1.0]))
-    return p
+        p = p * (X - r)
+    return RealPolynomial.of(p)
 
 
 def test_cubic_roots_of_unity():
@@ -93,7 +94,7 @@ def test_deflate_planted_quartic():
     q = deflate_root(p, 0.1)
     assert sorted(solve_cubic(q).real_roots) == pytest.approx([0.2, 0.3, 0.4], abs=1e-10)
     # residual postcondition: p == (x - r) * q within 1e-9 scaled
-    recon = poly_mul(RealPolynomial.of([-0.1, 1.0]), q)
+    recon = RealPolynomial.of((X - 0.1) * Coeffs(q.coeffs))
     err = max(abs(a - b) for a, b in zip(recon.coeffs, p.coeffs))
     assert err <= 1e-9 * float(p.sup_norm)
 
@@ -180,6 +181,17 @@ def test_interpolate_exact_quartic():
     assert q.coeffs == p.coeffs
 
 
+def test_coeffs_arithmetic_with_numpy_scalars():
+    """A numpy scalar on either side of an operator acts as a constant, as a
+    float does (the discriminant search passes numpy points to the quartic)."""
+    for c in (0.5, np.float64(0.5)):
+        assert c * X == X * c == (0.0, 0.5)
+        assert c - X == -(X - c) == (0.5, -1)
+        assert c + X * X == (0.5, 0, 1)
+    p = Coeffs([Fraction(1, 2), Fraction(1)])
+    assert p * p - Fraction(1, 4) == (0, 1, 1)
+
+
 def _random_poly(rng, degree):
     while True:
         c = rng.uniform(-1, 1, size=degree + 1)
@@ -261,8 +273,8 @@ def test_deflate_solve_consistency():
 def test_poly_gcd_exact():
     F = Fraction
     common = RealPolynomial.of([F(-3, 10), F(1)])
-    p = poly_mul(common, RealPolynomial.of([F(2), F(-1), F(1)]))
-    q = poly_mul(common, RealPolynomial.of([F(-7, 19), F(1)]))
+    p = RealPolynomial.of(Coeffs(common.coeffs) * Coeffs([F(2), F(-1), F(1)]))
+    q = RealPolynomial.of(Coeffs(common.coeffs) * Coeffs([F(-7, 19), F(1)]))
     assert poly_gcd(p, q) == common
     assert poly_gcd(p, RealPolynomial.of([F(5)])).coeffs == (F(1),)
     with pytest.raises(ValueError):
@@ -272,9 +284,8 @@ def test_poly_gcd_exact():
 def test_sturm_count_exact_at_rational_endpoints():
     F = Fraction
     # roots 1/3 and 1/3 + 1e-12: a float endpoint between them would round
-    p = poly_mul(
-        RealPolynomial.of([F(-1, 3), F(1)]),
-        RealPolynomial.of([-(F(1, 3) + F(1, 10**12)), F(1)]),
+    p = RealPolynomial.of(
+        Coeffs([F(-1, 3), F(1)]) * Coeffs([-(F(1, 3) + F(1, 10**12)), F(1)])
     )
     assert count_real_roots_sturm(p, F(0), F(1, 3) + F(1, 2 * 10**12)) == 1
     assert count_real_roots_sturm(p, F(0), F(1)) == 2

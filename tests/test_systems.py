@@ -10,20 +10,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mnlmix.identify import check_identifiability
+from mnlmix.identify import check_identifiability, exact_model
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
+    Coeffs,
     RealPolynomial,
     cubic_discriminant,
     deflate_root,
-    poly_add,
-    poly_mul,
-    poly_scale,
     solve_all_roots,
 )
 from mnlmix.systems import (
     DegenerateBranchSignal,
     back_substitute,
+    degenerate_partner_quadratic,
     formal_pair_system,
     pair_quartic,
     pair_slate_quartic,
@@ -140,40 +139,50 @@ def test_three_roots_witness_full_tuples():
 def _expand_cleared(sys):
     """Direct exact expansion of the cleared drop-slate expression."""
     lam = sys.lam
-    one = RealPolynomial.of([F(1)])
-    x = RealPolynomial.of([F(0), F(1)])
-    num = poly_mul(
-        poly_add(
-            poly_scale(
-                poly_add(
-                    poly_scale(one, 1 - sys.c_full_i),
-                    poly_scale(x, lam),
-                ),
-                sys.c_drop_i_j,
-            ),
-            poly_scale(one, -sys.c_full_j),
-        ),
-        poly_add(one, poly_scale(x, -1)),
-    )
-    den = poly_add(poly_scale(x, lam * (1 + lam)), poly_scale(one, -lam * sys.c_full_i))
-    a_term = poly_add(poly_scale(den, 1 - sys.c_full_j), poly_scale(num, lam))
-    b_term = poly_add(den, poly_scale(num, -1))
-    lin_a = poly_add(poly_scale(one, sys.c_full_i), poly_scale(x, -lam))
-    lin_b = poly_scale(x, lam)
-    out = poly_add(
-        poly_scale(poly_mul(a_term, b_term), sys.c_drop_j_i),
-        poly_scale(poly_mul(poly_mul(lin_a, den), b_term), -1),
-    )
-    return poly_add(out, poly_scale(poly_mul(poly_mul(lin_b, den), a_term), -1))
+    x = Coeffs([F(0), F(1)])
+    num = ((1 - sys.c_full_i + lam * x) * sys.c_drop_i_j - sys.c_full_j) * (1 - x)
+    den = lam * (1 + lam) * x - lam * sys.c_full_i
+    a_term = den * (1 - sys.c_full_j) + num * lam
+    b_term = den - num
+    lin_a = sys.c_full_i - lam * x
+    lin_b = lam * x
+    out = a_term * b_term * sys.c_drop_j_i - lin_a * den * b_term
+    return RealPolynomial.of(out - lin_b * den * a_term)
 
 
 def test_interpolation_matches_exact_expansion():
-    """Five-point interpolation reproduces the cleared polynomial coefficient-wise."""
+    """The quartic built from its cleared expression equals an independent
+    exact expansion, coefficient by coefficient."""
     m = counterexample()
     table = oracle_table(m, all_slates(4))
     for (i, j) in [(1, 2), (1, 3), (2, 4), (3, 4)]:
         sys = pair_system(table, i, j)
         assert pair_quartic(sys).coeffs == _expand_cleared(sys).coeffs
+
+
+@pytest.mark.parametrize(
+    "build", [pair_quartic, pair_slate_quartic, degenerate_partner_quadratic]
+)
+def test_float_construction_matches_exact(build):
+    """Float coefficients lie within 1e-13 x sup-norm of the coefficients
+    built on the same model's weights as exact Fractions."""
+    slates = all_slates(5)
+    for lam in (2.0, 1.0, 0.7):
+        for seed in range(30):
+            m = random_instance(5, lam, seed)
+            tables = [oracle_table(model, slates) for model in (m, exact_model(m))]
+            for i in range(1, 6):
+                for j in range(1, 6):
+                    if i == j:
+                        continue
+                    got, want = (
+                        build(pair_system(t, i, j, include_pair=True)).coeffs
+                        for t in tables
+                    )
+                    assert len(got) == len(want)
+                    scale = max(abs(float(c)) for c in want)
+                    err = max(abs(g - float(w)) for g, w in zip(got, want))
+                    assert err <= 1e-13 * scale, (lam, seed, i, j, err / scale)
 
 
 def _brute_force_pivot_roots(sys, step=1e-4):

@@ -12,26 +12,30 @@ The digests are not golden values. The last digits of float results depend
 on the platform and the numpy build, so compare two commits on one machine,
 never against a stored list.
 
-Families: `check_identifiability` by n and lambda over random instances, the
-two-solution counterexample (exact and float), `learn_from_oracle` by n and
-lambda, and `learn_from_samples` at eps = 0.05 on model seeds 1000 + t with
-sampling seed t. A run takes about 35 s on two cores.
+Families: `check_identifiability` by n and lambda over random instances, on
+rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
+them, and on the two-solution counterexample (exact and float);
+`learn_from_oracle` by n and lambda; and `learn_from_samples` at
+eps = 0.05 on model seeds 1000 + t with sampling seed t. A run takes about
+40 s on two cores.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 from mnlmix.experiments import counterexample_model
 from mnlmix.identify import check_identifiability
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import random_instance
+from mnlmix.model import MixtureModel, random_instance
 
 LAMBDAS = (2.0, 1.0, 0.7)
 # n -> number of seeds, per lambda
 IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
+RATIONAL_DRAWS = 60
 # n -> number of sampling draws at lambda = 2
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
 
@@ -44,6 +48,23 @@ def digest(reports) -> str:
     return h.hexdigest()
 
 
+def rational_models(count: int):
+    """`count` exact n = 4, lambda = 2 models from seeds 0, 1, ...: each
+    draw's weights rounded to denominators up to 1000, the last weight one
+    minus the others; draws with a non-positive weight are skipped."""
+    seed = 0
+    while count:
+        m = random_instance(4, 2, seed)
+        seed += 1
+        a = [Fraction(x).limit_denominator(1000) for x in m.a.w[:-1]]
+        b = [Fraction(x).limit_denominator(1000) for x in m.b.w[:-1]]
+        a.append(1 - sum(a))
+        b.append(1 - sum(b))
+        if min(a) > 0 and min(b) > 0:
+            count -= 1
+            yield MixtureModel.of(a, b, Fraction(2))
+
+
 def families():
     """Yield (label, iterable of report dicts) for every family."""
     for n, draws in IDENTIFY_DRAWS.items():
@@ -52,10 +73,13 @@ def families():
                 check_identifiability(random_instance(n, lam, s)).to_dict()
                 for s in range(draws)
             )
-    yield "identify counterexample exact,float", (
-        check_identifiability(counterexample_model(exact)).to_dict()
-        for exact in (True, False)
+    yield f"identify rational n=4 lam=2 first {RATIONAL_DRAWS} positive draws", (
+        check_identifiability(m).to_dict() for m in rational_models(RATIONAL_DRAWS)
     )
+    for exact in (True, False):
+        yield f"identify counterexample {'exact' if exact else 'float'}", (
+            check_identifiability(counterexample_model(exact)).to_dict(),
+        )
     for n, draws in ORACLE_DRAWS.items():
         for lam in LAMBDAS:
             yield f"learn-oracle n={n} lam={lam} seeds=0..{draws - 1}", (

@@ -4,6 +4,8 @@ The pair-system quartic bounds the candidate pivot weights; back-substitution
 turns each root into a full weight assignment, and residual filtering against
 every available slate equation decides admissibility. Uniqueness holds when
 exactly one admissible class survives (up to component swap at lambda = 1).
+On float oracles a batched numpy screen of all pair systems sends to the
+scalar pair solver only the pairs that can add a second solution.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .model import (
     MixtureModel,
@@ -22,6 +26,8 @@ from .model import (
     oracle_table,
 )
 from .polynomials import (
+    DEFAULT_TOL,
+    X,
     DegenerateInputError,
     RealPolynomial,
     count_real_roots_sturm,
@@ -33,10 +39,13 @@ from .systems import (
     DegenerateBranchSignal,
     PairSystemInput,
     back_substitute,
+    cleared_pair_quartic,
+    cleared_partner_quadratic,
     degenerate_partner_quadratic,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
+    partner_map,
     partner_value,
     pair_system_residual,
     resultant_gate,
@@ -48,6 +57,10 @@ COLLAPSE_GAP = 1e-9
 # a pair-level extra whose residual lies within this many decades below tol
 # is re-decided in exact arithmetic before it counts as a second solution
 CERT_DECADES = 4
+# the batched pair screen decides a threshold test only when the value lies
+# more than this factor away from its threshold, on either side; its values
+# and the scalar path's differ by far less (about 1e-9 on the roots)
+SCREEN_MARGIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,46 @@ def _rationalize_root(poly: RealPolynomial, r: float):
     return None
 
 
+def _drop_coefficients(sys: PairSystemInput) -> tuple:
+    """(lam, c_full_i, c_full_j, c_drop_j_i, c_drop_i_j) as floats, or as the
+    arrays of a batched system."""
+    fields = (sys.lam, sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j)
+    return tuple(v if isinstance(v, np.ndarray) else float(v) for v in fields)
+
+
+def _drop_equations(c: tuple, x, y):
+    """Residuals of the two drop-slate equations at (b_i, b_j) = (x, y) and
+    their closed-form Jacobian.
+
+    On floats, None when a denominator is under 1e-12. On arrays every entry
+    is computed, with such denominators replaced by 1, and a fourth item
+    masks the entries that are valid.
+    """
+    lam, c_fi, c_fj, c_ji, c_ij = c
+    ai = c_fi - lam * x
+    aj = c_fj - lam * y
+    da, db = 1 - aj, 1 - y
+    dc, dd = 1 - ai, 1 - x
+    if isinstance(x, np.ndarray):
+        ok = np.minimum(
+            np.minimum(abs(da), abs(db)), np.minimum(abs(dc), abs(dd))
+        ) >= 1e-12
+        da, db, dc, dd = (np.where(ok, d, 1.0) for d in (da, db, dc, dd))
+    elif min(abs(da), abs(db), abs(dc), abs(dd)) < 1e-12:
+        return None
+    e1 = ai / da + lam * x / db - c_ji
+    e2 = aj / dc + lam * y / dd - c_ij
+    jac = (
+        lam / db - lam / da,
+        lam * x / db**2 - lam * ai / da**2,
+        lam * y / dd**2 - lam * aj / dc**2,
+        lam / dd - lam / dc,
+    )
+    if isinstance(x, np.ndarray):
+        return e1, e2, jac, ok
+    return e1, e2, jac
+
+
 def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
     """Newton-refine (b_i, b_j) on the two drop-slate equations.
 
@@ -143,30 +196,9 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
     the candidate itself still separates, so a couple of Newton steps on the
     residual system restore full precision.
     """
-    lam = float(sys.lam)
-    c_fi, c_fj = float(sys.c_full_i), float(sys.c_full_j)
-    c_ji, c_ij = float(sys.c_drop_j_i), float(sys.c_drop_i_j)
-
-    def eqs(x, y):
-        """Residuals of the two equations and their closed-form Jacobian."""
-        ai = c_fi - lam * x
-        aj = c_fj - lam * y
-        da, db = 1 - aj, 1 - y
-        dc, dd = 1 - ai, 1 - x
-        if min(abs(da), abs(db), abs(dc), abs(dd)) < 1e-12:
-            return None
-        e1 = ai / da + lam * x / db - c_ji
-        e2 = aj / dc + lam * y / dd - c_ij
-        jac = (
-            lam / db - lam / da,
-            lam * x / db**2 - lam * ai / da**2,
-            lam * y / dd**2 - lam * aj / dc**2,
-            lam / dd - lam / dc,
-        )
-        return e1, e2, jac
-
+    c = _drop_coefficients(sys)
     x, y = float(bi), float(bj)
-    cur = eqs(x, y)
+    cur = _drop_equations(c, x, y)
     if cur is None:
         return bi, bj
     best = (abs(cur[0]) + abs(cur[1]), x, y)
@@ -178,7 +210,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
         dx = (-f1 * j22 + f2 * j12) / det
         dy = (-j11 * f2 + j21 * f1) / det
         x, y = x + dx, y + dy
-        cur = eqs(x, y)
+        cur = _drop_equations(c, x, y)
         if cur is None:
             break
         err = abs(cur[0]) + abs(cur[1])
@@ -187,6 +219,171 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
         if err < 1e-15:
             break
     return best[1], best[2]
+
+
+def _polish_batch(c: tuple, x, y, live, steps: int = 12):
+    """`_polish_pair` on arrays, for the entries where `live` is set: each
+    takes the scalar loop's Newton steps and stops where that loop would
+    break."""
+    e1, e2, jac, ok = _drop_equations(c, x, y)
+    live = live & ok
+    best_err = np.where(live, abs(e1) + abs(e2), np.inf)
+    best_x, best_y = x, y
+    for _ in range(steps):
+        j11, j12, j21, j22 = jac
+        det = j11 * j22 - j12 * j21
+        live = live & (abs(det) >= 1e-14)
+        if not live.any():
+            break
+        det = np.where(live, det, 1.0)
+        x = np.where(live, x + (-e1 * j22 + e2 * j12) / det, x)
+        y = np.where(live, y + (-j11 * e2 + j21 * e1) / det, y)
+        e1, e2, jac, ok = _drop_equations(c, x, y)
+        live = live & ok
+        err = abs(e1) + abs(e2)
+        better = live & (err < best_err)
+        best_err = np.where(better, err, best_err)
+        best_x, best_y = np.where(better, x, best_x), np.where(better, y, best_y)
+        live = live & ~(err < 1e-15)
+    return best_x, best_y
+
+
+def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
+    """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
+    in `pairs`, as one system whose oracle fields are (P, 1) float arrays."""
+    n = table.n
+    universe = tuple(range(1, n + 1))
+    full = np.array(table.entries[universe])
+    # drop[k, t]: value of item t + 1 on the slate without item k + 1
+    drop = np.zeros((n, n))
+    for k in range(n):
+        drop[k, np.arange(n) != k] = table.entries[universe[:k] + universe[k + 1:]]
+    i, j = (np.array(side)[:, None] - 1 for side in zip(*pairs))
+    return PairSystemInput(
+        lam=table.lam,
+        c_full_i=full[i],
+        c_full_j=full[j],
+        c_drop_j_i=drop[j, i],
+        c_drop_i_j=drop[i, j],
+        c_pair_i=np.array([table.entries[p][0] for p in pairs])[:, None],
+    )
+
+
+def _coefficient_rows(coeffs: Sequence) -> np.ndarray:
+    """(P, k) array of k ascending coefficient columns of shape (P, 1)."""
+    return np.concatenate(np.broadcast_arrays(*coeffs), axis=1)
+
+
+def _zone(value, tau: float) -> tuple:
+    """(surely at most tau, surely above tau) for `value`.
+
+    Values within SCREEN_MARGIN of tau, on either side, are neither; so is NaN.
+    """
+    return value <= tau / SCREEN_MARGIN, value > tau * SCREEN_MARGIN
+
+
+def _leading_safe(coeffs: np.ndarray) -> np.ndarray:
+    """Rows whose leading coefficient is finite and surely not trimmed by
+    `RealPolynomial.of`."""
+    scale = np.abs(coeffs).max(axis=1)
+    lead = np.abs(coeffs[:, -1])
+    return np.isfinite(coeffs).all(axis=1) & (
+        lead > DEFAULT_TOL.tau_lead * SCREEN_MARGIN * scale
+    )
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of each row of ascending coefficients, by eigenvalues of the
+    stacked companion matrices."""
+    k = coeffs.shape[1] - 1
+    comp = np.zeros((len(coeffs), k, k))
+    comp[:, 1:, :-1] = np.eye(k - 1)
+    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+    return np.linalg.eigvals(comp)
+
+
+def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
+    """Which pair systems of the batch can add a solution to the report.
+
+    Follows `solve_pair_system` on every row at once: companion eigenvalues
+    of the pair quartic and of the pinned-branch quadratic stand in for the
+    closed-form roots, then the partner map, the Newton polish, admissibility
+    and the residual. Each decision is sure only outside SCREEN_MARGIN of its
+    threshold. A row needs the scalar solver when any decision is unsure,
+    when three quartic roots cluster within 1 / SCREEN_MARGIN, or when its
+    surviving candidates are not all one class (close, or at
+    lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN); every other
+    row has at most one solution, which the pair scan skips.
+
+    Returns the (P, 5) `pair_quartic` coefficient rows, bitwise equal to the
+    scalar builder's before trimming, and the (P,) mask of rows to solve.
+    """
+    quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
+    quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
+    sure = _leading_safe(quartic) & _leading_safe(quad)
+    lam = float(batch.lam)
+    c = _drop_coefficients(batch)
+    with np.errstate(all="ignore"):
+        # rows that fail the leading-coefficient test get a harmless dummy
+        roots = _companion_roots(np.where(sure[:, None], quartic, 1.0))
+        ys = _companion_roots(np.where(sure[:, None], quad, 1.0))
+        # within a cluster of three roots the closed forms and the
+        # eigenvalues may differ by more than the margin covers
+        gap = abs(roots[:, :, None] - roots[:, None, :])
+        gap /= np.maximum(1.0, abs(roots))[:, :, None]
+        sure = sure & (np.sort(gap, axis=2)[:, :, 2] >= 1 / SCREEN_MARGIN).all(axis=1)
+
+        # root branch: four pivot values per row
+        bi = roots.real
+        real, cplx = _zone(abs(roots.imag), DEFAULT_TOL.tau_imag)
+        inside, outside = _zone(np.maximum(-bi, bi - 1), TAU_ADM)
+        num, den = partner_map(batch)
+        den = den(bi)
+        off_pin = abs(den) > batch.tau_den() * SCREEN_MARGIN
+        bj = num(bi) / np.where(off_pin, den, 1.0)
+        bi, bj = _polish_batch(c, bi, bj, off_pin & ~(cplx | outside))
+        # pinned branch: the fixed partner value and the quadratic's two roots
+        pin = batch.pivot_pin()
+        y_real, y_cplx = _zone(abs(ys.imag), DEFAULT_TOL.tau_imag)
+        y_in, y_out = _zone(np.maximum(-ys.real, ys.real - 1), TAU_ADM)
+
+        # seven candidates per row: four root-branch, three pinned
+        pins = np.broadcast_to(pin, (len(pin), 3))
+        b_i = np.concatenate([bi, pins], axis=1)
+        b_j = np.concatenate([bj, ys.real, batch.c_full_j / (1 + lam)], axis=1)
+        a_i = np.concatenate([batch.c_full_i - lam * bi, pins], axis=1)
+        a_j = batch.c_full_j - lam * b_j
+        vals = np.stack([a_i, a_j, b_i, b_j])
+        # whether the scalar path surely builds a candidate, surely does not,
+        # and whether the values here are its values (near the pin they are not)
+        one = np.ones_like(pin, dtype=bool)
+        exists = np.concatenate([real & inside & off_pin, y_real & y_in, one], axis=1)
+        absent = np.concatenate([cplx | outside, y_cplx | y_out, ~one], axis=1)
+        valid = np.concatenate([off_pin, one, one, one], axis=1)
+        adm, inadm = _zone(np.maximum(-vals, vals - 1).max(axis=0), TAU_ADM)
+        # the pair-slate equations; the full-slate ones hold by construction
+        errs = (
+            a_i / (1 - a_j) + lam * (b_i / (1 - b_j)) - batch.c_drop_j_i,
+            a_j / (1 - a_i) + lam * (b_j / (1 - b_i)) - batch.c_drop_i_j,
+            a_i / (a_i + a_j) + lam * (b_i / (b_i + b_j)) - batch.c_pair_i,
+        )
+        good, bad = _zone(np.max(np.abs(errs), axis=0), tol)
+        survives = exists & adm & good
+        fails = absent | (valid & (inadm | bad))
+        sure = sure & (survives | fails).all(axis=1)
+
+        # one class: every two survivors are close, or swap-close at lambda = 1
+        def near(u, v):
+            scale = np.maximum(1.0, np.maximum(abs(u), abs(v)))
+            return (abs(u - v) / scale).max(axis=0) <= DEDUP_RTOL / SCREEN_MARGIN
+
+        left, right = vals[:, :, :, None], vals[:, :, None, :]
+        merged = near(left, right)
+        if uniform:
+            merged |= near(left, right[[2, 3, 0, 1]])
+        both = survives[:, :, None] & survives[:, None, :]
+        one_class = (merged | ~both).all(axis=(1, 2))
+    return quartic, ~(sure & one_class)
 
 
 def _band_roots(poly: RealPolynomial, tau_adm: float, exact: bool) -> list:
@@ -413,6 +610,13 @@ def enumerate_candidates(
     return _dedup(good), statuses
 
 
+def _float_table(table: OracleTable) -> bool:
+    """True when lambda and every oracle value are floats, as the screen needs."""
+    return isinstance(table.lam, float) and all(
+        isinstance(v, float) for row in table.entries.values() for v in row
+    )
+
+
 def _swap_equivalent(c1: CandidateSolution, c2: CandidateSolution) -> bool:
     return _close(c1.a + c1.b, c2.b + c2.a)
 
@@ -479,33 +683,41 @@ def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> Identifiabi
         codes.append("no-solution")
 
     pair_extra = []
+    quartics = None
     near_tol = tol * 10.0**-CERT_DECADES
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                sys_ij = pair_system(table, i, j, include_pair=True)
-                sols = solve_pair_system(sys_ij, tol=tol)
-                if is_uniform:
-                    sols, _ = _swap_dedup(sols)
-                if len(sols) <= 1:
-                    continue
-                ta = (truth_by_item[i][0], truth_by_item[j][0])
-                tb = (truth_by_item[i][1], truth_by_item[j][1])
-                extra = [s for s in sols if not _close(s.a + s.b, ta + tb)]
-                if (
-                    extra
-                    and min(s.residual for s in extra) > near_tol
-                    and pair_certified_unique(model, i, j)
-                ):
-                    codes.append("pair-certified")
-                    continue
-                pair_extra.extend(extra)
+        pairs = list(combinations(range(1, n + 1), 2))
+        to_solve = [True] * len(pairs)
+        if _float_table(table):
+            rows, to_solve = _screen_pairs(_pair_batch(table, pairs), tol, is_uniform)
+            # pairs (1, j) lead the list
+            quartics = {j: RealPolynomial.of(rows[j - 2]) for j in range(2, n + 1)}
+        for (i, j), solve in zip(pairs, to_solve):
+            if not solve:
+                continue
+            sys_ij = pair_system(table, i, j, include_pair=True)
+            sols = solve_pair_system(sys_ij, tol=tol)
+            if is_uniform:
+                sols, _ = _swap_dedup(sols)
+            if len(sols) <= 1:
+                continue
+            ta = (truth_by_item[i][0], truth_by_item[j][0])
+            tb = (truth_by_item[i][1], truth_by_item[j][1])
+            extra = [s for s in sols if not _close(s.a + s.b, ta + tb)]
+            if (
+                extra
+                and min(s.residual for s in extra) > near_tol
+                and pair_certified_unique(model, i, j)
+            ):
+                codes.append("pair-certified")
+                continue
+            pair_extra.extend(extra)
         if pair_extra:
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model, table)
+    gates = _gate_values(model, table, quartics)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )
@@ -574,8 +786,11 @@ def pair_certified_unique(model: MixtureModel, i: int, j: int) -> bool:
     return not pinned_open
 
 
-def _gate_values(model: MixtureModel, table: OracleTable) -> dict:
-    """Scaled resultant gates from the model's deflated pair cubics."""
+def _gate_values(model: MixtureModel, table: OracleTable, quartics=None) -> dict:
+    """Scaled resultant gates from the model's deflated pair cubics.
+
+    `quartics` maps j to the (1, j) pair quartic where the caller has it.
+    """
     from .polynomials import NotARootError, PolynomialShapeError
 
     n = model.n
@@ -583,7 +798,10 @@ def _gate_values(model: MixtureModel, table: OracleTable) -> dict:
     gates: dict = {}
     cubics = {}
     for j in range(2, n + 1):
-        quartic = pair_quartic(pair_system(table, 1, j))
+        if quartics is not None:
+            quartic = quartics[j]
+        else:
+            quartic = pair_quartic(pair_system(table, 1, j))
         try:
             cubics[j] = deflate_root(quartic, b1)
         except (NotARootError, PolynomialShapeError):

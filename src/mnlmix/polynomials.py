@@ -472,7 +472,8 @@ def _poly_remainder(a: RealPolynomial, b: RealPolynomial, exact: bool) -> RealPo
     ra = trim(ra)
     while len(ra) - 1 >= db and any(c != 0 for c in ra):
         da = len(ra) - 1
-        lead = ra[-1] / bc[-1]
+        # int coefficients count as exact, and int / int would be a float
+        lead = Fraction(ra[-1]) / bc[-1] if exact else ra[-1] / bc[-1]
         for k in range(db + 1):
             ra[da - db + k] -= lead * bc[k]
         ra.pop()

@@ -10,7 +10,8 @@ A second quartic arises the same way from the two-item slate {i, j}.
 Each polynomial is stated once, as its cleared expression: evaluated at a
 number it gives the polynomial's value, and evaluated at the polynomial
 ``X`` it gives the coefficients, exactly when the oracle values are
-Fractions and with no hand-expanded coefficient formulas.
+Fractions and with no hand-expanded coefficient formulas. A system whose
+oracle fields are numpy arrays gives the coefficients of every row at once.
 """
 
 from __future__ import annotations
@@ -137,26 +138,32 @@ def back_substitute(b1, b2, c_full_row: Sequence, lam):
     return a1, a2, a3, b3
 
 
+def cleared_pair_quartic(sys: PairSystemInput, x):
+    """The drop-partner slate equation with denominators cleared, at x.
+
+    The system's fields may also be numpy arrays of equal shape, which
+    evaluates one expression per row with the same operations in the same
+    order as a scalar system.
+    """
+    lam = sys.lam
+    num, den = partner_map(sys)
+    nx, dx = num(x), den(x)
+    one_minus_aj = (1 - sys.c_full_j) * dx + lam * nx
+    one_minus_bj = dx - nx
+    return (
+        sys.c_drop_j_i * one_minus_aj * one_minus_bj
+        - (sys.c_full_i - lam * x) * dx * one_minus_bj
+        - lam * x * dx * one_minus_aj
+    )
+
+
 def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
     """Quartic in the pivot weight from the drop-partner slate equation.
 
     Every admissible solution of the pair system has its pivot weight among
     the roots (plus possibly the degenerate pinned branch).
     """
-    lam = sys.lam
-    num, den = partner_map(sys)
-
-    def cleared(x):
-        nx, dx = num(x), den(x)
-        one_minus_aj = (1 - sys.c_full_j) * dx + lam * nx
-        one_minus_bj = dx - nx
-        return (
-            sys.c_drop_j_i * one_minus_aj * one_minus_bj
-            - (sys.c_full_i - lam * x) * dx * one_minus_bj
-            - lam * x * dx * one_minus_aj
-        )
-
-    return RealPolynomial.of(cleared(X))
+    return RealPolynomial.of(cleared_pair_quartic(sys, X))
 
 
 def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
@@ -215,21 +222,25 @@ def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
     return max(errs)
 
 
+def cleared_partner_quadratic(sys: PairSystemInput, y):
+    """The drop-partner equation on the pinned branch, cleared, at y.
+
+    Like `cleared_pair_quartic`, it also takes a system of array fields.
+    """
+    lam = sys.lam
+    m = sys.pivot_pin()
+    return sys.c_drop_j_i * (1 - sys.c_full_j + lam * y) * (1 - y) - m * (
+        1 + lam * (1 - sys.c_full_j) + (lam * lam - 1) * y
+    )
+
+
 def degenerate_partner_quadratic(sys: PairSystemInput) -> RealPolynomial:
     """Partner-weight polynomial on the pinned branch b_i = c_full_i/(1+lam).
 
     With the pivot pinned, the drop-pivot equation turns into a consistency
     statement and the drop-partner equation becomes a quadratic in b_j.
     """
-    lam = sys.lam
-    m = sys.pivot_pin()
-
-    def cleared(y):
-        return sys.c_drop_j_i * (1 - sys.c_full_j + lam * y) * (1 - y) - m * (
-            1 + lam * (1 - sys.c_full_j) + (lam * lam - 1) * y
-        )
-
-    return RealPolynomial.of(cleared(X))
+    return RealPolynomial.of(cleared_partner_quadratic(sys, X))
 
 
 def resultant_gate(cubic_a: RealPolynomial, cubic_b: RealPolynomial):

@@ -1,6 +1,7 @@
 """Solution enumeration and identifiability-report tests."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from mnlmix.identify import (
     solve_pair_system,
 )
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
-from mnlmix.systems import pair_system
+from mnlmix.polynomials import RealPolynomial
+from mnlmix.systems import pair_quartic, pair_system
 
 F = Fraction
 
@@ -416,3 +418,72 @@ def test_component_swap_keeps_verdict(n, seed, lam):
     assert _truth_among_full(rep_swap, swapped) or (
         lam == 1.0 and _truth_among_full(rep_swap, m)
     )
+
+
+def _solve_every_pair(monkeypatch):
+    """Make the pair screen send every pair to `solve_pair_system`."""
+    screen = identify._screen_pairs
+
+    def flag_all(batch, tol, uniform):
+        rows, to_solve = screen(batch, tol, uniform)
+        return rows, np.ones_like(to_solve)
+
+    monkeypatch.setattr(identify, "_screen_pairs", flag_all)
+
+
+@pytest.mark.parametrize("lam", [2.0, 1.0, 0.7])
+@pytest.mark.parametrize("n, seeds", [(4, 40), (6, 15), (14, 4)])
+def test_screened_reports_equal_unscreened(n, seeds, lam, monkeypatch):
+    models = [random_instance(n, lam, s) for s in range(seeds)]
+    screened = [check_identifiability(m).to_dict() for m in models]
+    _solve_every_pair(monkeypatch)
+    assert [check_identifiability(m).to_dict() for m in models] == screened
+
+
+@pytest.mark.parametrize("case", ["float-counterexample", "near-pin"])
+def test_screen_sends_deciding_pairs_to_scalar_solver(case, monkeypatch):
+    """The counterexample's second solution lives on pair (1, 2). The n = 14
+    draw has b_1 1e-4 from the pin, and a candidate residual of its pair
+    (1, 2) falls within the screen's margin of tol."""
+    if case == "near-pin":
+        m, codes = random_instance(14, 2.0, 73186270), ()
+    else:
+        m = MixtureModel.of(
+            [float(v) for v in counterexample().a.w],
+            [float(v) for v in counterexample().b.w],
+            2.0,
+        )
+        codes = ("pair-multiplicity",)
+    solved = []
+    solve = identify.solve_pair_system
+
+    def spy(sys, **kwargs):
+        solved.append((sys.pivot, sys.partner))
+        return solve(sys, **kwargs)
+
+    monkeypatch.setattr(identify, "solve_pair_system", spy)
+    rep = check_identifiability(m)
+    assert rep.codes == codes
+    assert (1, 2) in solved
+    assert len(solved) < m.n
+    _solve_every_pair(monkeypatch)
+    assert check_identifiability(m).to_dict() == rep.to_dict()
+
+
+@_PROPERTY
+@given(
+    st.sampled_from([4, 5, 7]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_batched_quartic_rows_match_scalar_builder(n, seed, lam):
+    m = random_instance(n, lam, seed)
+    pairs = list(combinations(range(1, n + 1), 2))
+    table = oracle_table(
+        m, all_slates(n, min_size=n - 1) + [Slate.of(p) for p in pairs]
+    )
+    rows, _ = identify._screen_pairs(identify._pair_batch(table, pairs), 1e-8, lam == 1.0)
+    for row, (i, j) in zip(rows, pairs):
+        scalar = pair_quartic(pair_system(table, i, j, include_pair=True))
+        batched = RealPolynomial.of(row)
+        assert [c.hex() for c in batched.coeffs] == [c.hex() for c in scalar.coeffs]

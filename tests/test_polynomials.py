@@ -289,3 +289,19 @@ def test_sturm_count_exact_at_rational_endpoints():
     )
     assert count_real_roots_sturm(p, F(0), F(1, 3) + F(1, 2 * 10**12)) == 1
     assert count_real_roots_sturm(p, F(0), F(1)) == 2
+
+
+def test_int_leading_coefficient_stays_exact():
+    """`X` carries int coefficients, so these monic products lead with the
+    int 1; the Euclid and Sturm remainders must still divide in Fractions
+    (int / int is a float and used to turn both results inexact)."""
+    F = Fraction
+    p = RealPolynomial.of((X - F(1, 3)) * (X - F(1, 7)))
+    q = RealPolynomial.of((X - F(1, 3)) * (X + 2))
+    assert isinstance(p.coeffs[-1], int) and p.exact and q.exact
+    g = poly_gcd(p, q)
+    assert g.exact and g.coeffs == (F(-1, 3), 1)
+    # distinct roots of p * q: -2, 1/7 and the shared 1/3
+    pq = RealPolynomial.of(Coeffs(p.coeffs) * Coeffs(q.coeffs))
+    assert count_real_roots_sturm(pq, F(0), F(1)) == 2
+    assert count_real_roots_sturm(pq, F(-3), F(1)) == 3

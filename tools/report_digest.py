@@ -17,7 +17,8 @@ rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
 them, and on the two-solution counterexample (exact and float);
 `learn_from_oracle` by n and lambda; and `learn_from_samples` at
 eps = 0.05 on model seeds 1000 + t with sampling seed t. A run takes about
-40 s on two cores.
+30 s on two cores; the n = 20 identify family, 10 seeds per lambda, is about
+1 s of that.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from mnlmix.model import MixtureModel, random_instance
 
 LAMBDAS = (2.0, 1.0, 0.7)
 # n -> number of seeds, per lambda
-IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20}
+IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20, 20: 10}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
 RATIONAL_DRAWS = 60
 # n -> number of sampling draws at lambda = 2

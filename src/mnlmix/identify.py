@@ -34,12 +34,14 @@ from .polynomials import (
     deflate_root,
     poly_gcd,
     solve_all_roots,
+    sylvester_resultants,
 )
 from .systems import (
     DegenerateBranchSignal,
     PairSystemInput,
     back_substitute,
     cleared_pair_quartic,
+    cleared_pair_slate_quartic,
     cleared_partner_quadratic,
     degenerate_partner_quadratic,
     pair_quartic,
@@ -661,7 +663,7 @@ def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> Identifiabi
     # n = 3 and n = 4 get every slate; larger universes keep the 2-, (n-1)-
     # and n-slates, the sizes the reduction and its filters consume
     budget = [
-        Slate.of(c)
+        Slate(c)
         for k in sorted({2, n - 1, n})
         for c in combinations(range(1, n + 1), k)
     ]
@@ -683,16 +685,16 @@ def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> Identifiabi
         codes.append("no-solution")
 
     pair_extra = []
-    quartics = None
+    screened = None
     near_tol = tol * 10.0**-CERT_DECADES
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         pairs = list(combinations(range(1, n + 1), 2))
         to_solve = [True] * len(pairs)
         if _float_table(table):
-            rows, to_solve = _screen_pairs(_pair_batch(table, pairs), tol, is_uniform)
-            # pairs (1, j) lead the list
-            quartics = {j: RealPolynomial.of(rows[j - 2]) for j in range(2, n + 1)}
+            batch = _pair_batch(table, pairs)
+            rows, to_solve = _screen_pairs(batch, tol, is_uniform)
+            screened = batch, rows
         for (i, j), solve in zip(pairs, to_solve):
             if not solve:
                 continue
@@ -717,7 +719,7 @@ def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> Identifiabi
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model, table, quartics)
+    gates = _gate_values(model, table, screened)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )
@@ -786,15 +788,72 @@ def pair_certified_unique(model: MixtureModel, i: int, j: int) -> bool:
     return not pinned_open
 
 
-def _gate_values(model: MixtureModel, table: OracleTable, quartics=None) -> dict:
+def _untrimmed(coeffs: np.ndarray) -> np.ndarray:
+    """Rows whose leading coefficient `RealPolynomial.of` keeps; a row with
+    a value that is not finite is never one of them."""
+    return abs(coeffs[:, -1]) > DEFAULT_TOL.tau_lead * abs(coeffs).max(axis=1)
+
+
+def _batched_gates(b1: float, batch: PairSystemInput, quartic: np.ndarray) -> Optional[dict]:
+    """`_gate_values` from the pair screen's batch, or None when any row
+    fails a check of the scalar path.
+
+    `quartic` holds the (1, j) pair-quartic rows for j = 2..n, which lead
+    the batch. Each row and its pair-slate quartic are deflated at b1 and
+    divided by their sup-norms as `deflate_root` and `scaled_to_unit` do, and
+    all gates are one stack of Sylvester determinants. The checks: no
+    leading coefficient that `RealPolynomial.of` would trim, which also
+    rejects values that are not finite, and no deflation residual over
+    tau_defl times the sup-norm.
+    """
+    count = len(quartic)
+    slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[:count]
+    p = np.concatenate([quartic, slate])
+    with np.errstate(all="ignore"):
+        ok = _untrimmed(p)
+        # synthetic division as in `deflate_root`; its last step leaves the
+        # Horner residual p(b1)
+        acc, out = p[:, 4], []
+        for k in range(3, -1, -1):
+            out.append(acc)
+            acc = p[:, k] + acc * b1
+        ok &= abs(acc) <= DEFAULT_TOL.tau_defl * abs(p).max(axis=1)
+        cubic = np.stack(out[::-1], axis=1)
+        ok &= _untrimmed(cubic)
+        cubic = cubic / abs(cubic).max(axis=1)[:, None]
+        ok &= _untrimmed(cubic)
+        if not ok.all():
+            return None
+        # rows j < k of the (1, j) cubics for the drop gates, then row j
+        # against its pair-slate cubic, in the scalar loop's key order
+        drop = list(combinations(range(count), 2))
+        first = [j for j, _ in drop] + list(range(count))
+        second = [k for _, k in drop] + list(range(count, 2 * count))
+        gates = abs(sylvester_resultants(cubic[first], cubic[second]))
+    keys = [f"drop:{j + 2},{k + 2}" for j, k in drop]
+    keys += [f"pair:{j}" for j in range(2, count + 2)]
+    return dict(zip(keys, gates.tolist()))
+
+
+def _gate_values(model: MixtureModel, table: OracleTable, screened=None) -> dict:
     """Scaled resultant gates from the model's deflated pair cubics.
 
-    `quartics` maps j to the (1, j) pair quartic where the caller has it.
+    `screened` is the pair screen's (batch, quartic rows) where the caller
+    has them. The gates then come from `_batched_gates`; if a row fails one
+    of its checks, this scalar loop runs on the screen's (1, j) rows.
     """
     from .polynomials import NotARootError, PolynomialShapeError
 
     n = model.n
     b1 = model.b[0]
+    quartics = None
+    if screened is not None:
+        batch, rows = screened
+        batched = _batched_gates(float(b1), batch, rows[: n - 1])
+        if batched is not None:
+            return batched
+        # pairs (1, j) lead the batch
+        quartics = {j: RealPolynomial.of(rows[j - 2]) for j in range(2, n + 1)}
     gates: dict = {}
     cubics = {}
     for j in range(2, n + 1):

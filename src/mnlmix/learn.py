@@ -299,8 +299,9 @@ def _learn(
         )
 
     # every block basin is carried through the extension and the final
-    # refit; the fit with the lowest loss on all sampled rows wins (ties keep
-    # the lower block loss)
+    # refit; the fit with the lowest loss on all sampled rows wins. `min`
+    # keeps the earlier basin, the one with the lower block loss, only when
+    # two losses are exactly equal; on near-ties the last digits decide
     fits, failures = [], []
     for block in blocks:
         fit, st = _extend_block(oracle, lam, cfg, n, items, block, noisy)

@@ -9,7 +9,8 @@ arithmetic that builds coefficients from an expression evaluated at ``X``.
 Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
-arithmetic the coefficients carry.
+arithmetic the coefficients carry. `sylvester_resultants` is the float
+resultant on stacks of coefficient rows, one numpy batch.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -452,6 +455,47 @@ def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
             for cc in range(col, size):
                 rows[r][cc] -= f * rows[col][cc]
     return sign * det
+
+
+def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """`sylvester_resultant` of every row pair of two float coefficient stacks.
+
+    p and q are (B, m + 1) and (B, n + 1) arrays of ascending coefficients
+    whose last columns hold the leading coefficients. All B eliminations run
+    at once with the scalar function's pivots and the same operations in the
+    same order, so each determinant equals the scalar one bitwise. The scalar
+    loop skips a row update whose factor is zero, which can only change the
+    sign of a zero entry, never a pivot or the determinant.
+    """
+    m, n = p.shape[1] - 1, q.shape[1] - 1
+    if m < 1 or n < 1:
+        raise PolynomialShapeError("resultant needs two polynomials of degree >= 1")
+    size, count = m + n, len(p)
+    rows = np.zeros((count, size, size))
+    for i in range(n):
+        rows[:, i, i:i + m + 1] = p[:, ::-1]
+    for i in range(m):
+        rows[:, n + i, i:i + n + 1] = q[:, ::-1]
+    det = np.ones(count)
+    flip = np.zeros(count, dtype=bool)
+    pivots = np.empty((count, size))
+    at = np.arange(count)
+    with np.errstate(all="ignore"):
+        for col in range(size - 1):
+            piv = col + abs(rows[:, col:, col]).argmax(axis=1)
+            # row col is not read again, so the pivot row is taken out and
+            # row col moves to its place
+            top = rows[at, piv]
+            rows[at, piv] = rows[:, col]
+            flip ^= piv != col
+            pval = pivots[:, col] = top[:, col]
+            det *= pval
+            f = rows[:, col + 1:, col] / pval[:, None]
+            rows[:, col + 1:, col:] -= f[:, :, None] * top[:, None, col:]
+        pivots[:, -1] = rows[:, -1, -1]
+        det *= pivots[:, -1]
+    # the scalar loop returns 0.0 at a zero pivot
+    return np.where((pivots == 0).any(axis=1), 0.0, np.where(flip, -det, det))
 
 
 def _poly_remainder(a: RealPolynomial, b: RealPolynomial, exact: bool) -> RealPolynomial:

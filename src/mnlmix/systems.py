@@ -166,24 +166,29 @@ def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
     return RealPolynomial.of(cleared_pair_quartic(sys, X))
 
 
-def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
-    """Companion quartic from the two-item slate {pivot, partner} equation."""
+def cleared_pair_slate_quartic(sys: PairSystemInput, x):
+    """The two-item slate {pivot, partner} equation with denominators
+    cleared, at x.
+
+    Like `cleared_pair_quartic`, it also takes a system of array fields.
+    """
     if sys.c_pair_i is None:
         raise ValueError("pair-slate value missing from the system input")
     lam = sys.lam
     num, den = partner_map(sys)
+    nx, dx = num(x), den(x)
+    sum_a = (sys.c_full_i + sys.c_full_j - lam * x) * dx - lam * nx
+    sum_b = x * dx + nx
+    return (
+        sys.c_pair_i * sum_a * sum_b
+        - (sys.c_full_i - lam * x) * dx * sum_b
+        - lam * x * dx * sum_a
+    )
 
-    def cleared(x):
-        nx, dx = num(x), den(x)
-        sum_a = (sys.c_full_i + sys.c_full_j - lam * x) * dx - lam * nx
-        sum_b = x * dx + nx
-        return (
-            sys.c_pair_i * sum_a * sum_b
-            - (sys.c_full_i - lam * x) * dx * sum_b
-            - lam * x * dx * sum_a
-        )
 
-    return RealPolynomial.of(cleared(X))
+def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
+    """Companion quartic from the two-item slate {pivot, partner} equation."""
+    return RealPolynomial.of(cleared_pair_slate_quartic(sys, X))
 
 
 def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
@@ -244,8 +249,12 @@ def degenerate_partner_quadratic(sys: PairSystemInput) -> RealPolynomial:
 
 
 def resultant_gate(cubic_a: RealPolynomial, cubic_b: RealPolynomial):
-    """Sylvester resultant of two deflated cubics after unit sup-norm scaling.
+    """Sylvester resultant of two deflated cubics, each scaled to unit
+    sup-norm first.
 
+    "Scaled" means that each cubic's coefficients are divided by its
+    coefficient sup-norm, the largest absolute coefficient, before the
+    Sylvester determinant is taken; the value is not otherwise normalized.
     Near-zero values signal a shared root, i.e. membership in the variety
     where a second solution of the joint system can exist.
     """

@@ -19,7 +19,7 @@ from mnlmix.identify import (
     solve_pair_system,
 )
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
-from mnlmix.polynomials import RealPolynomial
+from mnlmix.polynomials import RealPolynomial, sylvester_resultant, sylvester_resultants
 from mnlmix.systems import pair_quartic, pair_system
 
 F = Fraction
@@ -31,6 +31,11 @@ def counterexample():
         [F(3, 10), F(3, 10), F(1, 5), F(1, 5)],
         F(2),
     )
+
+
+def float_counterexample():
+    m = counterexample()
+    return MixtureModel.of([float(v) for v in m.a.w], [float(v) for v in m.b.w], 2.0)
 
 
 def test_counterexample_pair_system_exact():
@@ -448,12 +453,7 @@ def test_screen_sends_deciding_pairs_to_scalar_solver(case, monkeypatch):
     if case == "near-pin":
         m, codes = random_instance(14, 2.0, 73186270), ()
     else:
-        m = MixtureModel.of(
-            [float(v) for v in counterexample().a.w],
-            [float(v) for v in counterexample().b.w],
-            2.0,
-        )
-        codes = ("pair-multiplicity",)
+        m, codes = float_counterexample(), ("pair-multiplicity",)
     solved = []
     solve = identify.solve_pair_system
 
@@ -487,3 +487,111 @@ def test_batched_quartic_rows_match_scalar_builder(n, seed, lam):
         scalar = pair_quartic(pair_system(table, i, j, include_pair=True))
         batched = RealPolynomial.of(row)
         assert [c.hex() for c in batched.coeffs] == [c.hex() for c in scalar.coeffs]
+
+
+def _gate_items(model) -> list:
+    return [(k, v.hex()) for k, v in check_identifiability(model).gate_values.items()]
+
+
+def _scalar_gate_items(model, monkeypatch) -> list:
+    """Gates from the scalar loop, reached by making the batch decline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(identify, "_batched_gates", lambda *args: None)
+        return _gate_items(model)
+
+
+def _watch_batched_gates(monkeypatch) -> list:
+    """Record, per call of `_batched_gates`, whether the batch declined."""
+    declined = []
+    batched = identify._batched_gates
+
+    def spy(*args):
+        gates = batched(*args)
+        declined.append(gates is None)
+        return gates
+
+    monkeypatch.setattr(identify, "_batched_gates", spy)
+    return declined
+
+
+def _edge_draw(case):
+    return {
+        "float-counterexample": float_counterexample,
+        # b_1 lies 1e-4 from the pin c_1 / (1 + lambda)
+        "near-pin": lambda: random_instance(14, 2.0, 73186270),
+        # items 1 and 3 nearly collapse: four roots of pair (1, 3) cluster
+        "root-cluster": lambda: random_instance(4, 2.0, 496),
+    }[case]()
+
+
+_GATE_DRAWS = [
+    (n, lam, s)
+    for n, seeds in ((4, 12), (8, 4), (14, 2), (20, 1))
+    for lam in (2.0, 1.0, 0.7)
+    for s in range(seeds)
+] + ["float-counterexample", "near-pin", "root-cluster"]
+
+
+@pytest.mark.parametrize("draw", _GATE_DRAWS, ids=str)
+def test_batched_gates_equal_scalar_loop(draw, monkeypatch):
+    """Gate values and key order match the scalar loop bitwise, and the batch
+    does not decline."""
+    m = _edge_draw(draw) if isinstance(draw, str) else random_instance(*draw)
+    declined = _watch_batched_gates(monkeypatch)
+    gates = _gate_items(m)
+    assert declined == [False]
+    assert gates == _scalar_gate_items(m, monkeypatch)
+    assert len(gates) == (m.n - 1) * m.n // 2
+
+
+def test_trimmed_quartic_row_sends_model_to_scalar_gates(monkeypatch):
+    """A (1, 2) quartic row whose leading coefficient `RealPolynomial.of`
+    trims makes the batch decline; the scalar loop's result is reported."""
+    m = random_instance(6, 2.0, 0)
+    full = _gate_items(m)
+    screen = identify._screen_pairs
+
+    def trim_first_row(batch, tol, uniform):
+        rows, to_solve = screen(batch, tol, uniform)
+        rows = rows.copy()
+        rows[0, -1] *= 1e-15
+        return rows, to_solve
+
+    monkeypatch.setattr(identify, "_screen_pairs", trim_first_row)
+    declined = _watch_batched_gates(monkeypatch)
+    gates = _gate_items(m)
+    assert declined == [True]
+    assert gates == _scalar_gate_items(m, monkeypatch)
+    # the trimmed quartic no longer has b_1 as a root, so item 2's gates are
+    # gone and the others keep their values
+    assert [g for g in full if 2 not in _gate_key_items(g[0])] == gates
+    assert len(gates) < len(full)
+
+
+def _gate_key_items(key: str) -> list:
+    """The items j (and k) a gate key such as "drop:3,5" or "pair:4" names."""
+    return [int(j) for j in key.split(":")[1].split(",")]
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@_PROPERTY
+@given(st.lists(st.tuples(*[_UNIT] * 8), min_size=1, max_size=6))
+def test_stacked_sylvester_determinant_matches_scalar(cases):
+    """`sylvester_resultants` on unit-scaled cubic pairs equals
+    `sylvester_resultant` bitwise, sign included."""
+    pairs = []
+    for c in cases:
+        p = RealPolynomial.of(c[:4]).scaled_to_unit()
+        q = RealPolynomial.of(c[4:]).scaled_to_unit()
+        if p.degree == 3 and q.degree == 3:
+            pairs.append((p, q))
+    if not pairs:
+        return
+    stacked = sylvester_resultants(
+        np.array([p.coeffs for p, _ in pairs]), np.array([q.coeffs for _, q in pairs])
+    )
+    assert [v.hex() for v in stacked.tolist()] == [
+        float(sylvester_resultant(p, q)).hex() for p, q in pairs
+    ]

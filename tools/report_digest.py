@@ -14,7 +14,8 @@ never against a stored list.
 
 Families: `check_identifiability` by n and lambda over random instances, on
 rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
-them, and on the two-solution counterexample (exact and float);
+them, on the two-solution counterexample (exact and float) and on two edge
+draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
 `learn_from_oracle` by n and lambda; and `learn_from_samples` at
 eps = 0.05 on model seeds 1000 + t with sampling seed t. A run takes about
 30 s on two cores; the n = 20 identify family, 10 seeds per lambda, is about
@@ -37,6 +38,9 @@ LAMBDAS = (2.0, 1.0, 0.7)
 IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20, 20: 10}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
 RATIONAL_DRAWS = 60
+# (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
+# four-root cluster in pair (1, 3)
+EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
 # n -> number of sampling draws at lambda = 2
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
 
@@ -81,6 +85,9 @@ def families():
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),
         )
+    yield "identify edge draws " + " ".join(
+        f"n={n},lam={lam},seed={s}" for n, lam, s in EDGE_DRAWS
+    ), (check_identifiability(random_instance(*d)).to_dict() for d in EDGE_DRAWS)
     for n, draws in ORACLE_DRAWS.items():
         for lam in LAMBDAS:
             yield f"learn-oracle n={n} lam={lam} seeds=0..{draws - 1}", (

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import experiments as xp
-from .identify import check_identifiability
+from .identify import RESIDUAL_TOL, check_identifiability
 from .learn import (
     DegenerateInstanceError,
     LearnConfig,
@@ -29,6 +29,7 @@ from .learn import (
     learn_from_samples,
 )
 from .model import (
+    DEFAULT_WEIGHT_FLOOR,
     MixtureModel,
     ParameterError,
     Slate,
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--lambda", dest="lam", type=float)
     p_sim.add_argument("--mu", type=float, help="mixing weight, converts to lambda")
-    p_sim.add_argument("--floor", type=float, default=1e-9)
+    p_sim.add_argument("--floor", type=float, default=DEFAULT_WEIGHT_FLOOR)
     p_sim.add_argument(
         "--model",
         help="named instance to emit: 'counterexample' (the exact two-solution "
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identify", help="uniqueness check for a model file")
     p_id.add_argument("model", help="model file path or 'counterexample'")
-    p_id.add_argument("--tol", type=float, default=1e-8)
+    p_id.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     common(p_id)
     p_id.set_defaults(func=cmd_identify)
 
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--eps", type=float, default=0.05)
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--restarts", type=int, default=500)
-    p_exp.add_argument("--tol", type=float, default=1e-8)
+    p_exp.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     p_exp.add_argument("--grid", help="comma-separated grid (eps or lambda values)")
     p_exp.add_argument("--grid-ratio", type=float, default=2.0)
     p_exp.add_argument("--refine", type=int, default=0)

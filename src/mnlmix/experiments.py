@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .identify import check_identifiability, solve_pair_system
+from .identify import RESIDUAL_TOL, check_identifiability, solve_pair_system
 from .learn import LearnConfig, learn_from_samples
 from .model import MixtureModel, Slate, oracle_table, random_instance
 from .polynomials import (
@@ -59,30 +59,22 @@ def counterexample_model(exact: bool = True) -> MixtureModel:
     )
 
 
-def regular_instance(
-    n: int,
-    lam: float,
-    seed: int,
-    ratio_floor: float = 0.3,
-    separation: float = 0.03,
-) -> MixtureModel:
+def regular_instance(n: int, lam: float, seed: int) -> MixtureModel:
     """Seeded random instance satisfying the sampling learner's regularity conditions.
 
-    Rejects draws until every weight is at least ratio_floor/n (the slate
+    Rejects draws until every weight is at least 0.3/n (the slate
     probabilities are then ratio-bounded) and the two components are
-    separated by at least `separation` in every coordinate (the estimation
-    problem is ill-conditioned on the collapse set).
+    separated by at least 0.03 in every coordinate (the estimation problem is
+    ill-conditioned on the collapse set).
     """
     for trial in range(20000):
         m = random_instance(n, lam, seed + 1000003 * trial)
-        if min(min(m.a.w), min(m.b.w)) * n < ratio_floor:
+        if min(min(m.a.w), min(m.b.w)) * n < 0.3:
             continue
-        if separation and min(
-            abs(x - y) for x, y in zip(m.a.w, m.b.w)
-        ) < separation:
+        if min(abs(x - y) for x, y in zip(m.a.w, m.b.w)) < 0.03:
             continue
         return m
-    raise ValueError("no admissible instance; loosen ratio_floor/separation")
+    raise ValueError(f"no regular instance for n={n} in 20000 draws")
 
 
 def pair_cubic_from_tuple(lam, a1, a2, b1, b2):
@@ -135,22 +127,23 @@ def _exact_record(lam, point) -> dict:
 DOMAIN_MARGIN = 1e-7
 
 
-def _project(x: np.ndarray, margin: float = DOMAIN_MARGIN) -> np.ndarray:
-    x = np.clip(x, margin, 1 - margin)
+def _project(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, DOMAIN_MARGIN, 1 - DOMAIN_MARGIN)
     for lo in (0, 2):
         s = x[lo] + x[lo + 1]
-        if s > 1 - margin:
-            x[lo] *= (1 - margin) / s
-            x[lo + 1] *= (1 - margin) / s
+        if s > 1 - DOMAIN_MARGIN:
+            x[lo] *= (1 - DOMAIN_MARGIN) / s
+            x[lo + 1] *= (1 - DOMAIN_MARGIN) / s
     return x
 
 
-def _compass_max(f, x0: np.ndarray, step0: float = 0.1, min_step: float = 1e-6):
-    """Projected pattern search; derivative-free, deterministic."""
+def _compass_max(f, x0: np.ndarray):
+    """Projected pattern search from step 0.1 down to 1e-6; derivative-free,
+    deterministic."""
     x = _project(np.array(x0, dtype=float))
     fx = f(x)
-    step = step0
-    while step > min_step:
+    step = 0.1
+    while step > 1e-6:
         moved = False
         for i in range(len(x)):
             for sgn in (1.0, -1.0):
@@ -174,15 +167,14 @@ def experiment_discriminant_max(
     seed: int = 0,
     extra_starts: Sequence[Sequence[float]] = (),
     objective: str = "raw",
-    collapse_margin: float = 0.02,
 ) -> dict:
     """Multistart maximization of the pair-cubic discriminant over the domain
     of formal 4-tuples with nonnegative implied third coordinates.
 
-    Restarts whose endpoints land on degenerate structure (near-collapsed
-    weights or a repeated-root variety at float resolution) are tallied
-    separately: on those sets the discriminant is exactly zero for structural
-    reasons, not because a robust three-real-root instance exists.
+    Restarts whose endpoints land on degenerate structure (weights within
+    0.02 of collapse or a repeated-root variety at float resolution) are
+    tallied separately: on those sets the discriminant is exactly zero for
+    structural reasons, not because a robust three-real-root instance exists.
 
     The search runs in floats, which near the variety round to either sign;
     every endpoint is therefore re-evaluated in exact arithmetic (at its
@@ -205,7 +197,7 @@ def experiment_discriminant_max(
         _, x = _compass_max(f, x0)
         d = _exact_record(lam, x)
         gap = max(abs(x[0] - x[2]), abs(x[1] - x[3]))
-        degenerate = gap < collapse_margin or abs(d["scaled"]) < 1e-12
+        degenerate = gap < 0.02 or abs(d["scaled"]) < 1e-12
         records.append(
             {
                 "value": d["raw"],
@@ -327,7 +319,7 @@ def experiment_identifiability_sweep(
     lam: float,
     trials: int,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
     jobs: int = 1,
 ) -> dict:
     """check_identifiability over seeded random instances; non-unique hits are
@@ -388,27 +380,26 @@ def experiment_sample_complexity(
     trials: int = 50,
     seed: int = 0,
     k: int = 4,
-    target: float = 0.9,
     grid_ratio: float = 2.0,
     start_size: int = 1000,
-    max_steps: int = 40,
     jobs: int = 1,
 ) -> dict:
-    """Smallest per-slate sample size reaching the target success rate, per
+    """Smallest per-slate sample size reaching a 90% success rate, per
     accuracy level, plus the fitted exponent of size against 1/accuracy.
 
     The sample-size grid is geometric with the given ratio (doubling by
-    default; sqrt(2) tightens the exponent fit at desk scale).
+    default; sqrt(2) tightens the exponent fit at desk scale) and has at most
+    40 steps from start_size.
     """
     trial_seeds = _sweep_seeds(seed, trials)
     rows = []
     for eps in sorted((float(e) for e in eps_grid), reverse=True):
         size = float(start_size)
         found = None
-        for _ in range(max_steps):
+        for _ in range(40):
             size_int = int(math.ceil(size))
             succ = _success_rate(n, lam, eps, size_int, trial_seeds, k, jobs)
-            if succ >= target:
+            if succ >= 0.9:
                 found = (size_int, succ)
                 break
             size *= grid_ratio
@@ -461,7 +452,7 @@ def sample_complexity_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def experiment_counterexample(exact: bool = True, tol: float = 1e-9) -> dict:
+def experiment_counterexample(exact: bool = True) -> dict:
     """Verify the two-solution instance: the pair system including the
     two-item slate admits exactly the generating values and the companion
     pair, and the pair-slate resultant gate vanishes."""
@@ -476,7 +467,7 @@ def experiment_counterexample(exact: bool = True, tol: float = 1e-9) -> dict:
         ],
     )
     sys = pair_system(table, 1, 2, include_pair=True)
-    sols = solve_pair_system(sys, tol=tol)
+    sols = solve_pair_system(sys, tol=1e-9)
     expected = [
         (
             COUNTEREXAMPLE_A[0], COUNTEREXAMPLE_A[1],

@@ -53,6 +53,9 @@ from .systems import (
     resultant_gate,
 )
 
+# residual at or below which a candidate solves the oracle equations; the
+# default of `check_identifiability`, the sweeps and the CLI's --tol
+RESIDUAL_TOL = 1e-8
 TAU_ADM = 1e-9
 DEDUP_RTOL = 1e-6
 COLLAPSE_GAP = 1e-9
@@ -63,6 +66,18 @@ CERT_DECADES = 4
 # more than this factor away from its threshold, on either side; its values
 # and the scalar path's differ by far less (about 1e-9 on the roots)
 SCREEN_MARGIN = 1e3
+# the drop-slate equations count as undefined where a denominator 1 - a or
+# 1 - b falls under this guard (here and in the learner's held-out check)
+DROP_DEN_GUARD = 1e-12
+# Newton polish of a pair: step count, the Jacobian determinant under which
+# it stops, and the residual at which it has converged; `_polish_batch`
+# mirrors `_polish_pair` with these same values
+POLISH_STEPS = 12
+POLISH_DET_FLOOR = 1e-14
+POLISH_STOP = 1e-15
+# noisy root selection: the two roots nearest to real are ambiguous when
+# their |imag| parts differ by less than this times (1 + the smaller)
+SEL_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -76,10 +91,6 @@ class CandidateSolution:
     admissible: bool
     level: str = "full"  # "full" or "pair"
     branch: str = "root"  # "root" or "pinned"
-
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.a + self.b)
 
     def to_dict(self) -> dict:
         return {
@@ -117,12 +128,8 @@ class IdentifiabilityReport:
         return 0 if self.unique else 2
 
 
-def _in_unit(x, tau=TAU_ADM) -> bool:
-    return -tau <= float(x) <= 1 + tau
-
-
-def _tuple_admissible(values, tau=TAU_ADM) -> bool:
-    return all(_in_unit(v, tau) for v in values)
+def _tuple_admissible(values, tau: float) -> bool:
+    return all(-tau <= float(x) <= 1 + tau for x in values)
 
 
 def _close(u: Sequence, v: Sequence, rtol=DEDUP_RTOL) -> bool:
@@ -161,9 +168,9 @@ def _drop_equations(c: tuple, x, y):
     """Residuals of the two drop-slate equations at (b_i, b_j) = (x, y) and
     their closed-form Jacobian.
 
-    On floats, None when a denominator is under 1e-12. On arrays every entry
-    is computed, with such denominators replaced by 1, and a fourth item
-    masks the entries that are valid.
+    On floats, None when a denominator is under DROP_DEN_GUARD. On arrays
+    every entry is computed, with such denominators replaced by 1, and a
+    fourth item masks the entries that are valid.
     """
     lam, c_fi, c_fj, c_ji, c_ij = c
     ai = c_fi - lam * x
@@ -173,9 +180,9 @@ def _drop_equations(c: tuple, x, y):
     if isinstance(x, np.ndarray):
         ok = np.minimum(
             np.minimum(abs(da), abs(db)), np.minimum(abs(dc), abs(dd))
-        ) >= 1e-12
+        ) >= DROP_DEN_GUARD
         da, db, dc, dd = (np.where(ok, d, 1.0) for d in (da, db, dc, dd))
-    elif min(abs(da), abs(db), abs(dc), abs(dd)) < 1e-12:
+    elif min(abs(da), abs(db), abs(dc), abs(dd)) < DROP_DEN_GUARD:
         return None
     e1 = ai / da + lam * x / db - c_ji
     e2 = aj / dc + lam * y / dd - c_ij
@@ -190,7 +197,7 @@ def _drop_equations(c: tuple, x, y):
     return e1, e2, jac
 
 
-def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
+def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH_STEPS):
     """Newton-refine (b_i, b_j) on the two drop-slate equations.
 
     Closed-form quartic roots lose accuracy when solutions cluster (near the
@@ -207,7 +214,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
     for _ in range(steps):
         f1, f2, (j11, j12, j21, j22) = cur
         det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14:
+        if abs(det) < POLISH_DET_FLOOR:
             break
         dx = (-f1 * j22 + f2 * j12) / det
         dy = (-j11 * f2 + j21 * f1) / det
@@ -218,12 +225,12 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = 12):
         err = abs(cur[0]) + abs(cur[1])
         if err < best[0]:
             best = (err, x, y)
-        if err < 1e-15:
+        if err < POLISH_STOP:
             break
     return best[1], best[2]
 
 
-def _polish_batch(c: tuple, x, y, live, steps: int = 12):
+def _polish_batch(c: tuple, x, y, live):
     """`_polish_pair` on arrays, for the entries where `live` is set: each
     takes the scalar loop's Newton steps and stops where that loop would
     break."""
@@ -231,10 +238,10 @@ def _polish_batch(c: tuple, x, y, live, steps: int = 12):
     live = live & ok
     best_err = np.where(live, abs(e1) + abs(e2), np.inf)
     best_x, best_y = x, y
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         j11, j12, j21, j22 = jac
         det = j11 * j22 - j12 * j21
-        live = live & (abs(det) >= 1e-14)
+        live = live & (abs(det) >= POLISH_DET_FLOOR)
         if not live.any():
             break
         det = np.where(live, det, 1.0)
@@ -246,7 +253,7 @@ def _polish_batch(c: tuple, x, y, live, steps: int = 12):
         better = live & (err < best_err)
         best_err = np.where(better, err, best_err)
         best_x, best_y = np.where(better, x, best_x), np.where(better, y, best_y)
-        live = live & ~(err < 1e-15)
+        live = live & ~(err < POLISH_STOP)
     return best_x, best_y
 
 
@@ -418,30 +425,24 @@ def _pivot_pairs(sys: PairSystemInput, pivots, polish: bool = True) -> list:
     return pairs
 
 
-def solve_pair_system(
-    sys: PairSystemInput,
-    tol: float = 1e-8,
-    tau_adm: float = TAU_ADM,
-    exact: Optional[bool] = None,
-) -> list:
+def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     """All admissible solutions of one (a_i, a_j, b_i, b_j) system.
 
     Takes the real quartic roots inside the admissible band, back-substitutes
     each to a full 4-tuple, then appends the pinned-branch candidates; only
     candidates whose equation residual stays at or below tol survive.
     """
-    if exact is None:
-        exact = sys.exact
+    exact = sys.exact
     lam = sys.lam
     raw = []
-    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), tau_adm, exact)):
+    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), TAU_ADM, exact)):
         ai = sys.c_full_i - lam * bi
         aj = sys.c_full_j - lam * bj
         raw.append(((ai, aj, bi, bj), "root"))
     # pinned branch: pivot fixed at c_full_i/(1+lam)
     m = sys.pivot_pin()
     quad = degenerate_partner_quadratic(sys)
-    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, tau_adm, exact)
+    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, TAU_ADM, exact)
     for bj in pinned_js:
         aj = sys.c_full_j - lam * bj
         raw.append(((m, aj, m, bj), "pinned"))
@@ -449,7 +450,7 @@ def solve_pair_system(
     cands = []
     for (ai, aj, bi, bj), branch in raw:
         res = pair_system_residual(sys, ai, aj, bi, bj)
-        adm = _tuple_admissible((ai, aj, bi, bj), tau_adm)
+        adm = _tuple_admissible((ai, aj, bi, bj), TAU_ADM)
         cands.append(
             CandidateSolution(
                 items=(sys.pivot, sys.partner),
@@ -487,7 +488,7 @@ def _extend_candidate(
     items: Sequence[int],
     systems: dict,
     polish: bool,
-) -> Optional[tuple]:
+) -> tuple:
     """Complete (b1, b2) on the first two items to weights over all items.
 
     Each b_j comes from the (pivot, j) partner map. Near the pin the map's
@@ -523,11 +524,9 @@ def enumerate_candidates(
     oracle: OracleTable,
     lam,
     items: Sequence[int],
-    tol: float = 1e-8,
+    tol: float = RESIDUAL_TOL,
     tau_adm: float = TAU_ADM,
-    exact: Optional[bool] = None,
     noisy: bool = False,
-    sel_rtol: float = 1e-3,
 ) -> tuple:
     """All admissible full assignments over `items` consistent with the oracle.
 
@@ -540,12 +539,11 @@ def enumerate_candidates(
     Returns (candidates, statuses).
     """
     items = tuple(items)
-    if exact is None:
-        exact = isinstance(lam, (Fraction, int)) and all(
-            isinstance(v, (Fraction, int))
-            for vals in oracle.entries.values()
-            for v in vals
-        )
+    exact = isinstance(lam, (Fraction, int)) and all(
+        isinstance(v, (Fraction, int))
+        for vals in oracle.entries.values()
+        for v in vals
+    )
     statuses: list = []
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)
@@ -569,7 +567,7 @@ def enumerate_candidates(
             return [], statuses
         if len(inside) >= 2:
             g0, g1 = abs(inside[0].imag), abs(inside[1].imag)
-            if g1 - g0 < sel_rtol * (1 + g0):
+            if g1 - g0 < SEL_RTOL * (1 + g0):
                 statuses.append("root-ambiguity")
         pivots = [r.real for r in inside]
         pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, pivots)]
@@ -583,10 +581,7 @@ def enumerate_candidates(
     cands = []
     for b1, b2, branch in pairs:
         # in sampling mode the caller's least-squares refit corrects b_j
-        ext = _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
-        if ext is None:
-            continue
-        a, b = ext
+        a, b = _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
         res = full_residual(a, b, lam, oracle, items)
         adm = _tuple_admissible(a + b, tau_adm)
         cands.append(
@@ -634,7 +629,9 @@ def _swap_dedup(cands: list) -> tuple:
     return kept, merged
 
 
-def check_identifiability(model: MixtureModel, tol: float = 1e-8) -> IdentifiabilityReport:
+def check_identifiability(
+    model: MixtureModel, tol: float = RESIDUAL_TOL
+) -> IdentifiabilityReport:
     """Decide uniqueness of the model's weights given its exact oracle.
 
     Enumerates full-system solutions, scans every pair system (with the

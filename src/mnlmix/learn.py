@@ -17,7 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .identify import CandidateSolution, _close, _swap_dedup, enumerate_candidates
+from .identify import (
+    DROP_DEN_GUARD,
+    TAU_ADM,
+    CandidateSolution,
+    _close,
+    _swap_dedup,
+    enumerate_candidates,
+)
 from .model import (
     MixtureModel,
     OracleTable,
@@ -50,10 +57,6 @@ class LearnConfig:
     eps: float = 0.05
     samples_per_slate: Optional[int] = None
     seed: int = 0
-    c_low: float = 0.01
-    c_high: float = 0.99
-    tol: float = 1e-8
-    sel_rtol: float = 1e-3  # noisy root selection: ambiguity guard on |imag| gaps
 
     def auto_samples(self, n: int) -> int:
         return math.ceil(8 * n**3 / self.eps**2)
@@ -158,10 +161,15 @@ def _rel_error(est_a, est_b, truth: MixtureModel) -> float:
 
 
 NOISY_ADM_MARGIN = 0.05
+# `low-regularity` is reported when n times the smallest full-slate choice
+# probability paid for by the extension falls under this
+C_LOW = 0.01
 # block refits that agree within this per coordinate (the `_close` rule)
 # share one basin: at n = 6 with 40000 and 691200 samples per slate, refits
 # of one basin agree within 3e-5 and distinct basins differ by 5e-3 or more
 BASIN_RTOL = 1e-4
+# the normalization fallback scans the block shares 1/ARGMIN_GRID, ..., 1
+ARGMIN_GRID = 2000
 
 
 def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
@@ -218,9 +226,7 @@ def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
     return basins
 
 
-def _solve_block(
-    oracle: _ValueOracle, lam, cfg: LearnConfig, items: tuple, noisy: bool
-) -> tuple:
+def _solve_block(oracle: _ValueOracle, lam, items: tuple, noisy: bool) -> tuple:
     """Solve the k-item block; returns (candidates, statuses).
 
     Exact mode yields one candidate. Noisy mode yields every distinct basin
@@ -233,12 +239,10 @@ def _solve_block(
         table,
         lam,
         items,
-        tol=cfg.tol,
         # noisy estimates of small weights wobble below zero; admit them and
         # let the clamp + least-squares refit pull them back inside
-        tau_adm=NOISY_ADM_MARGIN if noisy else 1e-9,
+        tau_adm=NOISY_ADM_MARGIN if noisy else TAU_ADM,
         noisy=noisy,
-        sel_rtol=cfg.sel_rtol,
     )
     statuses.extend(st)
     if not cands and not noisy:
@@ -282,7 +286,7 @@ def _learn(
         statuses.append("k3-warning")  # 3-item blocks may be non-identifiable
     items = tuple(range(1, k + 1))
 
-    blocks, st = _solve_block(oracle, lam, cfg, items, noisy)
+    blocks, st = _solve_block(oracle, lam, items, noisy)
     statuses.extend(st)
 
     def report(a=None, b=None, err=None):
@@ -304,7 +308,7 @@ def _learn(
     # two losses are exactly equal; on near-ties the last digits decide
     fits, failures = [], []
     for block in blocks:
-        fit, st = _extend_block(oracle, lam, cfg, n, items, block, noisy)
+        fit, st = _extend_block(oracle, lam, n, items, block, noisy)
         if fit is None:
             failures.append(st)
         else:
@@ -321,7 +325,6 @@ def _learn(
 def _extend_block(
     oracle: _ValueOracle,
     lam,
-    cfg: LearnConfig,
     n: int,
     items: tuple,
     block: CandidateSolution,
@@ -369,7 +372,7 @@ def _extend_block(
         ]
         # ratio-boundedness diagnostic on the large-slate values we paid for
         lo_prob = min([c_piv] + [sys.c_full_j for sys in tail]) / (1 + lamf)
-        if lo_prob * n < cfg.c_low:
+        if lo_prob * n < C_LOW:
             statuses.append("low-regularity")
         try:
             options, fallback = _normalization_scales(
@@ -412,7 +415,11 @@ def _extend_block(
         b_hat = [v / sum_b for v in b_hat]
         if not noisy:
             return (a_hat, b_hat, 0.0), st
-        return _refine_full(a_hat, b_hat, float(lam), oracle), st
+        fit = _refine_weights(
+            a_hat, b_hat, float(lam), range(1, n + 1),
+            oracle.sampled_rows(), oracle.noise_size,
+        )
+        return fit, st
 
     fit, st = min(
         (finish(a_hat, b_hat) for a_hat, b_hat in starts),
@@ -495,7 +502,6 @@ def _refine_weights(
     items: Sequence[int],
     rows: Sequence[tuple],
     size: Optional[int],
-    iters: int = 12,
 ) -> tuple:
     """Gauss-Newton refit of the weights over `items` against the given rows.
 
@@ -514,7 +520,7 @@ def _refine_weights(
     if cur is None:
         return list(a0), list(b0), float("inf")
     best_ss, best_theta = float(cur @ cur), theta
-    for _ in range(iters):
+    for _ in range(12):
         base, jac = residuals(theta, with_jac=True)
         step = np.linalg.lstsq(jac, -base, rcond=None)[0]
         moved = False
@@ -534,13 +540,6 @@ def _refine_weights(
             break
     a, b = _unpack(best_theta, len(a0))
     return a.tolist(), b.tolist(), best_ss
-
-
-def _refine_full(a0: list, b0: list, lam: float, oracle: "_ValueOracle") -> tuple:
-    n = len(a0)
-    return _refine_weights(
-        a0, b0, lam, range(1, n + 1), oracle.sampled_rows(), oracle.noise_size
-    )
 
 
 def _normalization_scales(
@@ -587,7 +586,7 @@ def _normalization_scales(
         for sys, v in zip(tail, bj):
             da = 1 - (sys.c_full_j - lam * v)
             db = 1 - v
-            if abs(da) < 1e-12 or abs(db) < 1e-12:
+            if abs(da) < DROP_DEN_GUARD or abs(db) < DROP_DEN_GUARD:
                 return float("inf")
             e = (sys.c_full_i - lam * x) / da + lam * x / db - sys.c_drop_j_i
             worst = max(worst, abs(e))
@@ -611,10 +610,10 @@ def _normalization_scales(
     return [(s, admissible(s))], True
 
 
-def _argmin_normalization(cleared, admissible_scale, grid: int = 2000):
+def _argmin_normalization(cleared, admissible_scale):
     best = None
-    for idx in range(1, grid + 1):
-        s = idx / grid
+    for idx in range(1, ARGMIN_GRID + 1):
+        s = idx / ARGMIN_GRID
         if admissible_scale(s) is None:
             continue
         v = abs(cleared(s))

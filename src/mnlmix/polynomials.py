@@ -40,7 +40,8 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical guards for the floating-point paths, kept in one record.
+    """Numerical guards for the floating-point paths, kept in one record;
+    every solver, trim and deflation reads `DEFAULT_TOL`.
 
     tau_imag: |imag| at or below which a solver root counts as real
     tau_defl: relative residual allowed when deflating at a claimed root
@@ -69,7 +70,7 @@ class RealPolynomial:
     exact: bool = field(default=False, compare=False)
 
     @staticmethod
-    def of(coeffs: Sequence[Number], tol: Tolerances = DEFAULT_TOL) -> "RealPolynomial":
+    def of(coeffs: Sequence[Number]) -> "RealPolynomial":
         cs = list(coeffs)
         if not cs:
             raise PolynomialShapeError("empty coefficient vector")
@@ -80,7 +81,7 @@ class RealPolynomial:
         else:
             cs = [float(c) for c in cs]
             scale = max(abs(c) for c in cs)
-            cut = tol.tau_lead * scale
+            cut = DEFAULT_TOL.tau_lead * scale
             while len(cs) > 1 and abs(cs[-1]) <= cut:
                 cs.pop()
         return RealPolynomial(tuple(cs), exact)
@@ -207,11 +208,11 @@ def interpolate(xs: Sequence[Number], ys: Sequence[Number]) -> RealPolynomial:
     return RealPolynomial.of(acc)
 
 
-def _newton_polish(p: RealPolynomial, r: complex, steps: int = 5) -> complex:
+def _newton_polish(p: RealPolynomial, r: complex) -> complex:
     dp = p.derivative()
     best, best_res = r, abs(p(r))
     x = r
-    for _ in range(steps):
+    for _ in range(5):
         d = dp(x)
         if abs(d) < 1e-300:
             break
@@ -224,8 +225,8 @@ def _newton_polish(p: RealPolynomial, r: complex, steps: int = 5) -> complex:
     return best
 
 
-def _flag_real(roots, tol: Tolerances) -> RootSet:
-    flags = tuple(abs(r.imag) <= tol.tau_imag for r in roots)
+def _flag_real(roots) -> RootSet:
+    flags = tuple(abs(r.imag) <= DEFAULT_TOL.tau_imag for r in roots)
     roots = tuple(complex(r.real, 0.0) if f else r for r, f in zip(roots, flags))
     return RootSet(roots, flags)
 
@@ -257,7 +258,7 @@ def _balance_scale(coeffs_desc_monic: Sequence[float]) -> float:
     return s if s > 0 else 1.0
 
 
-def solve_cubic(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
+def solve_cubic(p: RealPolynomial) -> RootSet:
     """All three roots of a degree-3 polynomial via Cardano, Newton-polished."""
     if p.degree != 3:
         raise PolynomialShapeError(f"solve_cubic needs degree 3, got {p.degree}")
@@ -302,10 +303,10 @@ def solve_cubic(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
             (cu * w.conjugate() + cv * w) * s - shift,
         ]
     roots = [_newton_polish(q, r) for r in roots]
-    return _flag_real(tuple(roots), tol)
+    return _flag_real(tuple(roots))
 
 
-def solve_quartic(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
+def solve_quartic(p: RealPolynomial) -> RootSet:
     """All four roots of a degree-4 polynomial via Ferrari's resolvent cubic."""
     if p.degree != 4:
         raise PolynomialShapeError(f"solve_quartic needs degree 4, got {p.degree}")
@@ -335,7 +336,7 @@ def solve_quartic(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
         # factor t^4+pp t^2+qq t+rr = (t^2+s t+u)(t^2-s t+v) with S=s^2 solving
         # S^3 + 2 pp S^2 + (pp^2-4 rr) S - qq^2 = 0 (always has a root S >= 0)
         resolvent = RealPolynomial((-qq * qq, pp * pp - 4 * rr, 2 * pp, 1.0), False)
-        zs = solve_cubic(resolvent, tol)
+        zs = solve_cubic(resolvent)
         real_s = [r.real for r, f in zip(zs.roots, zs.real_flags) if f and r.real > 0]
         if not real_s:
             ys = biquadratic()
@@ -347,10 +348,10 @@ def solve_quartic(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
             v = (pp + big_s + t) / 2
             ys = list(_solve_quadratic(1.0, s, u)) + list(_solve_quadratic(1.0, -s, v))
     roots = [_newton_polish(q, y * scale - shift) for y in ys]
-    return _flag_real(tuple(roots), tol)
+    return _flag_real(tuple(roots))
 
 
-def solve_all_roots(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet:
+def solve_all_roots(p: RealPolynomial) -> RootSet:
     """Roots of a polynomial of degree 1..4, degrading gracefully.
 
     Construction-time trimming may drop an underflowing leading coefficient,
@@ -359,14 +360,14 @@ def solve_all_roots(p: RealPolynomial, tol: Tolerances = DEFAULT_TOL) -> RootSet
     """
     q = p.as_float()
     if q.degree == 4:
-        return solve_quartic(q, tol)
+        return solve_quartic(q)
     if q.degree == 3:
-        return solve_cubic(q, tol)
+        return solve_cubic(q)
     if q.degree == 2:
         a, b, c = q.scaled_to_unit().coeffs[::-1]
-        return _flag_real(tuple(_solve_quadratic(a, b, c)), tol)
+        return _flag_real(tuple(_solve_quadratic(a, b, c)))
     if q.degree == 1:
-        return _flag_real((complex(-q.coeffs[0] / q.coeffs[1]),), tol)
+        return _flag_real((complex(-q.coeffs[0] / q.coeffs[1]),))
     raise PolynomialShapeError("no roots for a constant polynomial")
 
 
@@ -384,7 +385,7 @@ def cubic_discriminant(p: RealPolynomial):
     )
 
 
-def deflate_root(p: RealPolynomial, r, tol: Tolerances = DEFAULT_TOL) -> RealPolynomial:
+def deflate_root(p: RealPolynomial, r) -> RealPolynomial:
     """Synthetic division of p by (x - r); r must be a root within tau_defl."""
     if p.degree < 1:
         raise PolynomialShapeError("cannot deflate a constant")
@@ -392,9 +393,9 @@ def deflate_root(p: RealPolynomial, r, tol: Tolerances = DEFAULT_TOL) -> RealPol
     if p.exact and isinstance(r, (Fraction, int)):
         if residual != 0:
             raise NotARootError(f"{r} is not an exact root (p(r)={residual})")
-    elif abs(residual) > tol.tau_defl * float(p.sup_norm):
+    elif abs(residual) > DEFAULT_TOL.tau_defl * float(p.sup_norm):
         raise NotARootError(
-            f"|p(r)|={abs(residual):.3e} exceeds {tol.tau_defl:.0e} * sup-norm"
+            f"|p(r)|={abs(residual):.3e} exceeds {DEFAULT_TOL.tau_defl:.0e} * sup-norm"
         )
     n = p.degree
     out = [p.coeffs[0] * 0] * n
@@ -559,9 +560,7 @@ def _sign_changes(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots_sturm(
-    p: RealPolynomial, lo: float, hi: float, tol: Tolerances = DEFAULT_TOL
-) -> int:
+def count_real_roots_sturm(p: RealPolynomial, lo: float, hi: float) -> int:
     """Exact count of distinct real roots of p in (lo, hi] via Sturm signs.
 
     With rational coefficients and rational endpoints every sign is exact.

@@ -70,10 +70,10 @@ def pair_system(
     include_pair: bool = False,
 ) -> PairSystemInput:
     """Assemble the pair-system inputs from an oracle over the given universe."""
-    universe = tuple(items) if items is not None else tuple(range(1, oracle.n + 1))
-    full = Slate.of(universe)
-    drop_partner = Slate.of(i for i in universe if i != partner)
-    drop_pivot = Slate.of(i for i in universe if i != pivot)
+    full = Slate.of(items if items is not None else range(1, oracle.n + 1))
+    # dropping an item from a valid sorted slate leaves it sorted and distinct
+    drop_partner = Slate(tuple(i for i in full.items if i != partner))
+    drop_pivot = Slate(tuple(i for i in full.items if i != pivot))
     c_pair = None
     if include_pair:
         c_pair = oracle.value_for(Slate.of((pivot, partner)), pivot)

@@ -303,6 +303,9 @@ def test_enumerate_candidates_noisy_statuses():
     cands, statuses = enumerate_candidates(
         table, 2.0, (1, 2, 3, 4), tol=1e-8, noisy=True
     )
+    # noise-free, the two roots nearest to real are both real: their |imag|
+    # gap is under SEL_RTOL, so the selection is flagged
+    assert statuses == ["root-ambiguity"]
     assert cands
     got = tuple(map(float, cands[0].a + cands[0].b))
     assert got == pytest.approx(m.a.w + m.b.w, abs=1e-8)

@@ -70,6 +70,18 @@ def test_k3_warning():
     assert rep.max_rel_error <= 1e-7
 
 
+def test_low_regularity_status():
+    # item 6 has weight 1e-4 in both components, so 6 times its full-slate
+    # choice probability is under C_LOW; the status is a diagnostic only
+    m = MixtureModel.of(
+        [0.3, 0.2, 0.2, 0.15, 0.1499, 0.0001], [0.1, 0.25, 0.15, 0.3, 0.1999, 0.0001], 2.0
+    )
+    rep = learn_from_oracle(m)
+    assert rep.status == ("low-regularity",)
+    assert rep.ok
+    assert rep.max_rel_error <= 1e-8
+
+
 def test_oracle_table_source():
     m = random_instance(5, 2.0, 9)
     needed = all_slates(4) + [

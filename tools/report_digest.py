@@ -16,18 +16,21 @@ Families: `check_identifiability` by n and lambda over random instances, on
 rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
 them, on the two-solution counterexample (exact and float) and on two edge
 draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
-`learn_from_oracle` by n and lambda; and `learn_from_samples` at
-eps = 0.05 on model seeds 1000 + t with sampling seed t. A run takes about
-30 s on two cores; the n = 20 identify family, 10 seeds per lambda, is about
-1 s of that.
+`learn_from_oracle` by n and lambda; `learn_from_samples` at eps = 0.05 on
+model seeds 1000 + t with sampling seed t; and one small run of each
+experiment driver (`experiment_families`). A run takes about 30 s on two
+cores; the n = 20 identify family, 10 seeds per lambda, is about 1 s of that,
+and the experiments about 2 s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from fractions import Fraction
 
+from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
 from mnlmix.identify import check_identifiability
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
@@ -103,8 +106,30 @@ def families():
         )
 
 
+def experiment_families():
+    """Yield (label, reports) for one small run of each experiment driver,
+    called only with arguments that every version of the drivers accepts."""
+    for exact in (True, False):
+        yield f"experiment counterexample {'exact' if exact else 'float'}", (
+            xp.experiment_counterexample(exact=exact),
+        )
+    yield "experiment three-roots", (xp.experiment_three_roots(),)
+    yield "experiment discriminant-max lam=2 restarts=20 seed=0", (
+        xp.experiment_discriminant_max(2.0, restarts=20, seed=0),
+    )
+    yield "experiment lambda-threshold grid=2,5 restarts=10 refine=1 seed=0", (
+        xp.experiment_lambda_threshold([2.0, 5.0], restarts=10, seed=0, refine_steps=1),
+    )
+    yield "experiment identifiability-sweep n=4 lam=2 trials=50 seed=0", (
+        xp.experiment_identifiability_sweep(4, 2.0, trials=50, seed=0),
+    )
+    yield "experiment sample-complexity n=4 lam=2 eps=0.2 trials=3 start=4000", (
+        xp.experiment_sample_complexity(4, 2.0, [0.2], trials=3, seed=0, start_size=4000),
+    )
+
+
 def main() -> None:
-    for label, reports in families():
+    for label, reports in chain(families(), experiment_families()):
         print(f"{digest(reports)}  {label}", flush=True)
 
 

@@ -1,13 +1,11 @@
 """Mixtures of two multinomial logits: identifiability and learning."""
 
 from .model import (
-    EmpiricalTable,
     MixtureModel,
     OracleTable,
     Slate,
     WeightVector,
     all_slates,
-    empirical_table,
     load_model,
     load_oracle,
     oracle_table,

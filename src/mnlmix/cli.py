@@ -33,10 +33,10 @@ from .model import (
     MixtureModel,
     ParameterError,
     Slate,
-    empirical_table,
     load_model,
     model_to_dict,
     random_instance,
+    sample_counts,
     save_model,
 )
 
@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
         if not args.slate:
             raise ParameterError("--samples needs --slate")
         slate = Slate.of(int(t) for t in args.slate.split(","))
-        table = empirical_table(model, [slate], args.samples, args.seed)
+        counts = sample_counts(model, slate, args.samples, args.seed)
         data = {
             "schema": xp.SCHEMA,
             "n": model.n,
@@ -112,8 +112,8 @@ def cmd_simulate(args) -> int:
             "slates": [
                 {
                     "items": list(slate.items),
-                    "C": [float(v) for v in table.value(slate)],
-                    "counts": list(table.counts[slate.items]),
+                    "C": [float((1 + model.lam) * c / args.samples) for c in counts],
+                    "counts": list(counts),
                 }
             ],
         }

@@ -44,6 +44,7 @@ from .systems import (
     cleared_pair_slate_quartic,
     cleared_partner_quadratic,
     degenerate_partner_quadratic,
+    pair_equations,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
@@ -66,9 +67,6 @@ CERT_DECADES = 4
 # more than this factor away from its threshold, on either side; its values
 # and the scalar path's differ by far less (about 1e-9 on the roots)
 SCREEN_MARGIN = 1e3
-# the drop-slate equations count as undefined where a denominator 1 - a or
-# 1 - b falls under this guard (here and in the learner's held-out check)
-DROP_DEN_GUARD = 1e-12
 # Newton polish of a pair: step count, the Jacobian determinant under which
 # it stops, and the residual at which it has converged; `_polish_batch`
 # mirrors `_polish_pair` with these same values
@@ -157,42 +155,37 @@ def _rationalize_root(poly: RealPolynomial, r: float):
     return None
 
 
-def _drop_coefficients(sys: PairSystemInput) -> tuple:
-    """(lam, c_full_i, c_full_j, c_drop_j_i, c_drop_i_j) as floats, or as the
-    arrays of a batched system."""
+def _drop_system(sys: PairSystemInput) -> PairSystemInput:
+    """`sys` without its two-item slate value, with float fields, or with
+    the arrays of a batched system."""
     fields = (sys.lam, sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j)
-    return tuple(v if isinstance(v, np.ndarray) else float(v) for v in fields)
+    return PairSystemInput(*(v if isinstance(v, np.ndarray) else float(v) for v in fields))
 
 
-def _drop_equations(c: tuple, x, y):
+def _drop_equations(c: PairSystemInput, x, y):
     """Residuals of the two drop-slate equations at (b_i, b_j) = (x, y) and
     their closed-form Jacobian.
 
-    On floats, None when a denominator is under DROP_DEN_GUARD. On arrays
-    every entry is computed, with such denominators replaced by 1, and a
-    fourth item masks the entries that are valid.
+    On floats, None when a denominator is guarded. On arrays every entry is
+    computed and a fourth item masks the entries that are valid; the others
+    hold no meaningful value.
     """
-    lam, c_fi, c_fj, c_ji, c_ij = c
-    ai = c_fi - lam * x
-    aj = c_fj - lam * y
-    da, db = 1 - aj, 1 - y
-    dc, dd = 1 - ai, 1 - x
-    if isinstance(x, np.ndarray):
-        ok = np.minimum(
-            np.minimum(abs(da), abs(db)), np.minimum(abs(dc), abs(dd))
-        ) >= DROP_DEN_GUARD
-        da, db, dc, dd = (np.where(ok, d, 1.0) for d in (da, db, dc, dd))
-    elif min(abs(da), abs(db), abs(dc), abs(dd)) < DROP_DEN_GUARD:
+    lam = c.lam
+    ai = c.c_full_i - lam * x
+    aj = c.c_full_j - lam * y
+    (e1, e2), (ok1, ok2) = pair_equations(c, ai, aj, x, y)
+    ok = ok1 & ok2
+    batched = isinstance(x, np.ndarray)
+    if not (batched or ok):
         return None
-    e1 = ai / da + lam * x / db - c_ji
-    e2 = aj / dc + lam * y / dd - c_ij
+    da, db, dc, dd = 1 - aj, 1 - y, 1 - ai, 1 - x
     jac = (
         lam / db - lam / da,
         lam * x / db**2 - lam * ai / da**2,
         lam * y / dd**2 - lam * aj / dc**2,
         lam / dd - lam / dc,
     )
-    if isinstance(x, np.ndarray):
+    if batched:
         return e1, e2, jac, ok
     return e1, e2, jac
 
@@ -205,7 +198,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
     the candidate itself still separates, so a couple of Newton steps on the
     residual system restore full precision.
     """
-    c = _drop_coefficients(sys)
+    c = _drop_system(sys)
     x, y = float(bi), float(bj)
     cur = _drop_equations(c, x, y)
     if cur is None:
@@ -230,7 +223,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
     return best[1], best[2]
 
 
-def _polish_batch(c: tuple, x, y, live):
+def _polish_batch(c: PairSystemInput, x, y, live):
     """`_polish_pair` on arrays, for the entries where `live` is set: each
     takes the scalar loop's Newton steps and stops where that loop would
     break."""
@@ -331,7 +324,7 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
     sure = _leading_safe(quartic) & _leading_safe(quad)
     lam = float(batch.lam)
-    c = _drop_coefficients(batch)
+    c = _drop_system(batch)
     with np.errstate(all="ignore"):
         # rows that fail the leading-coefficient test get a harmless dummy
         roots = _companion_roots(np.where(sure[:, None], quartic, 1.0))
@@ -370,13 +363,12 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
         absent = np.concatenate([cplx | outside, y_cplx | y_out, ~one], axis=1)
         valid = np.concatenate([off_pin, one, one, one], axis=1)
         adm, inadm = _zone(np.maximum(-vals, vals - 1).max(axis=0), TAU_ADM)
-        # the pair-slate equations; the full-slate ones hold by construction
-        errs = (
-            a_i / (1 - a_j) + lam * (b_i / (1 - b_j)) - batch.c_drop_j_i,
-            a_j / (1 - a_i) + lam * (b_j / (1 - b_i)) - batch.c_drop_i_j,
-            a_i / (a_i + a_j) + lam * (b_i / (b_i + b_j)) - batch.c_pair_i,
-        )
+        # the pair-slate equations; the full-slate ones hold by construction.
+        # A guarded equation leaves the residual test undecided
+        errs, ok = pair_equations(batch, a_i, a_j, b_i, b_j)
         good, bad = _zone(np.max(np.abs(errs), axis=0), tol)
+        ok = np.logical_and.reduce(ok)
+        good, bad = good & ok, bad & ok
         survives = exists & adm & good
         fails = absent | (valid & (inadm | bad))
         sure = sure & (survives | fails).all(axis=1)

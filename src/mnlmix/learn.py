@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .identify import (
-    DROP_DEN_GUARD,
     TAU_ADM,
     CandidateSolution,
     _close,
@@ -34,7 +33,7 @@ from .model import (
     slate_distribution,
 )
 from .polynomials import X, RealPolynomial, solve_all_roots
-from .systems import PairSystemInput, partner_map
+from .systems import PairSystemInput, pair_equations, partner_map
 
 
 class LearnError(Exception):
@@ -60,6 +59,10 @@ class LearnConfig:
 
     def auto_samples(self, n: int) -> int:
         return math.ceil(8 * n**3 / self.eps**2)
+
+    def block_size(self, n: int) -> int:
+        """Items in the solved block: k, clamped to [3, n]."""
+        return max(3, min(self.k, n))
 
 
 @dataclass(frozen=True)
@@ -275,12 +278,11 @@ def _solve_block(oracle: _ValueOracle, lam, items: tuple, noisy: bool) -> tuple:
 def _learn(
     oracle: _ValueOracle,
     lam,
-    cfg: LearnConfig,
+    k: int,
     n: int,
     noisy: bool,
     truth: Optional[MixtureModel],
 ) -> LearnReport:
-    k = max(3, min(cfg.k, n))
     statuses: list = []
     if k == 3:
         statuses.append("k3-warning")  # 3-item blocks may be non-identifiable
@@ -584,11 +586,11 @@ def _normalization_scales(
         x = r * s
         worst = 0.0
         for sys, v in zip(tail, bj):
-            da = 1 - (sys.c_full_j - lam * v)
-            db = 1 - v
-            if abs(da) < DROP_DEN_GUARD or abs(db) < DROP_DEN_GUARD:
+            (e, _), (ok, _) = pair_equations(
+                sys, sys.c_full_i - lam * x, sys.c_full_j - lam * v, x, v
+            )
+            if not ok:
                 return float("inf")
-            e = (sys.c_full_i - lam * x) / da + lam * x / db - sys.c_drop_j_i
             worst = max(worst, abs(e))
         return worst
 
@@ -659,7 +661,7 @@ def learn_from_oracle(
         oracle = _ValueOracle(source, lam, n)
     else:
         raise TypeError(f"unsupported oracle source {type(source)!r}")
-    return _learn(oracle, lam, cfg, n, noisy=False, truth=truth)
+    return _learn(oracle, lam, cfg.block_size(n), n, noisy=False, truth=truth)
 
 
 def learn_from_samples(
@@ -696,8 +698,8 @@ def learn_from_samples(
     # the large slates alone leave the tail items poorly determined (a block
     # item also sits in the block's small slates), so each tail item is also
     # sampled in a 2-slate with every block item: k (n - k) more slates
-    k = max(3, min(cfg.k, n))
+    k = cfg.block_size(n)
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
             oracle.row(Slate.of((i, j)))
-    return _learn(oracle, float(lam), cfg, n, noisy=True, truth=model)
+    return _learn(oracle, float(lam), k, n, noisy=True, truth=model)

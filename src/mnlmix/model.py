@@ -272,34 +272,6 @@ def sample_empirical(model: MixtureModel, slate: Slate, size: int, seed: int) ->
     return tuple(scale * c / size for c in counts)
 
 
-@dataclass(frozen=True)
-class EmpiricalTable:
-    """Sampled analogue of OracleTable, keeping raw counts for exactness."""
-
-    n: int
-    lam: Number
-    counts: dict
-    size: int
-    seed: int
-
-    def value(self, slate: Slate) -> tuple:
-        cs = self.counts[slate.items]
-        scale = 1 + self.lam
-        if isinstance(self.lam, (Fraction, int)):
-            return tuple(scale * Fraction(c, self.size) for c in cs)
-        return tuple(scale * c / self.size for c in cs)
-
-    def value_for(self, slate: Slate, item: int):
-        return self.value(slate)[slate.items.index(item)]
-
-
-def empirical_table(
-    model: MixtureModel, slates: Iterable[Slate], size: int, seed: int
-) -> EmpiricalTable:
-    counts = {s.items: sample_counts(model, s, size, seed) for s in slates}
-    return EmpiricalTable(model.n, model.lam, counts, size, seed)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -46,13 +46,11 @@ class Tolerances:
     tau_imag: |imag| at or below which a solver root counts as real
     tau_defl: relative residual allowed when deflating at a claimed root
     tau_lead: relative size below which a leading coefficient is trimmed
-    tau_conj: pairing tolerance for complex-conjugate root checks
     """
 
     tau_imag: float = 1e-8
     tau_defl: float = 1e-6
     tau_lead: float = 1e-13
-    tau_conj: float = 1e-8
 
 
 DEFAULT_TOL = Tolerances()

@@ -20,8 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import OracleTable, Slate
 from .polynomials import X, RealPolynomial, sylvester_resultant
+
+
+# a slate equation of the pair system counts as undefined where one of its
+# denominators, such as 1 - a_j or b_i + b_j, falls under this guard
+DROP_DEN_GUARD = 1e-12
 
 
 class DegenerateBranchSignal(ArithmeticError):
@@ -191,40 +198,56 @@ def pair_slate_quartic(sys: PairSystemInput) -> RealPolynomial:
     return RealPolynomial.of(cleared_pair_slate_quartic(sys, X))
 
 
-def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
-    """Max absolute violation of the pair-system equations at a candidate."""
+def _guarded(d):
+    """(d, ok) for an equation's denominator d, with d set to 1 where it is
+    guarded: a float or array entry under DROP_DEN_GUARD in magnitude, a
+    Fraction or int at exactly zero."""
+    if isinstance(d, float):
+        return (d, True) if abs(d) >= DROP_DEN_GUARD else (1.0, False)
+    if isinstance(d, np.ndarray):
+        ok = abs(d) >= DROP_DEN_GUARD
+        return np.where(ok, d, 1.0), ok
+    return (d, True) if d != 0 else (1, False)
+
+
+def pair_equations(sys: PairSystemInput, ai, aj, bi, bj) -> tuple:
+    """Residuals of the pair system's slate equations at a candidate.
+
+    Each equation reads a / d_a + lam * b / d_b - c: the drop-partner slate
+    (a_i, 1 - a_j; b_i, 1 - b_j), the drop-pivot slate (a_j, 1 - a_i;
+    b_j, 1 - b_i) and, when c_pair_i is set, the two-item slate
+    (a_i, a_i + a_j; b_i, b_i + b_j). Takes Fractions, floats or numpy
+    arrays that broadcast against an array system's fields.
+
+    Returns (residuals, ok), one entry per equation; ok is False (on arrays,
+    a mask) where one of the equation's own denominators is guarded, and
+    such a residual is computed with that denominator set to 1.
+    """
     lam = sys.lam
-    errs = []
-    exact = sys.exact and all(isinstance(v, (Fraction, int)) for v in (ai, aj, bi, bj))
-
-    def ratio(nume, deno):
-        if exact:
-            if deno == 0:
-                return None
-            return nume / deno
-        if abs(float(deno)) < 1e-300:
-            return None
-        return nume / deno
-
-    t1 = ratio(ai, 1 - aj)
-    t2 = ratio(bi, 1 - bj)
-    if t1 is None or t2 is None:
-        return float("inf")
-    errs.append(abs(t1 + lam * t2 - sys.c_drop_j_i))
-    t1 = ratio(aj, 1 - ai)
-    t2 = ratio(bj, 1 - bi)
-    if t1 is None or t2 is None:
-        return float("inf")
-    errs.append(abs(t1 + lam * t2 - sys.c_drop_i_j))
-    errs.append(abs(ai + lam * bi - sys.c_full_i))
-    errs.append(abs(aj + lam * bj - sys.c_full_j))
+    slates = [
+        (ai, 1 - aj, bi, 1 - bj, sys.c_drop_j_i),
+        (aj, 1 - ai, bj, 1 - bi, sys.c_drop_i_j),
+    ]
     if sys.c_pair_i is not None:
-        t1 = ratio(ai, ai + aj)
-        t2 = ratio(bi, bi + bj)
-        if t1 is None or t2 is None:
-            return float("inf")
-        errs.append(abs(t1 + lam * t2 - sys.c_pair_i))
-    return max(errs)
+        slates.append((ai, ai + aj, bi, bi + bj, sys.c_pair_i))
+    errs, oks = [], []
+    for a, da, b, db, c in slates:
+        da, ok_a = _guarded(da)
+        db, ok_b = _guarded(db)
+        errs.append(a / da + lam * b / db - c)
+        oks.append(ok_a & ok_b)
+    return errs, oks
+
+
+def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
+    """Max absolute violation of the pair-system equations at a candidate,
+    inf when a slate equation's denominator is guarded."""
+    errs, ok = pair_equations(sys, ai, aj, bi, bj)
+    if not all(ok):
+        return float("inf")
+    lam = sys.lam
+    errs += [ai + lam * bi - sys.c_full_i, aj + lam * bj - sys.c_full_j]
+    return max(abs(e) for e in errs)
 
 
 def cleared_partner_quadratic(sys: PairSystemInput, y):

@@ -104,7 +104,7 @@ def test_criterion_3_discriminant_maximum():
     over the domain is 0, and the raw value depends on the scale of the
     cubic's coefficients, so the band has meaning only under a normalization
     and domain that PAPER.md does not give. The search reports the exact
-    value at each endpoint; their maximum is about -6e-36.
+    value at each endpoint; their maximum is -2.846e-47.
     """
     t0 = time.time()
     rep = xp.experiment_discriminant_max(2.0, restarts=500, seed=0)

@@ -55,7 +55,9 @@ def test_simulate_with_samples(tmp_path):
     ]) == 0
     data = json.loads(sout.read_text())
     assert data["size"] == 500
-    assert sum(data["slates"][0]["counts"]) == 500
+    row = data["slates"][0]
+    assert sum(row["counts"]) == 500
+    assert row["C"] == [(1 + data["lambda"]) * c / 500 for c in row["counts"]]
 
 
 def test_simulate_requires_args():

@@ -185,7 +185,9 @@ def test_samples_zero_noise_injection_matches_oracle():
         return tuple(float(scale * d) for d in slate_distribution(m, slate))
 
     oracle = _ValueOracle(rows, float(m.lam), m.n)
-    noisy_path = _learn(oracle, float(m.lam), LearnConfig(), m.n, noisy=True, truth=m)
+    noisy_path = _learn(
+        oracle, float(m.lam), LearnConfig().block_size(m.n), m.n, noisy=True, truth=m
+    )
     ref = learn_from_oracle(m)
     assert noisy_path.a_hat is not None
     assert max(

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from mnlmix.model import (
-    EmpiricalTable,
     InvalidSlateError,
     MixtureModel,
     ParameterError,
     Slate,
     WeightVector,
     all_slates,
-    empirical_table,
     load_model,
     load_oracle,
     model_from_dict,
@@ -213,15 +211,6 @@ def test_concentration_large_slate():
         if np.max(np.abs(emp - truth)) <= bound:
             hits += 1
     assert hits >= 0.9 * trials
-
-
-def test_empirical_table_values():
-    m = counterexample()
-    table = empirical_table(m, [Slate.of([1, 2])], 100, 0)
-    row = table.value(Slate.of([1, 2]))
-    assert sum(row) == 1 + m.lam
-    assert table.value_for(Slate.of([1, 2]), 2) == row[1]
-    assert isinstance(table, EmpiricalTable)
 
 
 def test_model_json_roundtrip_float(tmp_path):

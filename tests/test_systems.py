@@ -6,11 +6,14 @@ expansion of the cleared expressions in exact rational arithmetic.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mnlmix.identify import check_identifiability, exact_model
+from mnlmix.identify import _drop_equations, _drop_system, check_identifiability, exact_model
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
     Coeffs,
@@ -23,7 +26,9 @@ from mnlmix.systems import (
     DegenerateBranchSignal,
     back_substitute,
     degenerate_partner_quadratic,
+    PairSystemInput,
     formal_pair_system,
+    pair_equations,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
@@ -255,6 +260,79 @@ def test_pair_system_residual_at_truth():
     sys = pair_system(table, 1, 2, include_pair=True)
     res = pair_system_residual(sys, m.a[0], m.a[1], m.b[0], m.b[1])
     assert res <= 1e-13
+
+
+def _rational_weights(ws) -> list:
+    head = [Fraction(w / sum(ws)).limit_denominator(1000) for w in ws[:-1]]
+    return head + [1 - sum(head)]
+
+
+def _guard_trips(a_i, a_j, b_i, b_j, eps) -> list:
+    """Candidates whose drop-partner, drop-pivot or two-item slate equation
+    has a denominator of size eps: 1 - b_j, 1 - b_i or a_i + a_j."""
+    return [
+        (a_i, a_j, b_i, 1 - eps),
+        (a_i, a_j, 1 - eps, b_j),
+        (a_i, eps - a_i, b_i, b_j),
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    st.floats(0.2, 5.0),
+)
+def test_pair_equations_exact_batched_and_guarded(wa, wb, lam):
+    """The shared slate equations vanish exactly at a rational model's own
+    weights, give the scalar float call's bits on every row of an array
+    system, guarded entries included, and trip the guard in both callers."""
+    a, b = _rational_weights(wa), _rational_weights(wb)
+    assume(min(a) > 0 and min(b) > 0)
+    m = MixtureModel.of(a, b, Fraction(lam).limit_denominator(100))
+    table = oracle_table(m, all_slates(4))
+    pairs = list(permutations(range(1, 5), 2))
+    systems = [pair_system(table, i, j, include_pair=True) for i, j in pairs]
+    truths = [(a[i - 1], a[j - 1], b[i - 1], b[j - 1]) for i, j in pairs]
+    for sys, truth in zip(systems, truths):
+        errs, ok = pair_equations(sys, *truth)
+        assert len(errs) == 3 and all(ok)
+        assert all(e == Fraction(0) and isinstance(e, Fraction) for e in errs)
+        assert pair_system_residual(sys, *truth) == 0
+        for eq, cand in enumerate(_guard_trips(*truth, 0)):
+            assert pair_equations(sys, *cand)[1][eq] is False
+            assert pair_system_residual(sys, *cand) == float("inf")
+        for cand in _guard_trips(*map(float, truth), 1e-13):
+            assert pair_system_residual(sys, *cand) == float("inf")
+
+    # one array system with a row per pair; columns: the truth, then each trip
+    fields = ("lam", "c_full_i", "c_full_j", "c_drop_j_i", "c_drop_i_j", "c_pair_i")
+    rows = [
+        PairSystemInput(*(float(getattr(sys, f)) for f in fields)) for sys in systems
+    ]
+    batch = PairSystemInput(
+        rows[0].lam,
+        *(np.array([[getattr(r, f)] for r in rows]) for f in fields[1:]),
+    )
+    cands = []
+    for truth in truths:
+        t = tuple(map(float, truth))
+        cands.append([t] + _guard_trips(*t, 1e-13))
+    columns = (np.array([[c[k] for c in row] for row in cands]) for k in range(4))
+    errs, ok = pair_equations(batch, *columns)
+    for p, row in enumerate(rows):
+        for k, cand in enumerate(cands[p]):
+            want, want_ok = pair_equations(row, *cand)
+            assert [e[p, k].hex() for e in errs] == [e.hex() for e in want]
+            assert [bool(o[p, k]) for o in ok] == list(want_ok)
+        assert [bool(ok[eq][p, eq + 1]) for eq in range(3)] == [False] * 3
+
+    # the Newton polish reads the same guard on the drop-slate equations
+    c = _drop_system(rows[0])
+    b_i, b_j = float(b[0]), float(b[1])
+    assert _drop_equations(c, b_i, b_j) is not None
+    assert _drop_equations(c, b_i, 1 - 1e-13) is None
+    assert _drop_equations(c, 1.0, b_j) is None
 
 
 def test_resultant_gate_self_zero():

@@ -16,25 +16,29 @@ Families: `check_identifiability` by n and lambda over random instances, on
 rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
 them, on the two-solution counterexample (exact and float) and on two edge
 draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
+`solve_pair_system` on every ordered pair of float n = 5 draws and of the
+float counterexample, which reaches pair-level residuals that a report
+shows only under pair multiplicity;
 `learn_from_oracle` by n and lambda; `learn_from_samples` at eps = 0.05 on
 model seeds 1000 + t with sampling seed t; and one small run of each
-experiment driver (`experiment_families`). A run takes about 30 s on two
+experiment driver (`experiment_families`). A run takes about 40 s on two
 cores; the n = 20 identify family, 10 seeds per lambda, is about 1 s of that,
-and the experiments about 2 s.
+the pair-solver families about 3 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, permutations
 from fractions import Fraction
 
 from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
-from mnlmix.identify import check_identifiability
+from mnlmix.identify import check_identifiability, solve_pair_system
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import MixtureModel, random_instance
+from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
+from mnlmix.systems import pair_system
 
 LAMBDAS = (2.0, 1.0, 0.7)
 # n -> number of seeds, per lambda
@@ -44,6 +48,8 @@ RATIONAL_DRAWS = 60
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
+# n = 5 draws per lambda whose every pair system is solved
+PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
 
@@ -73,6 +79,16 @@ def rational_models(count: int):
             yield MixtureModel.of(a, b, Fraction(2))
 
 
+def pair_solutions(model) -> list:
+    """`solve_pair_system` reports for every ordered pair of `model`, with
+    the two-item slate value included."""
+    table = oracle_table(model, all_slates(model.n))
+    return [
+        [s.to_dict() for s in solve_pair_system(pair_system(table, i, j, include_pair=True))]
+        for i, j in permutations(range(1, model.n + 1), 2)
+    ]
+
+
 def families():
     """Yield (label, iterable of report dicts) for every family."""
     for n, draws in IDENTIFY_DRAWS.items():
@@ -91,6 +107,13 @@ def families():
     yield "identify edge draws " + " ".join(
         f"n={n},lam={lam},seed={s}" for n, lam, s in EDGE_DRAWS
     ), (check_identifiability(random_instance(*d)).to_dict() for d in EDGE_DRAWS)
+    for lam in LAMBDAS:
+        yield f"pair-solver n=5 lam={lam} seeds=0..{PAIR_DRAWS - 1}", (
+            pair_solutions(random_instance(5, lam, s)) for s in range(PAIR_DRAWS)
+        )
+    yield "pair-solver counterexample float", (
+        pair_solutions(counterexample_model(False)),
+    )
     for n, draws in ORACLE_DRAWS.items():
         for lam in LAMBDAS:
             yield f"learn-oracle n={n} lam={lam} seeds=0..{draws - 1}", (

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .systems import (
     partner_map,
     partner_value,
     pair_system_residual,
-    resultant_gate,
 )
 
 # residual at or below which a candidate solves the oracle equations; the
@@ -252,12 +251,13 @@ def _polish_batch(c: PairSystemInput, x, y, live):
 
 def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
     """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
-    in `pairs`, as one system whose oracle fields are (P, 1) float arrays."""
+    in `pairs`, as one system whose oracle fields are (P, 1) arrays: float
+    arrays on a float table, object arrays of Fractions on an exact one."""
     n = table.n
     universe = tuple(range(1, n + 1))
     full = np.array(table.entries[universe])
     # drop[k, t]: value of item t + 1 on the slate without item k + 1
-    drop = np.zeros((n, n))
+    drop = np.zeros((n, n), full.dtype)
     for k in range(n):
         drop[k, np.arange(n) != k] = table.entries[universe[:k] + universe[k + 1:]]
     i, j = (np.array(side)[:, None] - 1 for side in zip(*pairs))
@@ -387,14 +387,14 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
     return quartic, ~(sure & one_class)
 
 
-def _band_roots(poly: RealPolynomial, tau_adm: float, exact: bool) -> list:
+def _band_roots(poly: RealPolynomial, tau_adm: float) -> list:
     """Real roots of `poly` in the admissible band, rationalized when exact."""
     p = poly.as_float()
     if p.is_zero() or p.degree < 1:
         return []
     out = []
     for r in solve_all_roots(p).real_roots_in(-tau_adm, 1 + tau_adm):
-        fr = _rationalize_root(poly, r) if exact else None
+        fr = _rationalize_root(poly, r) if poly.exact else None
         out.append(fr if fr is not None else r)
     return out
 
@@ -424,17 +424,16 @@ def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     each to a full 4-tuple, then appends the pinned-branch candidates; only
     candidates whose equation residual stays at or below tol survive.
     """
-    exact = sys.exact
     lam = sys.lam
     raw = []
-    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), TAU_ADM, exact)):
+    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), TAU_ADM)):
         ai = sys.c_full_i - lam * bi
         aj = sys.c_full_j - lam * bj
         raw.append(((ai, aj, bi, bj), "root"))
     # pinned branch: pivot fixed at c_full_i/(1+lam)
     m = sys.pivot_pin()
     quad = degenerate_partner_quadratic(sys)
-    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, TAU_ADM, exact)
+    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, TAU_ADM)
     for bj in pinned_js:
         aj = sys.c_full_j - lam * bj
         raw.append(((m, aj, m, bj), "pinned"))
@@ -531,11 +530,6 @@ def enumerate_candidates(
     Returns (candidates, statuses).
     """
     items = tuple(items)
-    exact = isinstance(lam, (Fraction, int)) and all(
-        isinstance(v, (Fraction, int))
-        for vals in oracle.entries.values()
-        for v in vals
-    )
     statuses: list = []
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)
@@ -564,9 +558,9 @@ def enumerate_candidates(
         pivots = [r.real for r in inside]
         pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, pivots)]
     else:
-        roots = _band_roots(pair_quartic(sys01), tau_adm, exact)
+        roots = _band_roots(pair_quartic(sys01), tau_adm)
         pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
-        roots = _band_roots(pair_quartic(sys10), tau_adm, exact)
+        roots = _band_roots(pair_quartic(sys10), tau_adm)
         pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
         pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
 
@@ -628,8 +622,11 @@ def check_identifiability(
 
     Enumerates full-system solutions, scans every pair system (with the
     two-item slate) for pair-level multiplicity, and computes the scaled
-    resultant gates; unique means a single admissible class at both levels.
-    At lambda = 1 solutions are classes up to component swap.
+    resultant gates with `_gate_values` on one batch of pair systems: on
+    float oracles at n >= 4 the pair screen's batch and quartic rows, else
+    a batch of the (1, j) systems in the table's arithmetic. Unique means a
+    single admissible class at both levels. At lambda = 1 solutions are
+    classes up to component swap.
     """
     n = model.n
     codes: list = []
@@ -674,16 +671,18 @@ def check_identifiability(
         codes.append("no-solution")
 
     pair_extra = []
-    screened = None
     near_tol = tol * 10.0**-CERT_DECADES
+    # the (1, j) pairs lead; the gates read their quartic rows
+    pairs = list(combinations(range(1, n + 1), 2))
+    to_solve = [True] * len(pairs)
+    if n >= 4 and _float_table(table):
+        batch = _pair_batch(table, pairs)
+        quartic, to_solve = _screen_pairs(batch, tol, is_uniform)
+    else:
+        batch = _pair_batch(table, pairs[: n - 1])
+        quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
-        pairs = list(combinations(range(1, n + 1), 2))
-        to_solve = [True] * len(pairs)
-        if _float_table(table):
-            batch = _pair_batch(table, pairs)
-            rows, to_solve = _screen_pairs(batch, tol, is_uniform)
-            screened = batch, rows
         for (i, j), solve in zip(pairs, to_solve):
             if not solve:
                 continue
@@ -708,7 +707,7 @@ def check_identifiability(
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model, table, screened)
+    gates = _gate_values(model.b[0], batch, quartic[: n - 1])
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )
@@ -777,99 +776,75 @@ def pair_certified_unique(model: MixtureModel, i: int, j: int) -> bool:
     return not pinned_open
 
 
-def _untrimmed(coeffs: np.ndarray) -> np.ndarray:
-    """Rows whose leading coefficient `RealPolynomial.of` keeps; a row with
-    a value that is not finite is never one of them."""
-    return abs(coeffs[:, -1]) > DEFAULT_TOL.tau_lead * abs(coeffs).max(axis=1)
+def _trimmed(rows: np.ndarray) -> tuple:
+    """`rows` with the trailing coefficients that `RealPolynomial.of` trims
+    set to zero, the degree of each trimmed row and its sup-norm.
+
+    Object rows (Fractions) lose trailing zeros; float rows lose trailing
+    coefficients within tau_lead times the row's sup-norm, which trimming
+    leaves unchanged.
+    """
+    mags = abs(rows)
+    norm = mags.max(axis=1)
+    small = rows == 0 if rows.dtype == object else mags <= DEFAULT_TOL.tau_lead * norm[:, None]
+    if not small[:, -1].any():
+        return rows, np.full(len(rows), rows.shape[1] - 1), norm
+    # the leading run of small coefficients, never the constant term
+    trail = np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1]
+    trail[:, 0] = False
+    return np.where(trail, 0, rows), rows.shape[1] - 1 - trail.sum(axis=1), norm
 
 
-def _batched_gates(b1: float, batch: PairSystemInput, quartic: np.ndarray) -> Optional[dict]:
-    """`_gate_values` from the pair screen's batch, or None when any row
-    fails a check of the scalar path.
+def _gate_values(b1, batch: PairSystemInput, quartic: np.ndarray) -> dict:
+    """Scaled resultant gates from the model's deflated pair cubics.
 
-    `quartic` holds the (1, j) pair-quartic rows for j = 2..n, which lead
-    the batch. Each row and its pair-slate quartic are deflated at b1 and
-    divided by their sup-norms as `deflate_root` and `scaled_to_unit` do, and
-    all gates are one stack of Sylvester determinants. The checks: no
-    leading coefficient that `RealPolynomial.of` would trim, which also
-    rejects values that are not finite, and no deflation residual over
-    tau_defl times the sup-norm.
+    `batch` leads with the (1, j) pair systems for j = 2..n and `quartic`
+    holds their `pair_quartic` coefficient rows, untrimmed. Each row, and at
+    n >= 4 its pair-slate quartic, goes through the steps of `deflate_root`
+    at b1 and `resultant_gate`, in the rows' own arithmetic: trim, deflate,
+    trim, divide by the sup-norm, trim. A (1, j) row whose deflation
+    residual exceeds tau_defl times its sup-norm (on Fractions: is not
+    exactly zero) drops every gate that involves j; a pair-slate row that
+    fails drops `pair:j`; a gate with a side of degree below 1 is omitted.
+    The gates are Sylvester determinants, one stack per pair of degrees.
     """
     count = len(quartic)
-    slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[:count]
-    p = np.concatenate([quartic, slate])
+    p = quartic
+    exact = quartic.dtype == object
+    if not exact:
+        # rational weights with a float lambda give float rows
+        b1 = float(b1)
+    if count >= 3:
+        slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[:count]
+        p = np.concatenate([quartic, slate])
     with np.errstate(all="ignore"):
-        ok = _untrimmed(p)
+        p, _, norm = _trimmed(p)
         # synthetic division as in `deflate_root`; its last step leaves the
         # Horner residual p(b1)
         acc, out = p[:, 4], []
         for k in range(3, -1, -1):
             out.append(acc)
             acc = p[:, k] + acc * b1
-        ok &= abs(acc) <= DEFAULT_TOL.tau_defl * abs(p).max(axis=1)
-        cubic = np.stack(out[::-1], axis=1)
-        ok &= _untrimmed(cubic)
-        cubic = cubic / abs(cubic).max(axis=1)[:, None]
-        ok &= _untrimmed(cubic)
-        if not ok.all():
-            return None
-        # rows j < k of the (1, j) cubics for the drop gates, then row j
-        # against its pair-slate cubic, in the scalar loop's key order
-        drop = list(combinations(range(count), 2))
-        first = [j for j, _ in drop] + list(range(count))
-        second = [k for _, k in drop] + list(range(count, 2 * count))
-        gates = abs(sylvester_resultants(cubic[first], cubic[second]))
-    keys = [f"drop:{j + 2},{k + 2}" for j, k in drop]
-    keys += [f"pair:{j}" for j in range(2, count + 2)]
-    return dict(zip(keys, gates.tolist()))
-
-
-def _gate_values(model: MixtureModel, table: OracleTable, screened=None) -> dict:
-    """Scaled resultant gates from the model's deflated pair cubics.
-
-    `screened` is the pair screen's (batch, quartic rows) where the caller
-    has them. The gates then come from `_batched_gates`; if a row fails one
-    of its checks, this scalar loop runs on the screen's (1, j) rows.
-    """
-    from .polynomials import NotARootError, PolynomialShapeError
-
-    n = model.n
-    b1 = model.b[0]
-    quartics = None
-    if screened is not None:
-        batch, rows = screened
-        batched = _batched_gates(float(b1), batch, rows[: n - 1])
-        if batched is not None:
-            return batched
-        # pairs (1, j) lead the batch
-        quartics = {j: RealPolynomial.of(rows[j - 2]) for j in range(2, n + 1)}
-    gates: dict = {}
-    cubics = {}
-    for j in range(2, n + 1):
-        if quartics is not None:
-            quartic = quartics[j]
+        if exact:
+            root = acc == 0
         else:
-            quartic = pair_quartic(pair_system(table, 1, j))
-        try:
-            cubics[j] = deflate_root(quartic, b1)
-        except (NotARootError, PolynomialShapeError):
-            cubics[j] = None
-    others = [j for j in range(2, n + 1) if cubics.get(j) is not None]
-    for idx, j in enumerate(others):
-        for k in others[idx + 1:]:
-            try:
-                w = resultant_gate(cubics[j], cubics[k])
-                gates[f"drop:{j},{k}"] = abs(float(w))
-            except PolynomialShapeError:
-                pass
-    if n >= 4:
-        for j in others:
-            try:
-                tilde = deflate_root(
-                    pair_slate_quartic(pair_system(table, 1, j, include_pair=True)), b1
-                )
-                w = resultant_gate(cubics[j], tilde)
-                gates[f"pair:{j}"] = abs(float(w))
-            except (NotARootError, PolynomialShapeError):
-                pass
-    return gates
+            root = ~(abs(acc) > DEFAULT_TOL.tau_defl * norm)
+        cubic, _, norm = _trimmed(np.stack(out[::-1], axis=1))
+        cubic, degree, _ = _trimmed(cubic / np.where(norm == 0, 1, norm)[:, None])
+    usable = (degree >= 1) & root
+    # rows j < k of the (1, j) cubics for the drop gates, then row j against
+    # its pair-slate cubic, in key order
+    drop = list(combinations(range(count), 2))
+    pair = range(count) if count >= 3 else ()
+    first = np.array([j for j, _ in drop] + list(pair), dtype=int)
+    second = np.array([k for _, k in drop] + [count + j for j in pair], dtype=int)
+    keys = [f"drop:{j + 2},{k + 2}" for j, k in drop]
+    keys += [f"pair:{j + 2}" for j in pair]
+    live = usable[first] & usable[second]
+    gates = np.zeros(len(keys), cubic.dtype)
+    dp, dq = degree[first], degree[second]
+    for d, e in set(zip(dp[live].tolist(), dq[live].tolist())):
+        at = live & (dp == d) & (dq == e)
+        gates[at] = sylvester_resultants(cubic[first[at], : d + 1], cubic[second[at], : e + 1])
+    values = abs(gates).astype(float).tolist()
+    return {key: v for key, v, ok in zip(keys, values, live) if ok}

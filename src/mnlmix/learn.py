@@ -664,11 +664,7 @@ def learn_from_oracle(
     return _learn(oracle, lam, cfg.block_size(n), n, noisy=False, truth=truth)
 
 
-def learn_from_samples(
-    model: MixtureModel,
-    lam=None,
-    cfg: LearnConfig = LearnConfig(),
-) -> LearnReport:
+def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) -> LearnReport:
     """Recover the weights from per-slate empirical estimates.
 
     Every sampled slate is sampled cfg.samples_per_slate times (default
@@ -678,8 +674,7 @@ def learn_from_samples(
     perturbed values with nearest-to-real root selection, and a final refit
     against every sampled row decides among the candidate fits.
     """
-    if lam is None:
-        lam = model.lam
+    lam = float(model.lam)
     n = model.n
     size = cfg.samples_per_slate or cfg.auto_samples(n)
 
@@ -688,7 +683,7 @@ def learn_from_samples(
             float(v) for v in sample_empirical(model, slate, size, cfg.seed)
         )
 
-    oracle = _ValueOracle(rows, float(lam), n, noise_size=size)
+    oracle = _ValueOracle(rows, lam, n, noise_size=size)
     # sample the whole large-slate family up front: the final refit uses
     # every sampled row, and at a fixed per-slate budget the extra drop-one
     # slates buy a sizable accuracy margin for the tail items
@@ -702,4 +697,4 @@ def learn_from_samples(
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
             oracle.row(Slate.of((i, j)))
-    return _learn(oracle, float(lam), k, n, noisy=True, truth=model)
+    return _learn(oracle, lam, k, n, noisy=True, truth=model)

@@ -9,8 +9,8 @@ arithmetic that builds coefficients from an expression evaluated at ``X``.
 Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
-arithmetic the coefficients carry. `sylvester_resultants` is the float
-resultant on stacks of coefficient rows, one numpy batch.
+arithmetic the coefficients carry. `sylvester_resultants` is the
+resultant on stacks of float or Fraction coefficient rows, one numpy batch.
 """
 
 from __future__ import annotations
@@ -457,27 +457,31 @@ def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
 
 
 def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """`sylvester_resultant` of every row pair of two float coefficient stacks.
+    """`sylvester_resultant` of every row pair of two coefficient stacks.
 
     p and q are (B, m + 1) and (B, n + 1) arrays of ascending coefficients
-    whose last columns hold the leading coefficients. All B eliminations run
-    at once with the scalar function's pivots and the same operations in the
-    same order, so each determinant equals the scalar one bitwise. The scalar
-    loop skips a row update whose factor is zero, which can only change the
-    sign of a zero entry, never a pivot or the determinant.
+    whose last columns hold the leading coefficients: float arrays, or
+    object arrays of Fractions, which give exact determinants. All B
+    eliminations run at once with the scalar function's pivots and the same
+    operations in the same order, so each float determinant equals the
+    scalar one bitwise. The scalar loop skips a row update whose factor is
+    zero, which can only change the sign of a zero entry, never a pivot or
+    the determinant. A matrix with a zero pivot gives 0.
     """
     m, n = p.shape[1] - 1, q.shape[1] - 1
     if m < 1 or n < 1:
         raise PolynomialShapeError("resultant needs two polynomials of degree >= 1")
     size, count = m + n, len(p)
-    rows = np.zeros((count, size, size))
+    dtype = np.result_type(p, q)
+    exact = dtype == object
+    rows = np.zeros((count, size, size), dtype)
     for i in range(n):
         rows[:, i, i:i + m + 1] = p[:, ::-1]
     for i in range(m):
         rows[:, n + i, i:i + n + 1] = q[:, ::-1]
-    det = np.ones(count)
+    det = np.ones(count, dtype)
     flip = np.zeros(count, dtype=bool)
-    pivots = np.empty((count, size))
+    pivots = np.empty((count, size), dtype)
     at = np.arange(count)
     with np.errstate(all="ignore"):
         for col in range(size - 1):
@@ -489,12 +493,19 @@ def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             flip ^= piv != col
             pval = pivots[:, col] = top[:, col]
             det *= pval
+            if exact:
+                # a zero pivot's matrix gives 0 below; dividing it by 1
+                # keeps Fractions from raising
+                pval = np.where(pval == 0, 1, pval)
             f = rows[:, col + 1:, col] / pval[:, None]
-            rows[:, col + 1:, col:] -= f[:, :, None] * top[:, None, col:]
+            # on Fractions, rows whose factor is zero in every matrix keep
+            # their values, as in the scalar loop, which saves most of the work
+            act = np.flatnonzero((f != 0).any(axis=0)) if exact else slice(None)
+            rows[:, col + 1:, col:][:, act] -= f[:, act, None] * top[:, None, col:]
         pivots[:, -1] = rows[:, -1, -1]
         det *= pivots[:, -1]
-    # the scalar loop returns 0.0 at a zero pivot
-    return np.where((pivots == 0).any(axis=1), 0.0, np.where(flip, -det, det))
+    # the scalar loop returns 0 at a zero pivot
+    return np.where((pivots == 0).any(axis=1), 0, np.where(flip, -det, det))
 
 
 def _poly_remainder(a: RealPolynomial, b: RealPolynomial, exact: bool) -> RealPolynomial:

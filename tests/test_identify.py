@@ -19,8 +19,22 @@ from mnlmix.identify import (
     solve_pair_system,
 )
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
-from mnlmix.polynomials import RealPolynomial, sylvester_resultant, sylvester_resultants
-from mnlmix.systems import pair_quartic, pair_system
+from mnlmix.polynomials import (
+    X,
+    NotARootError,
+    PolynomialShapeError,
+    RealPolynomial,
+    deflate_root,
+    sylvester_resultant,
+    sylvester_resultants,
+)
+from mnlmix.systems import (
+    cleared_pair_quartic,
+    pair_quartic,
+    pair_slate_quartic,
+    pair_system,
+    resultant_gate,
+)
 
 F = Fraction
 
@@ -496,79 +510,188 @@ def _gate_items(model) -> list:
     return [(k, v.hex()) for k, v in check_identifiability(model).gate_values.items()]
 
 
-def _scalar_gate_items(model, monkeypatch) -> list:
-    """Gates from the scalar loop, reached by making the batch decline."""
-    with monkeypatch.context() as patch:
-        patch.setattr(identify, "_batched_gates", lambda *args: None)
-        return _gate_items(model)
+def _reference_gates(model, quartics=None) -> list:
+    """The gate loop on the public steps: deflate each (1, j) pair quartic at
+    b_1, take `resultant_gate` of every two deflated cubics, and at n >= 4 of
+    each cubic against its deflated pair-slate quartic. A quartic that does
+    not deflate drops every gate of its item; a gate whose deflation or
+    resultant raises is left out. `quartics` replaces the (1, j) quartic of
+    each item j it names."""
+    n, b1 = model.n, model.b[0]
+    table = oracle_table(
+        model, all_slates(n, min_size=n - 1) + [Slate.of((1, j)) for j in range(2, n + 1)]
+    )
+    quartics = quartics or {}
+    cubics = {}
+    for j in range(2, n + 1):
+        quartic = quartics.get(j) or pair_quartic(pair_system(table, 1, j))
+        try:
+            cubics[j] = deflate_root(quartic, b1)
+        except (NotARootError, PolynomialShapeError):
+            pass
+    gates = []
+
+    def gate(key, p, q):
+        try:
+            gates.append((key, abs(float(resultant_gate(p, q))).hex()))
+        except PolynomialShapeError:
+            pass
+
+    for j, k in combinations(cubics, 2):
+        gate(f"drop:{j},{k}", cubics[j], cubics[k])
+    for j in cubics if n >= 4 else ():
+        slate = pair_slate_quartic(pair_system(table, 1, j, include_pair=True))
+        try:
+            gate(f"pair:{j}", cubics[j], deflate_root(slate, b1))
+        except (NotARootError, PolynomialShapeError):
+            pass
+    return gates
 
 
-def _watch_batched_gates(monkeypatch) -> list:
-    """Record, per call of `_batched_gates`, whether the batch declined."""
-    declined = []
-    batched = identify._batched_gates
-
-    def spy(*args):
-        gates = batched(*args)
-        declined.append(gates is None)
-        return gates
-
-    monkeypatch.setattr(identify, "_batched_gates", spy)
-    return declined
+def _rational_draw(n: int, index: int):
+    """The index-th n-item lambda = 2 draw, seeds 0, 1, ..., whose weights
+    rounded to denominators up to 1000 (the last weight one minus the
+    others) stay positive."""
+    seed = -1
+    while index >= 0:
+        seed += 1
+        m = random_instance(n, 2.0, seed)
+        a = [F(x).limit_denominator(1000) for x in m.a.w[:-1]]
+        b = [F(x).limit_denominator(1000) for x in m.b.w[:-1]]
+        a.append(1 - sum(a))
+        b.append(1 - sum(b))
+        index -= min(a) > 0 and min(b) > 0
+    return MixtureModel.of(a, b, F(2))
 
 
 def _edge_draw(case):
     return {
         "float-counterexample": float_counterexample,
+        "exact-counterexample": counterexample,
         # b_1 lies 1e-4 from the pin c_1 / (1 + lambda)
         "near-pin": lambda: random_instance(14, 2.0, 73186270),
         # items 1 and 3 nearly collapse: four roots of pair (1, 3) cluster
         "root-cluster": lambda: random_instance(4, 2.0, 496),
+        # float weights with an int lambda
+        "int-lambda": lambda: MixtureModel.of(
+            random_instance(5, 2.0, 0).a.w, random_instance(5, 2.0, 0).b.w, 2
+        ),
+        # rational weights with a float lambda: a float oracle, a Fraction b_1
+        "float-lambda": lambda: MixtureModel.of(
+            counterexample().a.w, [F(1, 5), F(1, 5), F(3, 10), F(3, 10)], 2.0
+        ),
     }[case]()
 
 
-_GATE_DRAWS = [
-    (n, lam, s)
-    for n, seeds in ((4, 12), (8, 4), (14, 2), (20, 1))
-    for lam in (2.0, 1.0, 0.7)
-    for s in range(seeds)
-] + ["float-counterexample", "near-pin", "root-cluster"]
+_GATE_DRAWS = (
+    [
+        (n, lam, s)
+        for n, seeds in ((4, 12), (8, 4), (14, 2), (20, 1))
+        for lam in (2.0, 1.0, 0.7)
+        for s in range(seeds)
+    ]
+    + ["float-counterexample", "near-pin", "root-cluster"]
+    + [("rational", n, i) for n in (3, 4, 6) for i in range(3)]
+    + ["exact-counterexample", "int-lambda", "float-lambda"]
+)
 
 
 @pytest.mark.parametrize("draw", _GATE_DRAWS, ids=str)
-def test_batched_gates_equal_scalar_loop(draw, monkeypatch):
-    """Gate values and key order match the scalar loop bitwise, and the batch
-    does not decline."""
-    m = _edge_draw(draw) if isinstance(draw, str) else random_instance(*draw)
-    declined = _watch_batched_gates(monkeypatch)
+def test_batched_gates_equal_scalar_loop(draw):
+    """Gate values and key order equal the reference loop's bitwise, on
+    float and exact oracles and on mixed number types."""
+    if isinstance(draw, str):
+        m = _edge_draw(draw)
+    elif draw[0] == "rational":
+        m = _rational_draw(*draw[1:])
+    else:
+        m = random_instance(*draw)
     gates = _gate_items(m)
-    assert declined == [False]
-    assert gates == _scalar_gate_items(m, monkeypatch)
-    assert len(gates) == (m.n - 1) * m.n // 2
+    assert gates == _reference_gates(m)
+    assert len(gates) == ((m.n - 1) * m.n // 2 if m.n >= 4 else 1)
+
+
+def _patch_quartic_rows(monkeypatch, change, items=(2,)) -> None:
+    """Make the pair screen return the (1, j) quartic row of each item j in
+    `items` changed in place by `change`."""
+    screen = identify._screen_pairs
+
+    def patched(batch, tol, uniform):
+        rows, to_solve = screen(batch, tol, uniform)
+        rows = rows.copy()
+        for j in items:
+            change(rows[j - 2])
+        return rows, to_solve
+
+    monkeypatch.setattr(identify, "_screen_pairs", patched)
 
 
 def test_trimmed_quartic_row_sends_model_to_scalar_gates(monkeypatch):
     """A (1, 2) quartic row whose leading coefficient `RealPolynomial.of`
-    trims makes the batch decline; the scalar loop's result is reported."""
+    trims drops only item 2's gates."""
     m = random_instance(6, 2.0, 0)
     full = _gate_items(m)
-    screen = identify._screen_pairs
 
-    def trim_first_row(batch, tol, uniform):
-        rows, to_solve = screen(batch, tol, uniform)
-        rows = rows.copy()
-        rows[0, -1] *= 1e-15
-        return rows, to_solve
+    def trim(row):
+        row[-1] *= 1e-15
 
-    monkeypatch.setattr(identify, "_screen_pairs", trim_first_row)
-    declined = _watch_batched_gates(monkeypatch)
+    _patch_quartic_rows(monkeypatch, trim)
     gates = _gate_items(m)
-    assert declined == [True]
-    assert gates == _scalar_gate_items(m, monkeypatch)
     # the trimmed quartic no longer has b_1 as a root, so item 2's gates are
     # gone and the others keep their values
     assert [g for g in full if 2 not in _gate_key_items(g[0])] == gates
     assert len(gates) < len(full)
+
+
+@pytest.mark.parametrize("lead, items", [(0.0, (2,)), (1e-15, (2, 3))])
+def test_degree_reduced_quartic_row_gates_at_its_degree(lead, items, monkeypatch):
+    """(1, j) rows whose leading coefficient is zero, or small enough that
+    `RealPolynomial.of` trims it, and that keep the root b_1 deflate to
+    quadratics; their gates are determinants of that degree."""
+    m = random_instance(6, 2.0, 0)
+    b1 = m.b[0]
+    quartics = {}
+
+    def reduce(row):
+        row[0] += row[4] * (1 - lead) * b1**4
+        row[4] *= lead
+        quartics[items[len(quartics)]] = RealPolynomial.of(row)
+
+    _patch_quartic_rows(monkeypatch, reduce, items)
+    gates = _gate_items(m)
+    assert all(deflate_root(q, b1).degree == 2 for q in quartics.values())
+    assert gates == _reference_gates(m, quartics)
+    assert len(gates) == 15
+    if items == (2,):
+        assert float.fromhex(dict(gates)["drop:2,3"]) == pytest.approx(7.7e-8, rel=0.01)
+
+
+def test_exact_row_off_its_root_drops_its_gates():
+    """On Fractions a (1, j) row must vanish exactly at b_1: a residual of
+    1e-40 drops every gate of item j."""
+    m = counterexample()
+    table = oracle_table(m, all_slates(4))
+    batch = identify._pair_batch(table, [(1, 2), (1, 3), (1, 4)])
+    quartic = identify._coefficient_rows(cleared_pair_quartic(batch, X))
+    quartic[1, 0] += F(1, 10**40)
+    gates = identify._gate_values(m.b[0], batch, quartic)
+    assert list(gates) == ["drop:2,4", "pair:2", "pair:4"]
+    reference = _reference_gates(m, {3: RealPolynomial.of(quartic[1])})
+    assert [(k, v.hex()) for k, v in gates.items()] == reference
+
+
+def test_gates_vanish_when_item_one_is_pinned():
+    """At b_1 = c_1 / (1 + lambda) the partner map's numerator and
+    denominator both vanish, so every (1, j) quartic has a double root at
+    b_1, every deflated cubic keeps b_1 as a root and every gate is 0."""
+    m = MixtureModel.of(
+        [F(1, 4), F(3, 10), F(1, 10), F(7, 20)], [F(1, 4), F(1, 5), F(3, 10), F(1, 4)], F(2)
+    )
+    rep = check_identifiability(m)
+    assert rep.unique
+    assert list(rep.gate_values.items()) == [
+        (k, 0.0) for k in ("drop:2,3", "drop:2,4", "drop:3,4", "pair:2", "pair:3", "pair:4")
+    ]
 
 
 def _gate_key_items(key: str) -> list:
@@ -598,3 +721,41 @@ def test_stacked_sylvester_determinant_matches_scalar(cases):
     assert [v.hex() for v in stacked.tolist()] == [
         float(sylvester_resultant(p, q)).hex() for p, q in pairs
     ]
+
+
+_RATIONAL = st.fractions(-2, 2, max_denominator=12)
+
+
+@_PROPERTY
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(_RATIONAL, min_size=m + 1, max_size=m + 1),
+                    st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1),
+                ).filter(lambda pq: pq[0][-1] != 0 and pq[1][-1] != 0),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+)
+def test_stacked_sylvester_determinant_exact(cases):
+    """On Fraction stacks `sylvester_resultants` equals the exact
+    `sylvester_resultant`; a pair with a common root, whose elimination
+    meets a zero pivot, gives exactly 0."""
+    m, n = len(cases[0][0]) - 1, len(cases[0][1]) - 1
+    # x^(m-1) (x - 1/3) and x^(n-1) (x - 1/3) share the root 1/3
+    cases = cases + [
+        ([F(0)] * (m - 1) + [F(-1, 3), F(1)], [F(0)] * (n - 1) + [F(-1, 3), F(1)])
+    ]
+    stacked = sylvester_resultants(
+        np.array([p for p, _ in cases], dtype=object),
+        np.array([q for _, q in cases], dtype=object),
+    )
+    assert list(stacked) == [
+        sylvester_resultant(RealPolynomial.of(p), RealPolynomial.of(q)) for p, q in cases
+    ]
+    assert all(isinstance(v, (F, int)) for v in stacked)
+    assert stacked[-1] == 0

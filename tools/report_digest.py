@@ -13,9 +13,10 @@ on the platform and the numpy build, so compare two commits on one machine,
 never against a stored list.
 
 Families: `check_identifiability` by n and lambda over random instances, on
-rational n = 4 models drawn as the `identify-exact-cli` benchmark draws
-them, on the two-solution counterexample (exact and float) and on two edge
-draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
+rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
+`identify-exact-cli` benchmark draws them), on the exact model with item 1
+pinned, on the two-solution counterexample (exact and float) and on two
+edge draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -23,7 +24,8 @@ shows only under pair multiplicity;
 model seeds 1000 + t with sampling seed t; and one small run of each
 experiment driver (`experiment_families`). A run takes about 40 s on two
 cores; the n = 20 identify family, 10 seeds per lambda, is about 1 s of that,
-the pair-solver families about 3 s and the experiments about 2 s.
+the rational families about 5 s, the pair-solver families about 3 s and the
+experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -44,7 +46,14 @@ LAMBDAS = (2.0, 1.0, 0.7)
 # n -> number of seeds, per lambda
 IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20, 20: 10}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
-RATIONAL_DRAWS = 60
+# n -> number of rational draws at lambda = 2
+RATIONAL_DRAWS = {4: 60, 3: 100, 5: 20, 6: 20}
+# item 1 pinned (a_1 = b_1), so every gate is exactly 0
+PINNED_MODEL = MixtureModel.of(
+    [Fraction(1, 4), Fraction(3, 10), Fraction(1, 10), Fraction(7, 20)],
+    [Fraction(1, 4), Fraction(1, 5), Fraction(3, 10), Fraction(1, 4)],
+    Fraction(2),
+)
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
@@ -62,13 +71,13 @@ def digest(reports) -> str:
     return h.hexdigest()
 
 
-def rational_models(count: int):
-    """`count` exact n = 4, lambda = 2 models from seeds 0, 1, ...: each
+def rational_models(n: int, count: int):
+    """`count` exact n-item, lambda = 2 models from seeds 0, 1, ...: each
     draw's weights rounded to denominators up to 1000, the last weight one
     minus the others; draws with a non-positive weight are skipped."""
     seed = 0
     while count:
-        m = random_instance(4, 2, seed)
+        m = random_instance(n, 2, seed)
         seed += 1
         a = [Fraction(x).limit_denominator(1000) for x in m.a.w[:-1]]
         b = [Fraction(x).limit_denominator(1000) for x in m.b.w[:-1]]
@@ -97,9 +106,11 @@ def families():
                 check_identifiability(random_instance(n, lam, s)).to_dict()
                 for s in range(draws)
             )
-    yield f"identify rational n=4 lam=2 first {RATIONAL_DRAWS} positive draws", (
-        check_identifiability(m).to_dict() for m in rational_models(RATIONAL_DRAWS)
-    )
+    for n, draws in RATIONAL_DRAWS.items():
+        yield f"identify rational n={n} lam=2 first {draws} positive draws", (
+            check_identifiability(m).to_dict() for m in rational_models(n, draws)
+        )
+    yield "identify pinned item 1 exact", (check_identifiability(PINNED_MODEL).to_dict(),)
     for exact in (True, False):
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),

@@ -251,13 +251,12 @@ def _polish_batch(c: PairSystemInput, x, y, live):
 
 def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
     """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
-    in `pairs`, as one system whose oracle fields are (P, 1) arrays: float
-    arrays on a float table, object arrays of Fractions on an exact one."""
+    in `pairs`, as one system whose oracle fields are (P, 1) float arrays."""
     n = table.n
     universe = tuple(range(1, n + 1))
     full = np.array(table.entries[universe])
     # drop[k, t]: value of item t + 1 on the slate without item k + 1
-    drop = np.zeros((n, n), full.dtype)
+    drop = np.zeros((n, n))
     for k in range(n):
         drop[k, np.arange(n) != k] = table.entries[universe[:k] + universe[k + 1:]]
     i, j = (np.array(side)[:, None] - 1 for side in zip(*pairs))
@@ -622,11 +621,11 @@ def check_identifiability(
 
     Enumerates full-system solutions, scans every pair system (with the
     two-item slate) for pair-level multiplicity, and computes the scaled
-    resultant gates with `_gate_values` on one batch of pair systems: on
-    float oracles at n >= 4 the pair screen's batch and quartic rows, else
-    a batch of the (1, j) systems in the table's arithmetic. Unique means a
-    single admissible class at both levels. At lambda = 1 solutions are
-    classes up to component swap.
+    resultant gates with `_gate_values` on the coefficient rows of the
+    (1, j) pair systems: on float oracles at n >= 4 the pair screen's rows,
+    else rows built from each scalar system in the table's arithmetic.
+    Unique means a single admissible class at both levels. At lambda = 1
+    solutions are classes up to component swap.
     """
     n = model.n
     codes: list = []
@@ -672,15 +671,18 @@ def check_identifiability(
 
     pair_extra = []
     near_tol = tol * 10.0**-CERT_DECADES
-    # the (1, j) pairs lead; the gates read their quartic rows
+    # the (1, j) pairs lead; the gates read their quartic rows and, at
+    # n >= 4, their pair-slate quartic rows
     pairs = list(combinations(range(1, n + 1), 2))
     to_solve = [True] * len(pairs)
     if n >= 4 and _float_table(table):
         batch = _pair_batch(table, pairs)
         quartic, to_solve = _screen_pairs(batch, tol, is_uniform)
+        slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[: n - 1]
     else:
-        batch = _pair_batch(table, pairs[: n - 1])
-        quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
+        ones = [pair_system(table, 1, j, include_pair=True) for j in range(2, n + 1)]
+        quartic = np.array([cleared_pair_quartic(s, X) for s in ones])
+        slate = np.array([cleared_pair_slate_quartic(s, X) for s in ones]) if n >= 4 else None
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         for (i, j), solve in zip(pairs, to_solve):
@@ -707,7 +709,7 @@ def check_identifiability(
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model.b[0], batch, quartic[: n - 1])
+    gates = _gate_values(model.b[0], quartic[: n - 1], slate)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )
@@ -795,28 +797,27 @@ def _trimmed(rows: np.ndarray) -> tuple:
     return np.where(trail, 0, rows), rows.shape[1] - 1 - trail.sum(axis=1), norm
 
 
-def _gate_values(b1, batch: PairSystemInput, quartic: np.ndarray) -> dict:
+def _gate_values(b1, quartic: np.ndarray, slate=None) -> dict:
     """Scaled resultant gates from the model's deflated pair cubics.
 
-    `batch` leads with the (1, j) pair systems for j = 2..n and `quartic`
-    holds their `pair_quartic` coefficient rows, untrimmed. Each row, and at
-    n >= 4 its pair-slate quartic, goes through the steps of `deflate_root`
-    at b1 and `resultant_gate`, in the rows' own arithmetic: trim, deflate,
-    trim, divide by the sup-norm, trim. A (1, j) row whose deflation
-    residual exceeds tau_defl times its sup-norm (on Fractions: is not
-    exactly zero) drops every gate that involves j; a pair-slate row that
-    fails drops `pair:j`; a gate with a side of degree below 1 is omitted.
-    The gates are Sylvester determinants, one stack per pair of degrees.
+    `quartic` holds the `pair_quartic` coefficient rows of the (1, j) pair
+    systems for j = 2..n, untrimmed, and `slate` their `pair_slate_quartic`
+    rows (none at n = 3, which has no `pair:` gates). Each row goes through
+    the steps of `deflate_root` at b1 and `resultant_gate`: trim, deflate,
+    trim, divide by the sup-norm, trim. Rows of Fractions with a Fraction
+    b1 run exactly, anything else in floats, as `RealPolynomial.of` and
+    `deflate_root` decide. A (1, j) row whose deflation residual exceeds
+    tau_defl times its sup-norm (exactly: is not zero) drops every gate that
+    involves j; a pair-slate row that fails drops `pair:j`; a gate with a
+    side of degree below 1 is omitted. The gates are Sylvester
+    determinants, one stack per pair of degrees.
     """
     count = len(quartic)
-    p = quartic
-    exact = quartic.dtype == object
+    p = quartic if slate is None else np.concatenate([quartic, slate])
+    exact = p.dtype == object and all(isinstance(c, (Fraction, int)) for c in (b1, *p.flat))
     if not exact:
-        # rational weights with a float lambda give float rows
-        b1 = float(b1)
-    if count >= 3:
-        slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[:count]
-        p = np.concatenate([quartic, slate])
+        # a row with a float in it, or a float b1, runs in floats
+        p, b1 = p.astype(float), float(b1)
     with np.errstate(all="ignore"):
         p, _, norm = _trimmed(p)
         # synthetic division as in `deflate_root`; its last step leaves the
@@ -835,7 +836,7 @@ def _gate_values(b1, batch: PairSystemInput, quartic: np.ndarray) -> dict:
     # rows j < k of the (1, j) cubics for the drop gates, then row j against
     # its pair-slate cubic, in key order
     drop = list(combinations(range(count), 2))
-    pair = range(count) if count >= 3 else ()
+    pair = range(count) if slate is not None else ()
     first = np.array([j for j, _ in drop] + list(pair), dtype=int)
     second = np.array([k for _, k in drop] + [count + j for j in pair], dtype=int)
     keys = [f"drop:{j + 2},{k + 2}" for j, k in drop]

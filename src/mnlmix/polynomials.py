@@ -464,9 +464,10 @@ def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     object arrays of Fractions, which give exact determinants. All B
     eliminations run at once with the scalar function's pivots and the same
     operations in the same order, so each float determinant equals the
-    scalar one bitwise. The scalar loop skips a row update whose factor is
-    zero, which can only change the sign of a zero entry, never a pivot or
-    the determinant. A matrix with a zero pivot gives 0.
+    scalar one bitwise. Two differences change no pivot and no determinant:
+    the scalar loop skips a row update whose factor is zero, which can only
+    change the sign of a zero entry, and it also updates the column below
+    each pivot, which is not read again. A matrix with a zero pivot gives 0.
     """
     m, n = p.shape[1] - 1, q.shape[1] - 1
     if m < 1 or n < 1:
@@ -498,10 +499,7 @@ def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                 # keeps Fractions from raising
                 pval = np.where(pval == 0, 1, pval)
             f = rows[:, col + 1:, col] / pval[:, None]
-            # on Fractions, rows whose factor is zero in every matrix keep
-            # their values, as in the scalar loop, which saves most of the work
-            act = np.flatnonzero((f != 0).any(axis=0)) if exact else slice(None)
-            rows[:, col + 1:, col:][:, act] -= f[:, act, None] * top[:, None, col:]
+            rows[:, col + 1:, col + 1:] -= f[:, :, None] * top[:, None, col + 1:]
         pivots[:, -1] = rows[:, -1, -1]
         det *= pivots[:, -1]
     # the scalar loop returns 0 at a zero pivot

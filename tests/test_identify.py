@@ -30,6 +30,7 @@ from mnlmix.polynomials import (
 )
 from mnlmix.systems import (
     cleared_pair_quartic,
+    cleared_pair_slate_quartic,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
@@ -580,7 +581,15 @@ def _edge_draw(case):
         "float-lambda": lambda: MixtureModel.of(
             counterexample().a.w, [F(1, 5), F(1, 5), F(3, 10), F(3, 10)], 2.0
         ),
+        # float weights with a Fraction lambda: float oracle values, and
+        # coefficients that are floats inside Fraction arithmetic
+        "fraction-lambda-3": lambda: _with_lambda(random_instance(3, 2.0, 0), F(3, 2)),
+        "fraction-lambda-6": lambda: _with_lambda(random_instance(6, 2.0, 0), F(3, 2)),
     }[case]()
+
+
+def _with_lambda(model, lam):
+    return MixtureModel.of(model.a.w, model.b.w, lam)
 
 
 _GATE_DRAWS = (
@@ -593,6 +602,7 @@ _GATE_DRAWS = (
     + ["float-counterexample", "near-pin", "root-cluster"]
     + [("rational", n, i) for n in (3, 4, 6) for i in range(3)]
     + ["exact-counterexample", "int-lambda", "float-lambda"]
+    + ["fraction-lambda-3", "fraction-lambda-6"]
 )
 
 
@@ -671,10 +681,11 @@ def test_exact_row_off_its_root_drops_its_gates():
     1e-40 drops every gate of item j."""
     m = counterexample()
     table = oracle_table(m, all_slates(4))
-    batch = identify._pair_batch(table, [(1, 2), (1, 3), (1, 4)])
-    quartic = identify._coefficient_rows(cleared_pair_quartic(batch, X))
+    ones = [pair_system(table, 1, j, include_pair=True) for j in (2, 3, 4)]
+    quartic = np.array([cleared_pair_quartic(s, X) for s in ones])
+    slate = np.array([cleared_pair_slate_quartic(s, X) for s in ones])
     quartic[1, 0] += F(1, 10**40)
-    gates = identify._gate_values(m.b[0], batch, quartic)
+    gates = identify._gate_values(m.b[0], quartic, slate)
     assert list(gates) == ["drop:2,4", "pair:2", "pair:4"]
     reference = _reference_gates(m, {3: RealPolynomial.of(quartic[1])})
     assert [(k, v.hex()) for k, v in gates.items()] == reference

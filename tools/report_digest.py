@@ -15,8 +15,9 @@ never against a stored list.
 Families: `check_identifiability` by n and lambda over random instances, on
 rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
 `identify-exact-cli` benchmark draws them), on the exact model with item 1
-pinned, on the two-solution counterexample (exact and float) and on two
-edge draws (`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
+pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6,
+on the two-solution counterexample (exact and float) and on two edge draws
+(`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -54,6 +55,9 @@ PINNED_MODEL = MixtureModel.of(
     [Fraction(1, 4), Fraction(1, 5), Fraction(3, 10), Fraction(1, 4)],
     Fraction(2),
 )
+# n -> number of float draws given the exact lambda 3/2: float oracle values
+# with a Fraction lambda
+FRACTION_LAMBDA_DRAWS = {3: 20, 4: 20, 6: 10}
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
@@ -111,6 +115,11 @@ def families():
             check_identifiability(m).to_dict() for m in rational_models(n, draws)
         )
     yield "identify pinned item 1 exact", (check_identifiability(PINNED_MODEL).to_dict(),)
+    for n, draws in FRACTION_LAMBDA_DRAWS.items():
+        yield f"identify float weights n={n} lam=Fraction(3, 2) seeds 0..{draws - 1}", (
+            check_identifiability(MixtureModel.of(m.a.w, m.b.w, Fraction(3, 2))).to_dict()
+            for m in (random_instance(n, 2.0, s) for s in range(draws))
+        )
     for exact in (True, False):
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),

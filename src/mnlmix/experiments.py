@@ -391,14 +391,15 @@ def experiment_sample_complexity(
     default; sqrt(2) tightens the exponent fit at desk scale) and has at most
     40 steps from start_size.
     """
-    trial_seeds = _sweep_seeds(seed, trials)
+    # each trial's model is drawn once and reused at every (eps, size) step
+    draws = [(regular_instance(n, lam, ts), ts) for ts in _sweep_seeds(seed, trials)]
     rows = []
     for eps in sorted((float(e) for e in eps_grid), reverse=True):
         size = float(start_size)
         found = None
         for _ in range(40):
             size_int = int(math.ceil(size))
-            succ = _success_rate(n, lam, eps, size_int, trial_seeds, k, jobs)
+            succ = _success_rate(draws, eps, size_int, k, jobs)
             if succ >= 0.9:
                 found = (size_int, succ)
                 break
@@ -428,8 +429,7 @@ def experiment_sample_complexity(
 
 
 def _learn_trial(args: tuple) -> bool:
-    n, lam, eps, size, k, ts = args
-    model = regular_instance(n, lam, ts)
+    model, eps, size, k, ts = args
     cfg = LearnConfig(k=k, eps=eps, samples_per_slate=size, seed=ts)
     rep = learn_from_samples(model, cfg=cfg)
     return bool(
@@ -437,10 +437,11 @@ def _learn_trial(args: tuple) -> bool:
     )
 
 
-def _success_rate(n, lam, eps, size, trial_seeds, k, jobs: int = 1) -> float:
-    args = [(n, lam, eps, size, k, ts) for ts in trial_seeds]
+def _success_rate(draws, eps, size, k, jobs: int = 1) -> float:
+    """Share of the (model, seed) trials learned within eps at this size."""
+    args = [(model, eps, size, k, ts) for model, ts in draws]
     wins = sum(_run_trials(_learn_trial, args, jobs))
-    return wins / len(trial_seeds)
+    return wins / len(draws)
 
 
 def sample_complexity_csv(report: dict) -> str:

@@ -251,12 +251,14 @@ def _polish_batch(c: PairSystemInput, x, y, live):
 
 def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
     """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
-    in `pairs`, as one system whose oracle fields are (P, 1) float arrays."""
+    in `pairs`, as one system whose oracle fields are (P, 1) arrays in the
+    table's arithmetic: float arrays of float values, object arrays of
+    Fractions."""
     n = table.n
     universe = tuple(range(1, n + 1))
     full = np.array(table.entries[universe])
     # drop[k, t]: value of item t + 1 on the slate without item k + 1
-    drop = np.zeros((n, n))
+    drop = np.zeros((n, n), full.dtype)
     for k in range(n):
         drop[k, np.arange(n) != k] = table.entries[universe[:k] + universe[k + 1:]]
     i, j = (np.array(side)[:, None] - 1 for side in zip(*pairs))
@@ -303,7 +305,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
+def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> np.ndarray:
     """Which pair systems of the batch can add a solution to the report.
 
     Follows `solve_pair_system` on every row at once: companion eigenvalues
@@ -316,8 +318,7 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
     lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN); every other
     row has at most one solution, which the pair scan skips.
 
-    Returns the (P, 5) `pair_quartic` coefficient rows, bitwise equal to the
-    scalar builder's before trimming, and the (P,) mask of rows to solve.
+    Returns the (P,) mask of rows to solve.
     """
     quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
@@ -383,7 +384,7 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> tuple:
             merged |= near(left, right[[2, 3, 0, 1]])
         both = survives[:, :, None] & survives[:, None, :]
         one_class = (merged | ~both).all(axis=(1, 2))
-    return quartic, ~(sure & one_class)
+    return ~(sure & one_class)
 
 
 def _band_roots(poly: RealPolynomial, tau_adm: float) -> list:
@@ -592,13 +593,6 @@ def enumerate_candidates(
     return _dedup(good), statuses
 
 
-def _float_table(table: OracleTable) -> bool:
-    """True when lambda and every oracle value are floats, as the screen needs."""
-    return isinstance(table.lam, float) and all(
-        isinstance(v, float) for row in table.entries.values() for v in row
-    )
-
-
 def _swap_equivalent(c1: CandidateSolution, c2: CandidateSolution) -> bool:
     return _close(c1.a + c1.b, c2.b + c2.a)
 
@@ -621,9 +615,9 @@ def check_identifiability(
 
     Enumerates full-system solutions, scans every pair system (with the
     two-item slate) for pair-level multiplicity, and computes the scaled
-    resultant gates with `_gate_values` on the coefficient rows of the
-    (1, j) pair systems: on float oracles at n >= 4 the pair screen's rows,
-    else rows built from each scalar system in the table's arithmetic.
+    resultant gates with `_gate_values` on the coefficient rows of one batch
+    of the (1, j) pair systems, in the table's arithmetic. When those rows
+    are float, the pair screen picks the pairs the scan solves.
     Unique means a single admissible class at both levels. At lambda = 1
     solutions are classes up to component swap.
     """
@@ -674,15 +668,12 @@ def check_identifiability(
     # the (1, j) pairs lead; the gates read their quartic rows and, at
     # n >= 4, their pair-slate quartic rows
     pairs = list(combinations(range(1, n + 1), 2))
+    ones = _pair_batch(table, pairs[: n - 1])
+    quartic = _coefficient_rows(cleared_pair_quartic(ones, X))
+    slate = _coefficient_rows(cleared_pair_slate_quartic(ones, X)) if n >= 4 else None
     to_solve = [True] * len(pairs)
-    if n >= 4 and _float_table(table):
-        batch = _pair_batch(table, pairs)
-        quartic, to_solve = _screen_pairs(batch, tol, is_uniform)
-        slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[: n - 1]
-    else:
-        ones = [pair_system(table, 1, j, include_pair=True) for j in range(2, n + 1)]
-        quartic = np.array([cleared_pair_quartic(s, X) for s in ones])
-        slate = np.array([cleared_pair_slate_quartic(s, X) for s in ones]) if n >= 4 else None
+    if n >= 4 and quartic.dtype == float:
+        to_solve = _screen_pairs(_pair_batch(table, pairs), tol, is_uniform)
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         for (i, j), solve in zip(pairs, to_solve):
@@ -709,7 +700,7 @@ def check_identifiability(
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model.b[0], quartic[: n - 1], slate)
+    gates = _gate_values(model.b[0], quartic, slate)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )

@@ -21,6 +21,7 @@ from .identify import (
     TAU_ADM,
     CandidateSolution,
     _close,
+    _coefficient_rows,
     _swap_dedup,
     enumerate_candidates,
 )
@@ -32,7 +33,7 @@ from .model import (
     sample_empirical,
     slate_distribution,
 )
-from .polynomials import X, RealPolynomial, solve_all_roots
+from .polynomials import X, Coeffs, RealPolynomial, solve_all_roots
 from .systems import PairSystemInput, pair_equations, partner_map
 
 
@@ -211,13 +212,14 @@ def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
             b0 = [v / sum(b0) for v in b0]
             inits.append((a0, b0))
 
+    residuals = _cell_residuals(lam, items, rows, size)
     fits = []
     for a0, b0 in inits:
         a0 = [min(max(float(v), 1e-6), 1.0) for v in a0]
         b0 = [min(max(float(v), 1e-6), 1.0) for v in b0]
         a0 = [v / sum(a0) for v in a0]
         b0 = [v / sum(b0) for v in b0]
-        a, b, loss = _refine_weights(a0, b0, lam, items, rows, size)
+        a, b, loss = _refine_weights(a0, b0, residuals)
         if math.isfinite(loss):
             fits.append((loss, a, b))
     basins: list = []
@@ -358,22 +360,21 @@ def _extend_block(
         def drop(t):
             return Slate.of(i for i in range(1, n + 1) if i != t)
 
-        # per tail item j, the (pivot, j) pair system: three new values, of
-        # which the drop-j one is held out as a residual check on the step
-        tail = [
-            PairSystemInput(
-                lamf,
-                c_piv,
-                float(oracle.value(full, j, "extension")),
-                c_drop_j_i=float(oracle.value(drop(j), pivot, "extension")),
-                c_drop_i_j=float(oracle.value(drop(pivot), j, "extension")),
-                pivot=pivot,
-                partner=j,
+        # one (pivot, j) pair system per tail item j, held as rows of one
+        # system: three new values each, of which the drop-j one is held out
+        # as a residual check on the step
+        values = [
+            (
+                oracle.value(full, j, "extension"),
+                oracle.value(drop(j), pivot, "extension"),
+                oracle.value(drop(pivot), j, "extension"),
             )
             for j in range(k + 1, n + 1)
         ]
+        c_full_j, c_drop_j_i, c_drop_i_j = np.array(values, dtype=float).T[:, :, None]
+        tail = PairSystemInput(lamf, c_piv, c_full_j, c_drop_j_i, c_drop_i_j, pivot=pivot)
         # ratio-boundedness diagnostic on the large-slate values we paid for
-        lo_prob = min([c_piv] + [sys.c_full_j for sys in tail]) / (1 + lamf)
+        lo_prob = min(c_piv, c_full_j.min()) / (1 + lamf)
         if lo_prob * n < C_LOW:
             statuses.append("low-regularity")
         try:
@@ -392,12 +393,17 @@ def _extend_block(
         # admissible root goes on to the refit
         starts = []
         for scale, b_tail in options if noisy else options[:1]:
-            b_hat = [v * scale for v in b_rel] + b_tail
-            a_tail = [sys.c_full_j - lamf * bj for sys, bj in zip(tail, b_tail)]
+            b_hat = [v * scale for v in b_rel] + b_tail.tolist()
+            a_tail = (c_full_j[:, 0] - lamf * b_tail).tolist()
             a_piv = c_piv - lamf * b_hat[piv_idx]
             total_a = a_piv / a_rel[piv_idx]
             a_hat = [v * total_a for v in a_rel] + a_tail
             starts.append((a_hat, b_hat))
+    # the queries are all made, so one residual map serves every refit
+    if noisy:
+        residuals = _cell_residuals(
+            float(lam), range(1, n + 1), oracle.sampled_rows(), oracle.noise_size
+        )
 
     def finish(a_hat, b_hat) -> tuple:
         st = []
@@ -417,11 +423,7 @@ def _extend_block(
         b_hat = [v / sum_b for v in b_hat]
         if not noisy:
             return (a_hat, b_hat, 0.0), st
-        fit = _refine_weights(
-            a_hat, b_hat, float(lam), range(1, n + 1),
-            oracle.sampled_rows(), oracle.noise_size,
-        )
-        return fit, st
+        return _refine_weights(a_hat, b_hat, residuals), st
 
     fit, st = min(
         (finish(a_hat, b_hat) for a_hat, b_hat in starts),
@@ -497,15 +499,9 @@ def _cell_residuals(lam: float, items: Sequence[int], rows: Sequence[tuple], siz
     return residuals
 
 
-def _refine_weights(
-    a0: Sequence[float],
-    b0: Sequence[float],
-    lam: float,
-    items: Sequence[int],
-    rows: Sequence[tuple],
-    size: Optional[int],
-) -> tuple:
-    """Gauss-Newton refit of the weights over `items` against the given rows.
+def _refine_weights(a0: Sequence[float], b0: Sequence[float], residuals) -> tuple:
+    """Gauss-Newton refit of the weights against the rows of a
+    `_cell_residuals` map.
 
     The chained plug-in estimate uses a minimal equation set; refitting
     against every queried row is the least-squares use of the same data and
@@ -516,7 +512,6 @@ def _refine_weights(
     linearized system, with the analytic Jacobian of `_cell_residuals`.
     Returns (a, b, weighted_sse).
     """
-    residuals = _cell_residuals(lam, items, rows, size)
     theta = np.array(list(a0[1:]) + list(b0[1:]), dtype=float)
     cur = residuals(theta)
     if cur is None:
@@ -544,84 +539,61 @@ def _refine_weights(
     return a.tolist(), b.tolist(), best_ss
 
 
-def _normalization_scales(
-    r: float, tail: Sequence[PairSystemInput], margin: float
-) -> tuple:
+def _normalization_scales(r: float, tail: PairSystemInput, margin: float) -> tuple:
     """Block share s of the total mass from the scalar normalization equation.
 
-    `r` is the pivot's weight relative to the block, and `tail` holds one
-    pivot-sharing pair system per tail item, so every partner map has the
-    same denominator. With the pivot at x = r s, the tail weights
-    b_j = num_j(x) / den(x) complete the mass to one when
+    `r` is the pivot's weight relative to the block, and `tail` holds the
+    pivot-sharing pair systems of the tail items as rows of (J, 1) fields, so
+    every partner map has the same denominator. With the pivot at x = r s,
+    the tail weights b_j = num_j(x) / den(x) complete the mass to one when
     (s - 1) den(x) + sum_j num_j(x) = 0, a quadratic in s. A root on (0, 1]
     is admissible when x lies in (0, 1) and every b_j in (-margin, 1).
 
-    Returns (options, fallback). `options` lists (s, [b_j]) for every
-    admissible root, best fit to the held-out drop-j values first. When no
-    root is admissible, fallback is True and `options` holds the admissible
-    grid scale that minimizes the equation's magnitude (noise can leave the
-    polynomial rootless while a near-solution exists; a sign change on
-    (0, 1] would be one of the roots already tested). Raises
-    DegenerateInstanceError when no grid scale is admissible.
+    Returns (options, fallback). `options` lists (s, b) for every admissible
+    root, b the (J,) tail weights, best fit to the held-out drop-j values
+    first. When no root is admissible, fallback is True and `options` holds
+    the first admissible scale among 1/ARGMIN_GRID, ..., 1 that minimizes the
+    equation's magnitude (noise can leave the polynomial rootless while a
+    near-solution exists; a sign change on (0, 1] would be one of the roots
+    already tested). Raises DegenerateInstanceError when no grid scale is
+    admissible.
     """
-    lam = tail[0].lam
-    maps = [partner_map(sys) for sys in tail]
-    den = maps[0][1]
+    lam = tail.lam
+    num, den = partner_map(tail)
 
-    def cleared(s):
+    def score(s: np.ndarray) -> tuple:
+        """At every share in `s`: the cleared equation, the (J, S) tail
+        weights, admissibility and the worst held-out drop-j residual."""
         x = r * s
-        return (s - 1) * den(x) + sum(num(x) for num, _ in maps)
-
-    def admissible(s):
-        x = r * s
-        d = den(x)
-        if abs(d) < 1e-12 * (1 + lam):
-            return None
-        bj = [num(x) / d for num, _ in maps]
-        if not all(-margin < v < 1 for v in bj) or not 0 < x < 1:
-            return None
-        return bj
-
-    def held_out(s, bj):
-        x = r * s
-        worst = 0.0
-        for sys, v in zip(tail, bj):
-            (e, _), (ok, _) = pair_equations(
-                sys, sys.c_full_i - lam * x, sys.c_full_j - lam * v, x, v
+        d, nx = den(x), num(x)
+        ok = abs(d) >= 1e-12 * (1 + lam)
+        with np.errstate(all="ignore"):
+            bj = nx / np.where(ok, d, 1.0)
+            (e, _), (defined, _) = pair_equations(
+                tail, tail.c_full_i - lam * x, tail.c_full_j - lam * bj, x, bj
             )
-            if not ok:
-                return float("inf")
-            worst = max(worst, abs(e))
-        return worst
+        adm = ok & (0 < x) & (x < 1) & ((-margin < bj) & (bj < 1)).all(axis=0)
+        held = np.where(defined.all(axis=0), abs(e).max(axis=0), np.inf)
+        # Python's sum adds the tail rows in item order at every share
+        return (s - 1) * d + sum(nx), bj, adm, held
 
-    poly = RealPolynomial.of(cleared(X))
+    x = r * X
+    tail_sum = sum(map(Coeffs, _coefficient_rows(num(x)).tolist()))
+    poly = RealPolynomial.of((X - 1) * den(x) + tail_sum)
     roots = []
     if not poly.is_zero() and poly.degree >= 1:
         roots = [s for s in solve_all_roots(poly).real_roots if 0 < s <= 1 + 1e-12]
-    scored = []
-    for s in roots:
-        bj = admissible(s)
-        if bj is not None:
-            scored.append((held_out(s, bj), s, bj))
-    if scored:
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return [(s, bj) for _, s, bj in scored], False
-    s = _argmin_normalization(cleared, admissible)
-    if s is None:
+    _, bj, adm, held = score(np.array(roots))
+    if adm.any():
+        order = sorted(np.flatnonzero(adm), key=lambda t: (held[t], roots[t]))
+        return [(roots[t], bj[:, t]) for t in order], False
+    grid = np.arange(1, ARGMIN_GRID + 1) / ARGMIN_GRID
+    cleared, bj, adm, _ = score(grid)
+    if not adm.any():
         raise DegenerateInstanceError("no admissible normalization root")
-    return [(s, admissible(s))], True
-
-
-def _argmin_normalization(cleared, admissible_scale):
-    best = None
-    for idx in range(1, ARGMIN_GRID + 1):
-        s = idx / ARGMIN_GRID
-        if admissible_scale(s) is None:
-            continue
-        v = abs(cleared(s))
-        if best is None or v < best[0]:
-            best = (v, s)
-    return best[1] if best else None
+    # argmin takes the first of equal minima
+    t = np.argmin(np.where(adm, abs(cleared), np.inf))
+    return [(float(grid[t]), bj[:, t])], True
 
 
 def learn_from_oracle(

@@ -448,8 +448,7 @@ def _solve_every_pair(monkeypatch):
     screen = identify._screen_pairs
 
     def flag_all(batch, tol, uniform):
-        rows, to_solve = screen(batch, tol, uniform)
-        return rows, np.ones_like(to_solve)
+        return np.ones_like(screen(batch, tol, uniform))
 
     monkeypatch.setattr(identify, "_screen_pairs", flag_all)
 
@@ -488,6 +487,26 @@ def test_screen_sends_deciding_pairs_to_scalar_solver(case, monkeypatch):
     assert check_identifiability(m).to_dict() == rep.to_dict()
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_int_lambda_twin_is_screened_with_equal_report(n, monkeypatch):
+    """Float weights with the int lambda 2, as a model file with "lambda": 2
+    loads, give the report of lambda 2.0 and also go through the pair
+    screen."""
+    lams = []
+    screen = identify._screen_pairs
+
+    def spy(batch, tol, uniform):
+        lams.append(type(batch.lam))
+        return screen(batch, tol, uniform)
+
+    monkeypatch.setattr(identify, "_screen_pairs", spy)
+    for seed in range(10):
+        m = random_instance(n, 2.0, seed)
+        twin = MixtureModel.of(m.a.w, m.b.w, 2)
+        assert check_identifiability(twin).to_dict() == check_identifiability(m).to_dict()
+    assert lams == [int, float] * 10
+
+
 @_PROPERTY
 @given(
     st.sampled_from([4, 5, 7]),
@@ -500,7 +519,8 @@ def test_batched_quartic_rows_match_scalar_builder(n, seed, lam):
     table = oracle_table(
         m, all_slates(n, min_size=n - 1) + [Slate.of(p) for p in pairs]
     )
-    rows, _ = identify._screen_pairs(identify._pair_batch(table, pairs), 1e-8, lam == 1.0)
+    batch = identify._pair_batch(table, pairs)
+    rows = identify._coefficient_rows(cleared_pair_quartic(batch, X))
     for row, (i, j) in zip(rows, pairs):
         scalar = pair_quartic(pair_system(table, i, j, include_pair=True))
         batched = RealPolynomial.of(row)
@@ -622,18 +642,17 @@ def test_batched_gates_equal_scalar_loop(draw):
 
 
 def _patch_quartic_rows(monkeypatch, change, items=(2,)) -> None:
-    """Make the pair screen return the (1, j) quartic row of each item j in
-    `items` changed in place by `change`."""
-    screen = identify._screen_pairs
+    """Make the gates read the (1, j) quartic row of each item j in `items`
+    changed in place by `change`."""
+    gate_values = identify._gate_values
 
-    def patched(batch, tol, uniform):
-        rows, to_solve = screen(batch, tol, uniform)
-        rows = rows.copy()
+    def patched(b1, quartic, slate=None):
+        quartic = quartic.copy()
         for j in items:
-            change(rows[j - 2])
-        return rows, to_solve
+            change(quartic[j - 2])
+        return gate_values(b1, quartic, slate)
 
-    monkeypatch.setattr(identify, "_screen_pairs", patched)
+    monkeypatch.setattr(identify, "_gate_values", patched)
 
 
 def test_trimmed_quartic_row_sends_model_to_scalar_gates(monkeypatch):

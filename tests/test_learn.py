@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from mnlmix import learn
 from mnlmix.learn import (
+    ARGMIN_GRID,
     DegenerateInstanceError,
     LearnConfig,
     OracleInconsistentError,
@@ -124,6 +126,20 @@ def test_inconsistent_oracle_raises():
         learn_from_oracle(OracleTable(5, float(m.lam), bad))
 
 
+def _tail(systems) -> PairSystemInput:
+    """Pair systems that share one pivot as one system of (J, 1) rows, as the
+    learner's extension step holds its tail."""
+    first = systems[0]
+
+    def column(field):
+        return np.array([[float(getattr(s, field))] for s in systems])
+
+    return PairSystemInput(
+        float(first.lam), float(first.c_full_i), column("c_full_j"),
+        column("c_drop_j_i"), column("c_drop_i_j"), pivot=first.pivot,
+    )
+
+
 def test_solve_normalization_round_trip():
     # the cleared scalar equation is quadratic and may carry a second
     # admissible root, so the tie-break uses the held-out drop-j equations
@@ -134,7 +150,7 @@ def test_solve_normalization_round_trip():
             Slate.of([i for i in range(1, n + 1) if i != j]) for j in range(1, n + 1)
         ]
         table = oracle_table(m, slates)
-        tail = [pair_system(table, 1, j) for j in range(k + 1, n + 1)]
+        tail = _tail([pair_system(table, 1, j) for j in range(k + 1, n + 1)])
         s_true = sum(m.b.w[:k])
         options, _ = _normalization_scales(m.b[0] / s_true, tail, 0.0)
         got = options[0][0]
@@ -156,7 +172,7 @@ def test_solve_normalization_rejects_inadmissible_root():
         (float(table.value_for(full, j)), float(table.value_for(drop1, j)))
         for j in (5, 6)
     ]
-    tail = [pair_system(table, 1, j) for j in (5, 6)]
+    tail = _tail([pair_system(table, 1, j) for j in (5, 6)])
     s_true = sum(m.b.w[:4])
     options, _ = _normalization_scales(m.b[0] / s_true, tail, 0.0)
     got = options[0][0]
@@ -171,8 +187,54 @@ def test_degenerate_normalization_raises():
     with pytest.raises(DegenerateInstanceError):
         # a partner map that never admits a solution on (0, 1]; the held-out
         # drop-j value is never read
-        tail = [PairSystemInput(2.0, 1.5, 2.9, c_drop_j_i=1.0, c_drop_i_j=2.95)]
+        tail = PairSystemInput(
+            2.0, 1.5, np.array([[2.9]]), c_drop_j_i=np.array([[1.0]]),
+            c_drop_i_j=np.array([[2.95]]),
+        )
         _normalization_scales(0.5, tail, 0.0)
+
+
+def test_normalization_fallback_is_first_grid_minimum(monkeypatch):
+    """With no admissible root, the block share is the first admissible
+    grid point s = t / ARGMIN_GRID of least |cleared equation|, here found by
+    a scalar scan over the grid. The draws are the n = 6 sampling draws
+    (model seed 1000 + t, sampling seed t) whose normalization falls back;
+    on some of them the least |cleared equation| sits at a grid point with
+    an inadmissible tail weight."""
+    calls = []
+    scales = learn._normalization_scales
+
+    def spy(r, tail, margin):
+        out = scales(r, tail, margin)
+        calls.append((r, tail, margin, out))
+        return out
+
+    monkeypatch.setattr(learn, "_normalization_scales", spy)
+    for t in (32, 37, 39, 53, 65, 79, 80, 86, 92, 117, 147):
+        learn_from_samples(random_instance(6, 2.0, 1000 + t), cfg=LearnConfig(eps=0.05, seed=t))
+    fallbacks = [call for call in calls if call[3][1]]
+    assert len(fallbacks) == 33
+    for r, tail, margin, (options, _) in fallbacks:
+        lam, c_piv = tail.lam, tail.c_full_i
+        rows = list(zip(tail.c_full_j[:, 0].tolist(), tail.c_drop_i_j[:, 0].tolist()))
+        best = None
+        for t in range(1, ARGMIN_GRID + 1):
+            s = t / ARGMIN_GRID
+            x = r * s
+            den = lam * ((1 + lam) * x - c_piv)
+            nums = [(cd * (1 - c_piv + lam * x) - cf) * (1 - x) for cf, cd in rows]
+            if abs(den) < 1e-12 * (1 + lam) or not 0 < x < 1:
+                continue
+            b_tail = [v / den for v in nums]
+            if not all(-margin < v < 1 for v in b_tail):
+                continue
+            value = abs((s - 1) * den + sum(nums))
+            if best is None or value < best[0]:
+                best = (value, s, b_tail)
+        assert best is not None
+        [(share, b_tail)] = options
+        assert share == best[1]
+        assert b_tail.tolist() == best[2]
 
 
 def test_samples_zero_noise_injection_matches_oracle():

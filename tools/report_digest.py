@@ -15,24 +15,29 @@ never against a stored list.
 Families: `check_identifiability` by n and lambda over random instances, on
 rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
 `identify-exact-cli` benchmark draws them), on the exact model with item 1
-pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6,
-on the two-solution counterexample (exact and float) and on two edge draws
-(`EDGE_DRAWS`) whose pair screen sends pairs to the scalar solver;
+pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6 and
+with the int lambda 2 at n = 4 and 8, on the two-solution counterexample
+(exact and float) and on two edge draws (`EDGE_DRAWS`) whose pair screen
+sends pairs to the scalar solver;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
 `learn_from_oracle` by n and lambda; `learn_from_samples` at eps = 0.05 on
-model seeds 1000 + t with sampling seed t; and one small run of each
-experiment driver (`experiment_families`). A run takes about 40 s on two
-cores; the n = 20 identify family, 10 seeds per lambda, is about 1 s of that,
-the rational families about 5 s, the pair-solver families about 3 s and the
-experiments about 2 s.
+model seeds 1000 + t with sampling seed t, and on the `learn-samples-n6`
+benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
+from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
+and one small run of each experiment driver (`experiment_families`). A run
+takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
+lambda, is about 1 s of that, the rational families about 5 s, the
+pair-solver families about 3 s, the benchmark-input sampling family about
+4 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import chain, permutations
 from fractions import Fraction
 
@@ -58,6 +63,9 @@ PINNED_MODEL = MixtureModel.of(
 # n -> number of float draws given the exact lambda 3/2: float oracle values
 # with a Fraction lambda
 FRACTION_LAMBDA_DRAWS = {3: 20, 4: 20, 6: 10}
+# n -> number of float draws given the int lambda 2, as a model file with
+# "lambda": 2 loads
+INT_LAMBDA_DRAWS = {4: 100, 8: 20}
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
@@ -65,6 +73,8 @@ EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
 PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
+# learn-samples-n6 benchmark inputs drawn from random.Random(1)
+BENCH_SAMPLE_DRAWS = 100
 
 
 def digest(reports) -> str:
@@ -120,6 +130,11 @@ def families():
             check_identifiability(MixtureModel.of(m.a.w, m.b.w, Fraction(3, 2))).to_dict()
             for m in (random_instance(n, 2.0, s) for s in range(draws))
         )
+    for n, draws in INT_LAMBDA_DRAWS.items():
+        yield f"identify float weights n={n} lam=int 2 seeds 0..{draws - 1}", (
+            check_identifiability(MixtureModel.of(m.a.w, m.b.w, 2)).to_dict()
+            for m in (random_instance(n, 2.0, s) for s in range(draws))
+        )
     for exact in (True, False):
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),
@@ -147,6 +162,15 @@ def families():
             ).to_dict()
             for t in range(draws)
         )
+    rng = random.Random(1)
+    seeds = [rng.getrandbits(32) for _ in range(BENCH_SAMPLE_DRAWS)]
+    yield f"learn-samples benchmark inputs n=6 N=691200 first {BENCH_SAMPLE_DRAWS} seeds", (
+        learn_from_samples(
+            xp.regular_instance(6, 2.0, s),
+            cfg=LearnConfig(eps=0.05, samples_per_slate=691200, seed=s),
+        ).to_dict()
+        for s in seeds
+    )
 
 
 def experiment_families():

@@ -305,9 +305,10 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> np.ndarray:
+def _screen_pairs(batch: PairSystemInput, quartic, tol: float, uniform: bool) -> np.ndarray:
     """Which pair systems of the batch can add a solution to the report.
 
+    `quartic` holds the batch's `cleared_pair_quartic` coefficient rows.
     Follows `solve_pair_system` on every row at once: companion eigenvalues
     of the pair quartic and of the pinned-branch quadratic stand in for the
     closed-form roots, then the partner map, the Newton polish, admissibility
@@ -320,7 +321,6 @@ def _screen_pairs(batch: PairSystemInput, tol: float, uniform: bool) -> np.ndarr
 
     Returns the (P,) mask of rows to solve.
     """
-    quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
     sure = _leading_safe(quartic) & _leading_safe(quad)
     lam = float(batch.lam)
@@ -457,18 +457,31 @@ def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     return _dedup(good)
 
 
-def full_residual(a: Sequence, b: Sequence, lam, oracle: OracleTable, items: Sequence[int]):
-    """Max violation over every oracle equation plus the two sum constraints."""
+def slate_cells(rows, items: Sequence[int]) -> tuple:
+    """The (R, m) boolean slate-by-item incidence of (slate items, values)
+    rows over `items`, then each (row, item) value's row, item column and
+    value, in row order; values are floats or the rows' own Fractions."""
     pos = {it: idx for idx, it in enumerate(items)}
-    errs = [abs(sum(a) - 1), abs(sum(b) - 1)]
-    for slate_items, values in oracle.entries.items():
-        sa = sum(a[pos[i]] for i in slate_items)
-        sb = sum(b[pos[i]] for i in slate_items)
-        if float(sa) <= 0 or float(sb) <= 0:
-            return float("inf")
-        for i, c in zip(slate_items, values):
-            errs.append(abs(a[pos[i]] / sa + lam * (b[pos[i]] / sb) - c))
-    return max(errs)
+    cells = [(r, pos[i], c) for r, (slate, row) in enumerate(rows) for i, c in zip(slate, row)]
+    row_of, col_of, values = map(np.array, zip(*cells))
+    member = np.zeros((len(rows), len(pos)), bool)
+    member[row_of, col_of] = True
+    return member, row_of, col_of, values
+
+
+def full_residual(a: np.ndarray, b: np.ndarray, lam, oracle: OracleTable, items: Sequence[int]):
+    """Max violation over every oracle equation plus the two sum constraints
+    for each row of the (K, m) weights, inf where a slate sum is not positive.
+    Sums add item by item in slate order, the order of `items`, as Python's
+    `sum` does, and object weights keep their own arithmetic."""
+    member, row_of, col_of, values = slate_cells(oracle.entries.items(), items)
+    cols = range(a.shape[1])
+    sa, sb = (sum(np.where(member[:, t], w[:, t, None], 0) for t in cols) for w in (a, b))
+    bad = ((sa <= 0) | (sb <= 0)).any(axis=1)
+    sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
+    cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
+    worst = [abs(sum(w[:, t] for t in cols) - 1).astype(float) for w in (a, b)]
+    return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
 
 
 def _extend_candidate(
@@ -534,10 +547,9 @@ def enumerate_candidates(
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)
     sys10 = pair_system(oracle, i1, i0, items=items)
-    systems = {(i0, i1): sys01, (i1, i0): sys10}
-    for j in items[2:]:
-        systems[(i0, j)] = pair_system(oracle, i0, j, items=items)
-        systems[(i1, j)] = pair_system(oracle, i1, j, items=items)
+    # at m = 3 `_extend_candidate` back-substitutes and reads no system
+    tail = items[2:] if len(items) > 3 else ()
+    systems = {(p, j): pair_system(oracle, p, j, items=items) for j in tail for p in (i0, i1)}
 
     if noisy:
         quartic = pair_quartic(sys01).as_float()
@@ -564,23 +576,21 @@ def enumerate_candidates(
         pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
         pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
 
-    cands = []
-    for b1, b2, branch in pairs:
-        # in sampling mode the caller's least-squares refit corrects b_j
-        a, b = _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
-        res = full_residual(a, b, lam, oracle, items)
-        adm = _tuple_admissible(a + b, tau_adm)
-        cands.append(
-            CandidateSolution(
-                items=items,
-                a=a,
-                b=b,
-                residual=float(res),
-                admissible=adm,
-                level="full",
-                branch=branch,
-            )
+    # in sampling mode the caller's least-squares refit corrects b_j
+    weights = [
+        _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
+        for b1, b2, _ in pairs
+    ]
+    floats = all(isinstance(v, float) for a, b in weights for v in a + b)
+    w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))
+    residuals = full_residual(w[:, 0], w[:, 1], lam, oracle, items)
+    cands = [
+        CandidateSolution(
+            items=items, a=a, b=b, residual=float(res),
+            admissible=_tuple_admissible(a + b, tau_adm), branch=branch,
         )
+        for (a, b), (_, _, branch), res in zip(weights, pairs, residuals)
+    ]
     good = [c for c in cands if c.admissible and c.residual <= tol]
     if noisy and not good and cands:
         # under sampling noise no candidate meets the exact-mode residual bar;
@@ -615,9 +625,10 @@ def check_identifiability(
 
     Enumerates full-system solutions, scans every pair system (with the
     two-item slate) for pair-level multiplicity, and computes the scaled
-    resultant gates with `_gate_values` on the coefficient rows of one batch
-    of the (1, j) pair systems, in the table's arithmetic. When those rows
-    are float, the pair screen picks the pairs the scan solves.
+    resultant gates with `_gate_values` on the (1, j) coefficient rows of one
+    batch of pair systems, in the table's arithmetic. A model with a float
+    weight or lambda, lambda no Fraction, has float rows; its batch holds
+    every pair, and the pair screen picks the pairs the scan solves.
     Unique means a single admissible class at both levels. At lambda = 1
     solutions are classes up to component swap.
     """
@@ -667,13 +678,12 @@ def check_identifiability(
     near_tol = tol * 10.0**-CERT_DECADES
     # the (1, j) pairs lead; the gates read their quartic rows and, at
     # n >= 4, their pair-slate quartic rows
+    screened = n >= 4 and not (model.exact or isinstance(model.lam, Fraction))
     pairs = list(combinations(range(1, n + 1), 2))
-    ones = _pair_batch(table, pairs[: n - 1])
-    quartic = _coefficient_rows(cleared_pair_quartic(ones, X))
-    slate = _coefficient_rows(cleared_pair_slate_quartic(ones, X)) if n >= 4 else None
-    to_solve = [True] * len(pairs)
-    if n >= 4 and quartic.dtype == float:
-        to_solve = _screen_pairs(_pair_batch(table, pairs), tol, is_uniform)
+    batch = _pair_batch(table, pairs if screened else pairs[: n - 1])
+    quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
+    slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[: n - 1] if n >= 4 else None
+    to_solve = _screen_pairs(batch, quartic, tol, is_uniform) if screened else [True] * len(pairs)
     if n >= 4:
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         for (i, j), solve in zip(pairs, to_solve):
@@ -700,7 +710,7 @@ def check_identifiability(
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model.b[0], quartic, slate)
+    gates = _gate_values(model.b[0], quartic[: n - 1], slate)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )

@@ -24,6 +24,7 @@ from .identify import (
     _coefficient_rows,
     _swap_dedup,
     enumerate_candidates,
+    slate_cells,
 )
 from .model import (
     MixtureModel,
@@ -432,7 +433,6 @@ def _extend_block(
     return fit, statuses + st
 
 
-
 def _unpack(theta: np.ndarray, n: int) -> tuple:
     """Weight vectors from their trailing coordinates (a_2..a_n, b_2..b_n)."""
     a = np.concatenate(([1 - theta[: n - 1].sum()], theta[: n - 1]))
@@ -449,22 +449,10 @@ def _cell_residuals(lam: float, items: Sequence[int], rows: Sequence[tuple], siz
     the residual vector, or (residuals, Jacobian) with respect to theta, and
     None when theta leaves the open simplex.
     """
-    pos = {it: idx for idx, it in enumerate(items)}
-    n = len(pos)
-    # one cell per (row, item) value; `member` is the row-by-item incidence
-    # matrix expanded to cells, `hit` the one-hot item column of each cell
-    row_of, col_of, values = [], [], []
-    member = np.zeros((len(rows), n))
-    for r, (row_items, row_values) in enumerate(rows):
-        for i, c in zip(row_items, row_values):
-            row_of.append(r)
-            col_of.append(pos[i])
-            values.append(float(c))
-            member[r, pos[i]] = 1.0
-    col_of = np.array(col_of)
-    member = member[row_of]
-    hit = np.eye(n)[col_of]
-    values = np.array(values)
+    member, row_of, col_of, values = slate_cells(rows, items)
+    n = member.shape[1]
+    # `member` expanded to cells, `hit` the one-hot item column of each cell
+    member, hit = member[row_of].astype(float), np.eye(n)[col_of]
     target = np.sqrt(np.maximum(values, 0.0)) if size else values
     # d(weights)/d(theta) for weights = (1 - sum(theta), theta)
     lift = np.vstack([-np.ones(n - 1), np.eye(n - 1)])

@@ -443,12 +443,110 @@ def test_component_swap_keeps_verdict(n, seed, lam):
     )
 
 
+def _reference_full_residual(a, b, lam, oracle, items):
+    """The per-candidate loop that `full_residual` batches: Python's `sum`
+    over each slate, inf at the first slate with a non-positive sum."""
+    pos = {it: idx for idx, it in enumerate(items)}
+    errs = [abs(sum(a) - 1), abs(sum(b) - 1)]
+    for slate_items, values in oracle.entries.items():
+        sa = sum(a[pos[i]] for i in slate_items)
+        sb = sum(b[pos[i]] for i in slate_items)
+        if float(sa) <= 0 or float(sb) <= 0:
+            return float("inf")
+        for i, c in zip(slate_items, values):
+            errs.append(abs(a[pos[i]] / sa + lam * (b[pos[i]] / sb) - c))
+    return float(max(errs))
+
+
+_FLOAT_WEIGHT = st.floats(-0.1, 1.0, allow_nan=False)
+_FRACTION_WEIGHT = st.fractions(F(-1, 10), 1, max_denominator=1000)
+_CANDIDATE_WEIGHT = {
+    "float": _FLOAT_WEIGHT,
+    "fraction": _FRACTION_WEIGHT,
+    "mixed": st.one_of(_FLOAT_WEIGHT, _FRACTION_WEIGHT),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.data(),
+    st.sampled_from([3, 4, 5]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2.0, 0.7, F(3, 2)]),
+    st.booleans(),
+    st.sampled_from(sorted(_CANDIDATE_WEIGHT)),
+)
+def test_batched_full_residual_matches_candidate_loop(data, n, seed, lam, exact, kind):
+    """`full_residual` on stacked candidates equals the per-candidate loop
+    bitwise, on float and Fraction tables and on float, Fraction and mixed
+    weights; a candidate with a non-positive slate sum gets inf."""
+    m = random_instance(n, float(lam), seed)
+    m = MixtureModel.of(m.a.w, m.b.w, lam)
+    if exact:
+        m = exact_model(m)
+    table = oracle_table(m, all_slates(n))
+    items = tuple(range(1, n + 1))
+    weights = st.lists(_CANDIDATE_WEIGHT[kind], min_size=n, max_size=n)
+    cands = [
+        (data.draw(weights), data.draw(weights)) for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    if data.draw(st.booleans()):
+        cands.append((list(m.a.w), list(m.b.w)))
+    if data.draw(st.booleans()):
+        # the slate {1, 2} sums to zero under b
+        b = cands[0][1]
+        b[1] = -b[0]
+    floats = all(isinstance(v, float) for a, b in cands for v in a + b)
+    a, b = (np.array(w, dtype=float if floats else object) for w in zip(*cands))
+    got = identify.full_residual(a, b, m.lam, table, items)
+    want = [_reference_full_residual(a, b, m.lam, table, items) for a, b in cands]
+    assert [r.hex() for r in got.tolist()] == [r.hex() for r in want]
+
+
+@pytest.mark.parametrize(
+    "model, rows",
+    [(random_instance(6, 2.0, 0), 15), (random_instance(3, 2.0, 0), 2), (counterexample(), 3)],
+    ids=["float-n6", "float-n3", "exact-n4"],
+)
+def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
+    """`check_identifiability` evaluates the pair quartic rows once: for
+    every pair on a float table, which the screen also reads, and for the
+    (1, j) pairs only otherwise."""
+    seen = []
+    cleared = identify.cleared_pair_quartic
+
+    def spy(batch, x):
+        seen.append(len(batch.c_full_i))
+        return cleared(batch, x)
+
+    monkeypatch.setattr(identify, "cleared_pair_quartic", spy)
+    check_identifiability(model)
+    assert seen == [rows]
+
+
+def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
+    """At m = 3 the candidates are back-substituted, so only the two leading
+    pair systems are built."""
+    built = []
+    build = identify.pair_system
+
+    def spy(oracle, i, j, **kwargs):
+        built.append((i, j))
+        return build(oracle, i, j, **kwargs)
+
+    monkeypatch.setattr(identify, "pair_system", spy)
+    m = random_instance(3, 2.0, 0)
+    cands, _ = enumerate_candidates(oracle_table(m, all_slates(3)), m.lam, (1, 2, 3))
+    assert cands
+    assert built == [(1, 2), (2, 1)]
+
+
 def _solve_every_pair(monkeypatch):
     """Make the pair screen send every pair to `solve_pair_system`."""
     screen = identify._screen_pairs
 
-    def flag_all(batch, tol, uniform):
-        return np.ones_like(screen(batch, tol, uniform))
+    def flag_all(batch, quartic, tol, uniform):
+        return np.ones_like(screen(batch, quartic, tol, uniform))
 
     monkeypatch.setattr(identify, "_screen_pairs", flag_all)
 
@@ -495,9 +593,9 @@ def test_int_lambda_twin_is_screened_with_equal_report(n, monkeypatch):
     lams = []
     screen = identify._screen_pairs
 
-    def spy(batch, tol, uniform):
+    def spy(batch, quartic, tol, uniform):
         lams.append(type(batch.lam))
-        return screen(batch, tol, uniform)
+        return screen(batch, quartic, tol, uniform)
 
     monkeypatch.setattr(identify, "_screen_pairs", spy)
     for seed in range(10):

@@ -19,6 +19,12 @@ pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6 and
 with the int lambda 2 at n = 4 and 8, on the two-solution counterexample
 (exact and float) and on two edge draws (`EDGE_DRAWS`) whose pair screen
 sends pairs to the scalar solver;
+`enumerate_candidates` with tol = inf, so that every admissible full
+candidate's residual is hashed and not only the survivors a report shows,
+on float n = 4 and n = 14 tables (the slates `check_identifiability`
+reads), on the rational n = 4 tables and on the noisy block tables of
+`learn_from_samples` (model seeds 1000 + t, sampling seed t, block of 4
+items of n = 6, at N = 691200 and at N = 4000 per slate);
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -30,7 +36,7 @@ and one small run of each experiment driver (`experiment_families`). A run
 takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
 pair-solver families about 3 s, the benchmark-input sampling family about
-4 s and the experiments about 2 s.
+4 s, the candidate families about 3 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -43,9 +49,16 @@ from fractions import Fraction
 
 from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
-from mnlmix.identify import check_identifiability, solve_pair_system
-from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
+from mnlmix.identify import check_identifiability, enumerate_candidates, solve_pair_system
+from mnlmix.learn import NOISY_ADM_MARGIN, LearnConfig, learn_from_oracle, learn_from_samples
+from mnlmix.model import (
+    MixtureModel,
+    OracleTable,
+    all_slates,
+    oracle_table,
+    random_instance,
+    sample_empirical,
+)
 from mnlmix.systems import pair_system
 
 LAMBDAS = (2.0, 1.0, 0.7)
@@ -69,6 +82,10 @@ INT_LAMBDA_DRAWS = {4: 100, 8: 20}
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
+# n -> number of float draws per lambda whose candidates are all hashed
+CANDIDATE_DRAWS = {4: 200, 14: 20}
+# noisy n = 6 block tables per sample size
+CANDIDATE_SAMPLE_DRAWS = 50
 # n = 5 draws per lambda whose every pair system is solved
 PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
@@ -112,6 +129,50 @@ def pair_solutions(model) -> list:
     ]
 
 
+def identify_slates(n: int) -> list:
+    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads."""
+    return [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
+
+
+def all_candidates(table, lam, items, **kwargs) -> dict:
+    """Every admissible full candidate of `enumerate_candidates` with its
+    residual, whatever its size, and the statuses."""
+    cands, statuses = enumerate_candidates(table, lam, items, tol=float("inf"), **kwargs)
+    return {"candidates": [c.to_dict() for c in cands], "statuses": list(statuses)}
+
+
+def noisy_block_candidates(t: int, size: int) -> dict:
+    """The noisy candidates of the 4-item block table that `learn_from_samples`
+    builds for `random_instance(6, 2.0, 1000 + t)` with sampling seed t."""
+    model, items = random_instance(6, 2.0, 1000 + t), (1, 2, 3, 4)
+    entries = {
+        s.items: tuple(float(v) for v in sample_empirical(model, s, size, t))
+        for s in all_slates(4, items=items)
+    }
+    table = OracleTable(6, 2.0, entries)
+    return all_candidates(table, 2.0, items, tau_adm=NOISY_ADM_MARGIN, noisy=True)
+
+
+def candidate_families():
+    """Yield (label, reports) for the `enumerate_candidates` families."""
+    for n, draws in CANDIDATE_DRAWS.items():
+        items = tuple(range(1, n + 1))
+        for lam in LAMBDAS:
+            yield f"candidates n={n} lam={lam} tol=inf seeds=0..{draws - 1}", (
+                all_candidates(oracle_table(m, identify_slates(n)), m.lam, items)
+                for m in (random_instance(n, lam, s) for s in range(draws))
+            )
+    yield f"candidates rational n=4 lam=2 tol=inf first {RATIONAL_DRAWS[4]} positive draws", (
+        all_candidates(oracle_table(m, all_slates(4)), m.lam, (1, 2, 3, 4))
+        for m in rational_models(4, RATIONAL_DRAWS[4])
+    )
+    for size in (691200, 4000):
+        yield (
+            f"candidates noisy block n=6 k=4 N={size} tol=inf seeds=1000+t, "
+            f"t=0..{CANDIDATE_SAMPLE_DRAWS - 1}"
+        ), (noisy_block_candidates(t, size) for t in range(CANDIDATE_SAMPLE_DRAWS))
+
+
 def families():
     """Yield (label, iterable of report dicts) for every family."""
     for n, draws in IDENTIFY_DRAWS.items():
@@ -142,6 +203,7 @@ def families():
     yield "identify edge draws " + " ".join(
         f"n={n},lam={lam},seed={s}" for n, lam, s in EDGE_DRAWS
     ), (check_identifiability(random_instance(*d)).to_dict() for d in EDGE_DRAWS)
+    yield from candidate_families()
     for lam in LAMBDAS:
         yield f"pair-solver n=5 lam={lam} seeds=0..{PAIR_DRAWS - 1}", (
             pair_solutions(random_instance(5, lam, s)) for s in range(PAIR_DRAWS)

@@ -4,15 +4,15 @@ The pair-system quartic bounds the candidate pivot weights; back-substitution
 turns each root into a full weight assignment, and residual filtering against
 every available slate equation decides admissibility. Uniqueness holds when
 exactly one admissible class survives (up to component swap at lambda = 1).
-On float oracles a batched numpy screen of all pair systems sends to the
-scalar pair solver only the pairs that can add a second solution.
+A batched numpy screen of every pair system, on the table's float image,
+sends to the scalar pair solver only the pairs that can add a second solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     ParameterError,
     Slate,
     format_number,
+    is_exact,
     oracle_table,
 )
 from .polynomials import (
@@ -154,11 +155,12 @@ def _rationalize_root(poly: RealPolynomial, r: float):
     return None
 
 
-def _drop_system(sys: PairSystemInput) -> PairSystemInput:
-    """`sys` without its two-item slate value, with float fields, or with
-    the arrays of a batched system."""
-    fields = (sys.lam, sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j)
-    return PairSystemInput(*(v if isinstance(v, np.ndarray) else float(v) for v in fields))
+def _float_system(sys: PairSystemInput, pair: bool = False) -> PairSystemInput:
+    """The float image of `sys`, float arrays for a batched system; without
+    its two-item slate value unless `pair` is set."""
+    fields = (sys.lam, sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j, sys.c_pair_i)
+    floats = (np.asarray(v, float) if isinstance(v, np.ndarray) else float(v) for v in fields)
+    return PairSystemInput(*islice(floats, 5 + pair))
 
 
 def _drop_equations(c: PairSystemInput, x, y):
@@ -197,7 +199,7 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
     the candidate itself still separates, so a couple of Newton steps on the
     residual system restore full precision.
     """
-    c = _drop_system(sys)
+    c = _float_system(sys)
     x, y = float(bi), float(bj)
     cur = _drop_equations(c, x, y)
     if cur is None:
@@ -253,7 +255,7 @@ def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
     """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
     in `pairs`, as one system whose oracle fields are (P, 1) arrays in the
     table's arithmetic: float arrays of float values, object arrays of
-    Fractions."""
+    Fractions. Its lambda is the table's, a float, int or Fraction."""
     n = table.n
     universe = tuple(range(1, n + 1))
     full = np.array(table.entries[universe])
@@ -308,23 +310,23 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 def _screen_pairs(batch: PairSystemInput, quartic, tol: float, uniform: bool) -> np.ndarray:
     """Which pair systems of the batch can add a solution to the report.
 
-    `quartic` holds the batch's `cleared_pair_quartic` coefficient rows.
-    Follows `solve_pair_system` on every row at once: companion eigenvalues
-    of the pair quartic and of the pinned-branch quadratic stand in for the
-    closed-form roots, then the partner map, the Newton polish, admissibility
-    and the residual. Each decision is sure only outside SCREEN_MARGIN of its
-    threshold. A row needs the scalar solver when any decision is unsure,
-    when three quartic roots cluster within 1 / SCREEN_MARGIN, or when its
-    surviving candidates are not all one class (close, or at
-    lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN); every other
-    row has at most one solution, which the pair scan skips.
+    `quartic` holds the batch's `cleared_pair_quartic` rows; both are read as
+    floats. Follows `solve_pair_system` on every row at once: companion
+    eigenvalues of the pair quartic and of the pinned-branch quadratic stand
+    in for the closed-form roots, then the partner map, the Newton polish,
+    admissibility and the residual. Each decision is sure only outside
+    SCREEN_MARGIN of its threshold. A row needs the scalar solver when any
+    decision is unsure, when three quartic roots cluster within
+    1 / SCREEN_MARGIN, or when its surviving candidates are not all one class
+    (close, or at lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN);
+    every other row has at most one solution, which the pair scan skips.
 
     Returns the (P,) mask of rows to solve.
     """
+    batch = _float_system(batch, pair=True)
+    c, lam, quartic = _float_system(batch), batch.lam, quartic.astype(float)
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
     sure = _leading_safe(quartic) & _leading_safe(quad)
-    lam = float(batch.lam)
-    c = _drop_system(batch)
     with np.errstate(all="ignore"):
         # rows that fail the leading-coefficient test get a harmless dummy
         roots = _companion_roots(np.where(sure[:, None], quartic, 1.0))
@@ -411,7 +413,7 @@ def _pivot_pairs(sys: PairSystemInput, pivots, polish: bool = True) -> list:
             bj = partner_value(bi, sys)
         except DegenerateBranchSignal:
             continue
-        if polish and not isinstance(bi, (Fraction, int)):
+        if polish and not is_exact(bi):
             bi, bj = _polish_pair(sys, bi, bj)
         pairs.append((bi, bj))
     return pairs
@@ -472,15 +474,16 @@ def slate_cells(rows, items: Sequence[int]) -> tuple:
 def full_residual(a: np.ndarray, b: np.ndarray, lam, oracle: OracleTable, items: Sequence[int]):
     """Max violation over every oracle equation plus the two sum constraints
     for each row of the (K, m) weights, inf where a slate sum is not positive.
-    Sums add item by item in slate order, the order of `items`, as Python's
-    `sum` does, and object weights keep their own arithmetic."""
+    A slate sum adds the slate's own cells in slate order, the order of
+    `items`, as Python's `sum` does; object weights keep their arithmetic."""
     member, row_of, col_of, values = slate_cells(oracle.entries.items(), items)
-    cols = range(a.shape[1])
-    sa, sb = (sum(np.where(member[:, t], w[:, t, None], 0) for t in cols) for w in (a, b))
+    sa, sb = (np.zeros((len(w), len(member)), w.dtype) for w in (a, b))
+    for s, w in ((sa, a), (sb, b)):
+        np.add.at(s, (slice(None), row_of), w[:, col_of])
     bad = ((sa <= 0) | (sb <= 0)).any(axis=1)
     sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
     cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
-    worst = [abs(sum(w[:, t] for t in cols) - 1).astype(float) for w in (a, b)]
+    worst = [abs(sum(w[:, t] for t in range(w.shape[1])) - 1).astype(float) for w in (a, b)]
     return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
 
 
@@ -626,11 +629,10 @@ def check_identifiability(
     Enumerates full-system solutions, scans every pair system (with the
     two-item slate) for pair-level multiplicity, and computes the scaled
     resultant gates with `_gate_values` on the (1, j) coefficient rows of one
-    batch of pair systems, in the table's arithmetic. A model with a float
-    weight or lambda, lambda no Fraction, has float rows; its batch holds
-    every pair, and the pair screen picks the pairs the scan solves.
-    Unique means a single admissible class at both levels. At lambda = 1
-    solutions are classes up to component swap.
+    batch of pair systems, in the table's arithmetic. At n >= 4 the batch
+    holds every pair, and the pair screen picks from its rows the pairs that
+    `solve_pair_system` solves. Unique means a single admissible class at
+    both levels. At lambda = 1 solutions are classes up to component swap.
     """
     n = model.n
     codes: list = []
@@ -677,18 +679,17 @@ def check_identifiability(
     pair_extra = []
     near_tol = tol * 10.0**-CERT_DECADES
     # the (1, j) pairs lead; the gates read their quartic rows and, at
-    # n >= 4, their pair-slate quartic rows
-    screened = n >= 4 and not (model.exact or isinstance(model.lam, Fraction))
+    # n >= 4, their pair-slate quartic rows. At n = 3 no pair is scanned
     pairs = list(combinations(range(1, n + 1), 2))
-    batch = _pair_batch(table, pairs if screened else pairs[: n - 1])
+    batch = _pair_batch(table, pairs if n >= 4 else pairs[: n - 1])
     quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
-    slate = _coefficient_rows(cleared_pair_slate_quartic(batch, X))[: n - 1] if n >= 4 else None
-    to_solve = _screen_pairs(batch, quartic, tol, is_uniform) if screened else [True] * len(pairs)
+    slate = None
     if n >= 4:
+        vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j, batch.c_pair_i)
+        lead = PairSystemInput(batch.lam, *(v[: n - 1] for v in vals))
+        slate = _coefficient_rows(cleared_pair_slate_quartic(lead, X))
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
-        for (i, j), solve in zip(pairs, to_solve):
-            if not solve:
-                continue
+        for i, j in compress(pairs, _screen_pairs(batch, quartic, tol, is_uniform)):
             sys_ij = pair_system(table, i, j, include_pair=True)
             sols = solve_pair_system(sys_ij, tol=tol)
             if is_uniform:
@@ -815,7 +816,7 @@ def _gate_values(b1, quartic: np.ndarray, slate=None) -> dict:
     """
     count = len(quartic)
     p = quartic if slate is None else np.concatenate([quartic, slate])
-    exact = p.dtype == object and all(isinstance(c, (Fraction, int)) for c in (b1, *p.flat))
+    exact = p.dtype == object and is_exact(b1, *p.flat)
     if not exact:
         # a row with a float in it, or a float b1, runs in floats
         p, b1 = p.astype(float), float(b1)

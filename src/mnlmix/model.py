@@ -59,7 +59,7 @@ def format_number(x: Number):
     return float(x)
 
 
-def _is_exact(values: Iterable[Number]) -> bool:
+def is_exact(*values: Number) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
 
 
@@ -77,7 +77,7 @@ class WeightVector:
         if any(v <= 0 for v in vals):
             raise ParameterError("weights must be strictly positive")
         total = sum(vals)
-        if _is_exact(vals):
+        if is_exact(*vals):
             if total != 1:
                 raise ParameterError(f"exact weights must sum to 1, got {total}")
         elif abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -92,7 +92,7 @@ class WeightVector:
 
     @property
     def exact(self) -> bool:
-        return _is_exact(self.w)
+        return is_exact(*self.w)
 
 
 @dataclass(frozen=True)
@@ -161,16 +161,16 @@ class MixtureModel:
 
     @property
     def mu(self):
-        one = Fraction(1) if isinstance(self.lam, (Fraction, int)) else 1.0
+        one = Fraction(1) if is_exact(self.lam) else 1.0
         return one / (1 + self.lam)
 
     @property
     def exact(self) -> bool:
-        return self.a.exact and self.b.exact and isinstance(self.lam, (Fraction, int))
+        return self.a.exact and self.b.exact and is_exact(self.lam)
 
     def swapped(self) -> "MixtureModel":
         """Exchange components and invert the mixing parameter; same law."""
-        one = Fraction(1) if isinstance(self.lam, (Fraction, int)) else 1.0
+        one = Fraction(1) if is_exact(self.lam) else 1.0
         return MixtureModel(self.n, self.b, self.a, one / self.lam)
 
     def collapse_gap(self):

@@ -23,6 +23,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .model import is_exact
+
 Number = Union[int, float, Fraction]
 
 
@@ -56,10 +58,6 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def _is_exact(coeffs: Sequence[Number]) -> bool:
-    return all(isinstance(c, (Fraction, int)) for c in coeffs)
-
-
 @dataclass(frozen=True)
 class RealPolynomial:
     """Dense polynomial, ascending coefficients; trailing (near-)zeros trimmed."""
@@ -72,7 +70,7 @@ class RealPolynomial:
         cs = list(coeffs)
         if not cs:
             raise PolynomialShapeError("empty coefficient vector")
-        exact = _is_exact(cs)
+        exact = is_exact(*cs)
         if exact:
             while len(cs) > 1 and cs[-1] == 0:
                 cs.pop()
@@ -388,7 +386,7 @@ def deflate_root(p: RealPolynomial, r) -> RealPolynomial:
     if p.degree < 1:
         raise PolynomialShapeError("cannot deflate a constant")
     residual = p(r)
-    if p.exact and isinstance(r, (Fraction, int)):
+    if p.exact and is_exact(r):
         if residual != 0:
             raise NotARootError(f"{r} is not an exact root (p(r)={residual})")
     elif abs(residual) > DEFAULT_TOL.tau_defl * float(p.sup_norm):

@@ -17,12 +17,11 @@ oracle fields are numpy arrays gives the coefficients of every row at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import OracleTable, Slate
+from .model import OracleTable, Slate, is_exact
 from .polynomials import X, RealPolynomial, sylvester_resultant
 
 
@@ -59,7 +58,7 @@ class PairSystemInput:
         vals = [self.lam, self.c_full_i, self.c_full_j, self.c_drop_j_i, self.c_drop_i_j]
         if self.c_pair_i is not None:
             vals.append(self.c_pair_i)
-        return all(isinstance(v, (Fraction, int)) for v in vals)
+        return is_exact(*vals)
 
     def tau_den(self) -> float:
         return 1e-9 * float(1 + self.lam)
@@ -122,7 +121,7 @@ def partner_value(bi, sys: PairSystemInput):
     """
     num, den = partner_map(sys)
     d = den(bi)
-    if sys.exact and isinstance(bi, (Fraction, int)):
+    if sys.exact and is_exact(bi):
         if d == 0:
             raise DegenerateBranchSignal("pivot weight pinned, partner map undefined")
         return num(bi) / d

@@ -505,13 +505,13 @@ def test_batched_full_residual_matches_candidate_loop(data, n, seed, lam, exact,
 
 @pytest.mark.parametrize(
     "model, rows",
-    [(random_instance(6, 2.0, 0), 15), (random_instance(3, 2.0, 0), 2), (counterexample(), 3)],
+    [(random_instance(6, 2.0, 0), 15), (random_instance(3, 2.0, 0), 2), (counterexample(), 6)],
     ids=["float-n6", "float-n3", "exact-n4"],
 )
 def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
-    """`check_identifiability` evaluates the pair quartic rows once: for
-    every pair on a float table, which the screen also reads, and for the
-    (1, j) pairs only otherwise."""
+    """`check_identifiability` evaluates the pair quartic rows once, in the
+    table's arithmetic: for every pair at n >= 4, which the screen also
+    reads, and for the (1, j) pairs of the gates at n = 3."""
     seen = []
     cleared = identify.cleared_pair_quartic
 
@@ -551,13 +551,83 @@ def _solve_every_pair(monkeypatch):
     monkeypatch.setattr(identify, "_screen_pairs", flag_all)
 
 
+def _assert_screened_equal_unscreened(models, monkeypatch) -> list:
+    """Reports with the pair screen equal those with every pair solved;
+    returns the reports."""
+    screened = [check_identifiability(m).to_dict() for m in models]
+    _solve_every_pair(monkeypatch)
+    assert [check_identifiability(m).to_dict() for m in models] == screened
+    return screened
+
+
 @pytest.mark.parametrize("lam", [2.0, 1.0, 0.7])
 @pytest.mark.parametrize("n, seeds", [(4, 40), (6, 15), (14, 4)])
 def test_screened_reports_equal_unscreened(n, seeds, lam, monkeypatch):
     models = [random_instance(n, lam, s) for s in range(seeds)]
-    screened = [check_identifiability(m).to_dict() for m in models]
-    _solve_every_pair(monkeypatch)
-    assert [check_identifiability(m).to_dict() for m in models] == screened
+    _assert_screened_equal_unscreened(models, monkeypatch)
+
+
+@pytest.mark.parametrize("lam", [F(2), F(1), F(1, 2)], ids=str)
+@pytest.mark.parametrize("kind", ["rational", "fraction-twin"])
+@pytest.mark.parametrize("n, count", [(4, 12), (5, 4)])
+def test_screened_exact_and_fraction_lambda_reports_equal_unscreened(
+    n, count, kind, lam, monkeypatch
+):
+    """Rational models, and float weights given a Fraction lambda, at
+    lambda 2, 1 (where solutions merge up to component swap) and 1/2."""
+    if kind == "rational":
+        models = [_with_lambda(_rational_draw(n, i), lam) for i in range(count)]
+    else:
+        models = [_with_lambda(random_instance(n, float(lam), s), lam) for s in range(count)]
+    _assert_screened_equal_unscreened(models, monkeypatch)
+
+
+def _near_counterexamples(ks):
+    """The exact counterexample with a[idx] += e and a[4] -= e, for
+    e = +-10^-k and idx = 1, 2, 3, under lambda 2, 2 + e and 2.0."""
+    base = counterexample()
+    for k in ks:
+        for e in (F(1, 10**k), -F(1, 10**k)):
+            for idx in range(3):
+                a = list(base.a.w)
+                a[idx] += e
+                a[3] -= e
+                for lam in (F(2), 2 + e, 2.0):
+                    yield MixtureModel.of(a, base.b.w, lam)
+
+
+def test_screened_near_counterexample_reports_equal_unscreened(monkeypatch):
+    """Exact, Fraction-lambda and float tables near the two-solution
+    variety, where pair-level extras appear and are certified away."""
+    models = list(_near_counterexamples((3, 7, 9, 12)))
+    reports = _assert_screened_equal_unscreened(models, monkeypatch)
+    codes = {c for rep in reports for c in rep["codes"]}
+    assert {"pair-multiplicity", "pair-certified"} <= codes
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("case", ["exact", "fraction-lambda", "int-lambda", "float"])
+def test_pair_screen_runs_on_every_report(case, n, monkeypatch):
+    """Every table with n >= 4 goes through the one pair screen, over all
+    its pairs, whatever the number types of its weights and lambda; at
+    n = 3 no pair is scanned."""
+    m = random_instance(n, 2.0, 0)
+    model = {
+        "exact": lambda: _rational_draw(n, 0),
+        "fraction-lambda": lambda: _with_lambda(m, F(3, 2)),
+        "int-lambda": lambda: _with_lambda(m, 2),
+        "float": lambda: m,
+    }[case]()
+    rows = []
+    screen = identify._screen_pairs
+
+    def spy(batch, quartic, tol, uniform):
+        rows.append(len(quartic))
+        return screen(batch, quartic, tol, uniform)
+
+    monkeypatch.setattr(identify, "_screen_pairs", spy)
+    check_identifiability(model)
+    assert rows == ([] if n == 3 else [n * (n - 1) // 2])
 
 
 @pytest.mark.parametrize("case", ["float-counterexample", "near-pin"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mnlmix.identify import _drop_equations, _drop_system, check_identifiability, exact_model
+from mnlmix.identify import _drop_equations, _float_system, check_identifiability, exact_model
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
     Coeffs,
@@ -328,7 +328,7 @@ def test_pair_equations_exact_batched_and_guarded(wa, wb, lam):
         assert [bool(ok[eq][p, eq + 1]) for eq in range(3)] == [False] * 3
 
     # the Newton polish reads the same guard on the drop-slate equations
-    c = _drop_system(rows[0])
+    c = _float_system(rows[0])
     b_i, b_j = float(b[0]), float(b[1])
     assert _drop_equations(c, b_i, b_j) is not None
     assert _drop_equations(c, b_i, 1 - 1e-13) is None

@@ -18,7 +18,13 @@ rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
 pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6 and
 with the int lambda 2 at n = 4 and 8, on the two-solution counterexample
 (exact and float) and on two edge draws (`EDGE_DRAWS`) whose pair screen
-sends pairs to the scalar solver;
+sends pairs to the scalar solver; on rational draws at lambda = 1, where
+exact solutions merge up to component swap, and at lambda = 1/2
+(`RATIONAL_LAMBDA_DRAWS`), on rational draws with small denominators
+(`SMALL_DENOMINATOR_DRAWS`), on float weights with the Fraction lambda 1,
+and on the exact counterexample perturbed along a[idx] += e, a[4] -= e
+(`near_counterexamples`), whose exact and Fraction-lambda tables lie near
+the two-solution variety;
 `enumerate_candidates` with tol = inf, so that every admissible full
 candidate's residual is hashed and not only the survivors a report shows,
 on float n = 4 and n = 14 tables (the slates `check_identifiability`
@@ -33,8 +39,10 @@ model seeds 1000 + t with sampling seed t, and on the `learn-samples-n6`
 benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
+takes about 55 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
+families near the pair scan's number-type edges (lambda 1 and 1/2, small
+denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the benchmark-input sampling family about
 4 s, the candidate families about 3 s and the experiments about 2 s.
 """
@@ -79,6 +87,13 @@ FRACTION_LAMBDA_DRAWS = {3: 20, 4: 20, 6: 10}
 # n -> number of float draws given the int lambda 2, as a model file with
 # "lambda": 2 loads
 INT_LAMBDA_DRAWS = {4: 100, 8: 20}
+# (n, lambda) -> number of rational draws: the swap merge of exact tables
+# at lambda = 1, and lambda = 1/2
+RATIONAL_LAMBDA_DRAWS = {(4, 1): 30, (4, Fraction(1, 2)): 30, (5, 1): 8, (5, Fraction(1, 2)): 8}
+# (n, denominator limit) -> number of rational draws at lambda = 2
+SMALL_DENOMINATOR_DRAWS = {(4, 12): 30, (4, 30): 30, (5, 30): 8}
+# n -> number of float draws at lambda 1.0 given the Fraction lambda 1
+FRACTION_ONE_DRAWS = {4: 30, 6: 8}
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
 # four-root cluster in pair (1, 3)
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
@@ -102,21 +117,39 @@ def digest(reports) -> str:
     return h.hexdigest()
 
 
-def rational_models(n: int, count: int):
-    """`count` exact n-item, lambda = 2 models from seeds 0, 1, ...: each
-    draw's weights rounded to denominators up to 1000, the last weight one
-    minus the others; draws with a non-positive weight are skipped."""
+def rational_models(n: int, count: int, lam=Fraction(2), limit: int = 1000):
+    """`count` exact n-item models with mixing parameter `lam` from seeds
+    0, 1, ...: each lambda = 2 draw's weights rounded to denominators up to
+    `limit`, the last weight one minus the others; draws with a non-positive
+    weight are skipped."""
     seed = 0
     while count:
         m = random_instance(n, 2, seed)
         seed += 1
-        a = [Fraction(x).limit_denominator(1000) for x in m.a.w[:-1]]
-        b = [Fraction(x).limit_denominator(1000) for x in m.b.w[:-1]]
+        a = [Fraction(x).limit_denominator(limit) for x in m.a.w[:-1]]
+        b = [Fraction(x).limit_denominator(limit) for x in m.b.w[:-1]]
         a.append(1 - sum(a))
         b.append(1 - sum(b))
         if min(a) > 0 and min(b) > 0:
             count -= 1
-            yield MixtureModel.of(a, b, Fraction(2))
+            yield MixtureModel.of(a, b, lam)
+
+
+def near_counterexamples():
+    """The exact counterexample with a[idx] += e and a[4] -= e, for
+    e = +-10^-k, k = 1..12, idx = 1, 2, 3, under lambda 2, 2 + e and 2.0;
+    perturbations that leave a weight non-positive are skipped."""
+    base = counterexample_model(True)
+    for k in range(1, 13):
+        for e in (Fraction(1, 10**k), -Fraction(1, 10**k)):
+            for idx in (1, 2, 3):
+                a = list(base.a.w)
+                a[idx - 1] += e
+                a[3] -= e
+                if min(a) <= 0:
+                    continue
+                for lam in (Fraction(2), 2 + e, 2.0):
+                    yield MixtureModel.of(a, base.b.w, lam)
 
 
 def pair_solutions(model) -> list:
@@ -185,11 +218,28 @@ def families():
         yield f"identify rational n={n} lam=2 first {draws} positive draws", (
             check_identifiability(m).to_dict() for m in rational_models(n, draws)
         )
+    for (n, lam), draws in RATIONAL_LAMBDA_DRAWS.items():
+        yield f"identify rational n={n} lam={lam} first {draws} positive draws", (
+            check_identifiability(m).to_dict() for m in rational_models(n, draws, Fraction(lam))
+        )
+    for (n, limit), draws in SMALL_DENOMINATOR_DRAWS.items():
+        yield f"identify rational n={n} lam=2 denominators<={limit} first {draws} positive draws", (
+            check_identifiability(m).to_dict()
+            for m in rational_models(n, draws, limit=limit)
+        )
+    yield "identify near counterexample a[idx]+=e a[4]-=e lam=2,2+e,2.0", (
+        check_identifiability(m).to_dict() for m in near_counterexamples()
+    )
     yield "identify pinned item 1 exact", (check_identifiability(PINNED_MODEL).to_dict(),)
     for n, draws in FRACTION_LAMBDA_DRAWS.items():
         yield f"identify float weights n={n} lam=Fraction(3, 2) seeds 0..{draws - 1}", (
             check_identifiability(MixtureModel.of(m.a.w, m.b.w, Fraction(3, 2))).to_dict()
             for m in (random_instance(n, 2.0, s) for s in range(draws))
+        )
+    for n, draws in FRACTION_ONE_DRAWS.items():
+        yield f"identify float weights n={n} lam=Fraction(1) seeds 0..{draws - 1}", (
+            check_identifiability(MixtureModel.of(m.a.w, m.b.w, Fraction(1))).to_dict()
+            for m in (random_instance(n, 1.0, s) for s in range(draws))
         )
     for n, draws in INT_LAMBDA_DRAWS.items():
         yield f"identify float weights n={n} lam=int 2 seeds 0..{draws - 1}", (

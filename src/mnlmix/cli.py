@@ -151,13 +151,7 @@ def cmd_learn(args) -> int:
             f"queries={report.queries_used} samples={report.samples_used} "
             f"max_rel_error={report.max_rel_error:.3e}\n"
         )
-    if "k-identifiability-violation" in report.status:
-        return 4
-    if "sampling-too-noisy" in report.status:
-        return 5
-    if not report.ok:
-        return 6  # degenerate normalization, or no positive estimate
-    return 0
+    return report.exit_code
 
 
 def cmd_experiment(args) -> int:

@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .identify import RESIDUAL_TOL, check_identifiability, solve_pair_system
+from .identify import RESIDUAL_TOL, _gate_values, check_identifiability, solve_pair_system
 from .learn import LearnConfig, learn_from_samples
 from .model import MixtureModel, Slate, oracle_table, random_instance
 from .polynomials import (
+    X,
     NotARootError,
     PolynomialShapeError,
     cubic_discriminant,
@@ -25,11 +26,11 @@ from .polynomials import (
     solve_all_roots,
 )
 from .systems import (
+    cleared_pair_quartic,
+    cleared_pair_slate_quartic,
     formal_pair_system,
     pair_quartic,
-    pair_slate_quartic,
     pair_system,
-    resultant_gate,
 )
 
 SCHEMA = "mnlmix-report-1"
@@ -487,9 +488,11 @@ def experiment_counterexample(exact: bool = True) -> dict:
             any(max(abs(float(x) - float(y)) for x, y in zip(f, e)) < 1e-9 for e in expected)
             for f in found
         )
-    cubic = deflate_root(pair_quartic(sys), model.b[0])
-    tilde = deflate_root(pair_slate_quartic(sys), model.b[0])
-    gate = abs(float(resultant_gate(cubic, tilde)))
+    quartic, slate = (
+        np.array([cleared(sys, X)])
+        for cleared in (cleared_pair_quartic, cleared_pair_slate_quartic)
+    )
+    gate = _gate_values(model.b[0], quartic, slate)["pair:2"]
     return {
         "schema": SCHEMA,
         "experiment": "counterexample",

@@ -58,6 +58,10 @@ from .systems import (
 # default of `check_identifiability`, the sweeps and the CLI's --tol
 RESIDUAL_TOL = 1e-8
 TAU_ADM = 1e-9
+# the admissibility margin of noisy candidates: noisy estimates of small
+# weights wobble below zero, so admit them and let the learner's clamp and
+# least-squares refit pull them back inside
+NOISY_ADM_MARGIN = 0.05
 DEDUP_RTOL = 1e-6
 COLLAPSE_GAP = 1e-9
 # a pair-level extra whose residual lies within this many decades below tol
@@ -532,7 +536,6 @@ def enumerate_candidates(
     lam,
     items: Sequence[int],
     tol: float = RESIDUAL_TOL,
-    tau_adm: float = TAU_ADM,
     noisy: bool = False,
 ) -> tuple:
     """All admissible full assignments over `items` consistent with the oracle.
@@ -541,11 +544,13 @@ def enumerate_candidates(
     (second, first) item pairs plus the doubly pinned branch, so both
     degenerate branches are covered. With noisy=True the quartic roots are
     selected by the perturbed-root rule instead: complex roots with real part
-    in (0, 1), nearest-to-real first.
+    in (0, 1), nearest-to-real first; and a weight is admissible within
+    NOISY_ADM_MARGIN of [0, 1] rather than TAU_ADM.
 
     Returns (candidates, statuses).
     """
     items = tuple(items)
+    tau_adm = NOISY_ADM_MARGIN if noisy else TAU_ADM
     statuses: list = []
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .identify import (
-    TAU_ADM,
+    NOISY_ADM_MARGIN,
     CandidateSolution,
     _close,
     _coefficient_rows,
@@ -93,6 +93,17 @@ class LearnReport:
                "degenerate-normalization"}
         return self.a_hat is not None and not bad & set(self.status)
 
+    @property
+    def exit_code(self) -> int:
+        """`mnlmix learn`'s exit code: 4 on a block-identifiability
+        violation, 5 when sampling was too noisy, 6 on any other failure
+        (degenerate normalization, no positive estimate), else 0."""
+        if "k-identifiability-violation" in self.status:
+            return 4
+        if "sampling-too-noisy" in self.status:
+            return 5
+        return 0 if self.ok else 6
+
     def to_dict(self) -> dict:
         return {
             "a_hat": list(self.a_hat) if self.a_hat else None,
@@ -110,7 +121,8 @@ class _ValueOracle:
     """Caches slate rows and counts distinct (slate, item) value queries.
 
     `noise_size` is the number of samples behind each row of a sampled
-    oracle (None for exact values); it enables the multinomial refit.
+    oracle (None for exact values); a sampled oracle runs the learner in
+    sampling mode, which ends in the multinomial refit.
     """
 
     def __init__(
@@ -140,9 +152,13 @@ class _ValueOracle:
             self.counts[bucket] += 1
         return self.row(slate)[slate.items.index(item)]
 
-    def sampled_rows(self) -> list:
-        """Every cached (items, row) pair, in slate order."""
-        return [(items, self._rows[items]) for items in sorted(self._rows)]
+    @property
+    def noisy(self) -> bool:
+        return self.noise_size is not None
+
+    def sampled_table(self) -> OracleTable:
+        """Every cached row, as one table."""
+        return OracleTable(self.n, self.lam, dict(self._rows))
 
     def table_for(self, slates: Sequence[Slate], bucket: str) -> OracleTable:
         entries = {}
@@ -165,7 +181,6 @@ def _rel_error(est_a, est_b, truth: MixtureModel) -> float:
     return float(err)
 
 
-NOISY_ADM_MARGIN = 0.05
 # `low-regularity` is reported when n times the smallest full-slate choice
 # probability paid for by the extension falls under this
 C_LOW = 0.01
@@ -177,7 +192,7 @@ BASIN_RTOL = 1e-4
 ARGMIN_GRID = 2000
 
 
-def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
+def _noisy_block_estimate(table: OracleTable, items: tuple, cands) -> list:
     """Block fits under noise: refit every initializer, keep each distinct basin.
 
     Closed-form quartic roots degrade badly when the true pivot weight sits
@@ -192,8 +207,7 @@ def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
     every distinct basin is returned, lowest block loss first, and the
     caller decides on all sampled rows.
     """
-    k = len(items)
-    rows = [(it, table.entries[it]) for it in sorted(table.entries)]
+    k, lam = len(items), float(table.lam)
     full_row = table.entries[tuple(sorted(items))]
     base = [min(max(float(v) / (1 + lam), 1e-4), 1.0) for v in full_row]
     total = sum(base)
@@ -213,7 +227,7 @@ def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
             b0 = [v / sum(b0) for v in b0]
             inits.append((a0, b0))
 
-    residuals = _cell_residuals(lam, items, rows, size)
+    residuals = _cell_residuals(table, items)
     fits = []
     for a0, b0 in inits:
         a0 = [min(max(float(v), 1e-6), 1.0) for v in a0]
@@ -232,36 +246,26 @@ def _noisy_block_estimate(table, lam: float, items: tuple, cands, size) -> list:
     return basins
 
 
-def _solve_block(oracle: _ValueOracle, lam, items: tuple, noisy: bool) -> tuple:
+def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     """Solve the k-item block; returns (candidates, statuses).
 
-    Exact mode yields one candidate. Noisy mode yields every distinct basin
-    of the block refit, lowest block loss first, minus collapsed ones.
+    Exact mode yields one candidate. Sampling mode yields every distinct
+    basin of the block refit, lowest block loss first, minus collapsed ones.
     """
     statuses: list = []
     block_slates = all_slates(len(items), items=items)
     table = oracle.table_for(block_slates, "kblock")
-    cands, st = enumerate_candidates(
-        table,
-        lam,
-        items,
-        # noisy estimates of small weights wobble below zero; admit them and
-        # let the clamp + least-squares refit pull them back inside
-        tau_adm=NOISY_ADM_MARGIN if noisy else TAU_ADM,
-        noisy=noisy,
-    )
+    cands, st = enumerate_candidates(table, table.lam, items, noisy=oracle.noisy)
     statuses.extend(st)
-    if not cands and not noisy:
+    if not cands and not oracle.noisy:
         raise OracleInconsistentError("no admissible block solution")
-    if noisy:
-        blocks = _noisy_block_estimate(
-            table, float(lam), items, cands, oracle.noise_size
-        )
+    if oracle.noisy:
+        blocks = _noisy_block_estimate(table, items, cands)
         if not blocks:
             statuses.append("sampling-too-noisy")
             return [], statuses
     else:
-        if float(lam) == 1.0:
+        if float(table.lam) == 1.0:
             cands, _ = _swap_dedup(cands)
         if len(cands) > 1:
             statuses.append("k-identifiability-violation")
@@ -278,20 +282,13 @@ def _solve_block(oracle: _ValueOracle, lam, items: tuple, noisy: bool) -> tuple:
     return blocks, statuses
 
 
-def _learn(
-    oracle: _ValueOracle,
-    lam,
-    k: int,
-    n: int,
-    noisy: bool,
-    truth: Optional[MixtureModel],
-) -> LearnReport:
+def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> LearnReport:
     statuses: list = []
     if k == 3:
         statuses.append("k3-warning")  # 3-item blocks may be non-identifiable
     items = tuple(range(1, k + 1))
 
-    blocks, st = _solve_block(oracle, lam, items, noisy)
+    blocks, st = _solve_block(oracle, items)
     statuses.extend(st)
 
     def report(a=None, b=None, err=None):
@@ -302,44 +299,41 @@ def _learn(
             queries_kblock=oracle.counts["kblock"],
             queries_extension=oracle.counts["extension"],
             # the source runs once per distinct slate
-            samples_used=(oracle.noise_size or 0) * len(oracle.sampled_rows()),
+            samples_used=(oracle.noise_size or 0) * len(oracle.sampled_table().entries),
             max_rel_error=err,
             status=tuple(dict.fromkeys(statuses)),
         )
 
-    # every block basin is carried through the extension and the final
-    # refit; the fit with the lowest loss on all sampled rows wins. `min`
-    # keeps the earlier basin, the one with the lower block loss, only when
-    # two losses are exactly equal; on near-ties the last digits decide
-    fits, failures = [], []
-    for block in blocks:
-        fit, st = _extend_block(oracle, lam, n, items, block, noisy)
-        if fit is None:
-            failures.append(st)
-        else:
-            fits.append((fit, st))
+    # every block basin is carried through the extension, and each of its
+    # starts through the final refit
+    starts = [s for block in blocks for s in _extend_block(oracle, items, block)]
+    fits = [s for s in starts if s[0] is not None]
     if not fits:
-        statuses.extend(failures[0] if failures else ())
+        statuses.extend(starts[0][2] if starts else ())
         return report()
-    (a_hat, b_hat, _), st = min(fits, key=lambda f: f[0][2])
+    if oracle.noisy:
+        # the queries are all made, so one residual map serves every refit
+        residuals = _cell_residuals(oracle.sampled_table(), range(1, oracle.n + 1))
+        fits = [(*_refine_weights(a, b, residuals), st) for a, b, st in fits]
+    else:
+        fits = [(a, b, 0.0, st) for a, b, st in fits]
+    # the fit with the lowest loss on all sampled rows wins. `min` keeps the
+    # earlier start, from the basin with the lower block loss, only when two
+    # losses are exactly equal; on near-ties the last digits decide
+    a_hat, b_hat, _, st = min(fits, key=lambda f: f[2])
     statuses.extend(st)
     err = _rel_error(a_hat, b_hat, truth) if truth is not None else None
     return report(tuple(a_hat), tuple(b_hat), err)
 
 
-def _extend_block(
-    oracle: _ValueOracle,
-    lam,
-    n: int,
-    items: tuple,
-    block: CandidateSolution,
-    noisy: bool,
-) -> tuple:
-    """Extend a solved block to all n items; returns ((a, b, loss), statuses).
+def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) -> list:
+    """Extend a solved block to all n items; returns its starts.
 
-    The loss is the refit's weighted sum of squares over every sampled row
-    (0 in exact mode, where no refit runs); the fit is None on failure.
+    A start is (a, b, statuses) with a and b normalized to sum to one: one
+    per admissible normalization root in sampling mode, the best one in
+    exact mode. A failed extension yields one start whose a and b are None.
     """
+    lam, n, noisy = oracle.lam, oracle.n, oracle.noisy
     k = len(items)
     statuses: list = []
     # pivot: block item with the widest |b - a| gap keeps the partner-map
@@ -385,8 +379,7 @@ def _extend_block(
         except DegenerateInstanceError:
             if not noisy:
                 raise
-            statuses.append("degenerate-normalization")
-            return None, statuses
+            return [(None, None, statuses + ["degenerate-normalization"])]
         if fallback:
             statuses.append("normalization-argmin")
         # exact mode keeps the root that best fits the held-out drop-j
@@ -400,14 +393,9 @@ def _extend_block(
             total_a = a_piv / a_rel[piv_idx]
             a_hat = [v * total_a for v in a_rel] + a_tail
             starts.append((a_hat, b_hat))
-    # the queries are all made, so one residual map serves every refit
-    if noisy:
-        residuals = _cell_residuals(
-            float(lam), range(1, n + 1), oracle.sampled_rows(), oracle.noise_size
-        )
-
-    def finish(a_hat, b_hat) -> tuple:
-        st = []
+    normalized = []
+    for a_hat, b_hat in starts:
+        st = list(statuses)
         sum_a, sum_b = sum(a_hat), sum(b_hat)
         if abs(sum_a - 1) > 1e-8 or abs(sum_b - 1) > 1e-8:
             st.append("sum-mismatch" if not noisy else "sum-drift")
@@ -417,20 +405,11 @@ def _extend_block(
             a_hat = [max(v, 1e-9) for v in a_hat]
             b_hat = [max(v, 1e-9) for v in b_hat]
         elif min(a_hat) <= 0 or min(b_hat) <= 0:
-            st.append("nonpositive-weight")
-            return None, st
+            normalized.append((None, None, st + ["nonpositive-weight"]))
+            continue
         sum_a, sum_b = sum(a_hat), sum(b_hat)
-        a_hat = [v / sum_a for v in a_hat]
-        b_hat = [v / sum_b for v in b_hat]
-        if not noisy:
-            return (a_hat, b_hat, 0.0), st
-        return _refine_weights(a_hat, b_hat, residuals), st
-
-    fit, st = min(
-        (finish(a_hat, b_hat) for a_hat, b_hat in starts),
-        key=lambda f: f[0][2] if f[0] is not None else math.inf,
-    )
-    return fit, statuses + st
+        normalized.append(([v / sum_a for v in a_hat], [v / sum_b for v in b_hat], st))
+    return normalized
 
 
 def _unpack(theta: np.ndarray, n: int) -> tuple:
@@ -440,20 +419,26 @@ def _unpack(theta: np.ndarray, n: int) -> tuple:
     return a, b
 
 
-def _cell_residuals(lam: float, items: Sequence[int], rows: Sequence[tuple], size):
-    """Residual map of every (row, item) value, with its analytic Jacobian.
+def _cell_residuals(table: OracleTable, items: Sequence[int]):
+    """Residual map of every (row, item) value of `table`, rows in slate
+    order, with its analytic Jacobian.
 
     With slate sums S_a, S_b the model value of a cell is
     q = a_i/S_a + lam b_i/S_b, and dq/da_t = [t = i]/S_a - a_i [t in slate]/S_a^2
-    (likewise for b). Returns residuals(theta, with_jac=False), which gives
-    the residual vector, or (residuals, Jacobian) with respect to theta, and
+    (likewise for b). The residual is variance-stabilized, sqrt(value) -
+    sqrt(q): Gauss-Newton on sqrt cells is the asymptotically efficient
+    multinomial fit (the row-sum constraint cancels the rank-one Fisher
+    term). Returns residuals(theta, with_jac=False), which gives the
+    residual vector, or (residuals, Jacobian) with respect to theta, and
     None when theta leaves the open simplex.
     """
+    lam = float(table.lam)
+    rows = [(it, table.entries[it]) for it in sorted(table.entries)]
     member, row_of, col_of, values = slate_cells(rows, items)
     n = member.shape[1]
     # `member` expanded to cells, `hit` the one-hot item column of each cell
     member, hit = member[row_of].astype(float), np.eye(n)[col_of]
-    target = np.sqrt(np.maximum(values, 0.0)) if size else values
+    target = np.sqrt(np.maximum(values, 0.0))
     # d(weights)/d(theta) for weights = (1 - sum(theta), theta)
     lift = np.vstack([-np.ones(n - 1), np.eye(n - 1)])
 
@@ -468,20 +453,11 @@ def _cell_residuals(lam: float, items: Sequence[int], rows: Sequence[tuple], siz
             return None
         qa, da = shares(a)
         qb, db = shares(b)
-        q = qa + lam * qb
-        if size:
-            # variance-stabilized residual: Gauss-Newton on sqrt cells is
-            # the asymptotically efficient multinomial fit (the row-sum
-            # constraint cancels the rank-one Fisher term)
-            root = np.sqrt(q)
-            res = target - root
-            scale = -0.5 / root
-        else:
-            res = q - target
-            scale = np.ones_like(q)
+        root = np.sqrt(qa + lam * qb)
+        res = target - root
         if not with_jac:
             return res
-        jac = np.hstack([da @ lift, lam * (db @ lift)]) * scale[:, None]
+        jac = np.hstack([da @ lift, lam * (db @ lift)]) * (-0.5 / root)[:, None]
         return res, jac
 
     return residuals
@@ -621,7 +597,7 @@ def learn_from_oracle(
         oracle = _ValueOracle(source, lam, n)
     else:
         raise TypeError(f"unsupported oracle source {type(source)!r}")
-    return _learn(oracle, lam, cfg.block_size(n), n, noisy=False, truth=truth)
+    return _learn(oracle, cfg.block_size(n), truth)
 
 
 def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) -> LearnReport:
@@ -657,4 +633,4 @@ def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) ->
     for j in range(k + 1, n + 1):
         for i in range(1, k + 1):
             oracle.row(Slate.of((i, j)))
-    return _learn(oracle, lam, k, n, noisy=True, truth=model)
+    return _learn(oracle, k, model)

@@ -246,10 +246,9 @@ def test_samples_zero_noise_injection_matches_oracle():
     def rows(slate):
         return tuple(float(scale * d) for d in slate_distribution(m, slate))
 
-    oracle = _ValueOracle(rows, float(m.lam), m.n)
-    noisy_path = _learn(
-        oracle, float(m.lam), LearnConfig().block_size(m.n), m.n, noisy=True, truth=m
-    )
+    cfg = LearnConfig()
+    oracle = _ValueOracle(rows, float(m.lam), m.n, noise_size=cfg.auto_samples(m.n))
+    noisy_path = _learn(oracle, cfg.block_size(m.n), m)
     ref = learn_from_oracle(m)
     assert noisy_path.a_hat is not None
     assert max(
@@ -325,6 +324,32 @@ def test_samples_block_basin_chosen_on_all_rows(seed):
     assert rep.max_rel_error <= 0.05
 
 
+def test_all_rows_residual_map_built_once_per_run(monkeypatch):
+    """A sampling run builds the residual map over all n items once and
+    refits every start of every block basin against it; this draw has two
+    block basins."""
+    seed = 3202507196
+    m = regular_instance(6, 2.0, seed)
+    basins, maps = [], []
+    block_estimate, cell_residuals = learn._noisy_block_estimate, learn._cell_residuals
+
+    def block_spy(*args):
+        out = block_estimate(*args)
+        basins.append(len(out))
+        return out
+
+    def residuals_spy(*args):
+        # the items are the second argument; the block maps cover k < n items
+        maps.append(len(tuple(args[1])))
+        return cell_residuals(*args)
+
+    monkeypatch.setattr(learn, "_noisy_block_estimate", block_spy)
+    monkeypatch.setattr(learn, "_cell_residuals", residuals_spy)
+    learn_from_samples(m, cfg=LearnConfig(eps=0.05, samples_per_slate=691200, seed=seed))
+    assert basins == [2]
+    assert maps.count(m.n) == 1
+
+
 def test_samples_normalization_fallback():
     """No normalization root is admissible on this draw. The grid argmin of
     the normalization equation supplies the block's share, and the refit
@@ -346,14 +371,13 @@ def test_samples_without_admissible_block_roots_is_ok():
     assert rep.max_rel_error <= 0.05
 
 
-@pytest.mark.parametrize("size", [None, 1000])
-def test_cell_residual_jacobian_matches_differences(size):
+def test_cell_residual_jacobian_matches_differences():
     m = random_instance(5, 2.0, 4)
-    rows = [
-        (s.items, tuple(float(v) * 1.01 for v in oracle_table(m, [s]).value(s)))
+    entries = {
+        s.items: tuple(float(v) * 1.01 for v in oracle_table(m, [s]).value(s))
         for s in all_slates(5)
-    ]
-    residuals = _cell_residuals(2.0, range(1, 6), rows, size)
+    }
+    residuals = _cell_residuals(OracleTable(5, 2.0, entries), range(1, 6))
     theta = np.array(m.a.w[1:] + m.b.w[1:])
     _, jac = residuals(theta, with_jac=True)
     h = 1e-6

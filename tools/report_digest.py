@@ -35,16 +35,18 @@ items of n = 6, at N = 691200 and at N = 4000 per slate);
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
 `learn_from_oracle` by n and lambda; `learn_from_samples` at eps = 0.05 on
-model seeds 1000 + t with sampling seed t, and on the `learn-samples-n6`
+model seeds 1000 + t with sampling seed t, at lambda = 2 for n = 5 to 8 and
+at lambda = 1 and 0.7 for n = 6, and on the `learn-samples-n6`
 benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 55 s on two cores; the n = 20 identify family, 10 seeds per
+takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
 families near the pair scan's number-type edges (lambda 1 and 1/2, small
 denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
-pair-solver families about 3 s, the benchmark-input sampling family about
-4 s, the candidate families about 3 s and the experiments about 2 s.
+pair-solver families about 3 s, the lambda = 1 and 0.7 sampling families
+about 3 s, the benchmark-input sampling family about 4 s, the candidate
+families about 3 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from fractions import Fraction
 from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
 from mnlmix.identify import check_identifiability, enumerate_candidates, solve_pair_system
-from mnlmix.learn import NOISY_ADM_MARGIN, LearnConfig, learn_from_oracle, learn_from_samples
+from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
 from mnlmix.model import (
     MixtureModel,
     OracleTable,
@@ -105,6 +107,8 @@ CANDIDATE_SAMPLE_DRAWS = 50
 PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
+# lambda -> number of n = 6 sampling draws off lambda = 2
+SAMPLE_LAMBDA_DRAWS = {1.0: 40, 0.7: 40}
 # learn-samples-n6 benchmark inputs drawn from random.Random(1)
 BENCH_SAMPLE_DRAWS = 100
 
@@ -183,7 +187,7 @@ def noisy_block_candidates(t: int, size: int) -> dict:
         for s in all_slates(4, items=items)
     }
     table = OracleTable(6, 2.0, entries)
-    return all_candidates(table, 2.0, items, tau_adm=NOISY_ADM_MARGIN, noisy=True)
+    return all_candidates(table, 2.0, items, noisy=True)
 
 
 def candidate_families():
@@ -271,6 +275,13 @@ def families():
         yield f"learn-samples n={n} lam=2.0 eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
             learn_from_samples(
                 random_instance(n, 2.0, 1000 + t), cfg=LearnConfig(eps=0.05, seed=t)
+            ).to_dict()
+            for t in range(draws)
+        )
+    for lam, draws in SAMPLE_LAMBDA_DRAWS.items():
+        yield f"learn-samples n=6 lam={lam} eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
+            learn_from_samples(
+                random_instance(6, lam, 1000 + t), cfg=LearnConfig(eps=0.05, seed=t)
             ).to_dict()
             for t in range(draws)
         )

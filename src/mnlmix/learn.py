@@ -227,21 +227,19 @@ def _noisy_block_estimate(table: OracleTable, items: tuple, cands) -> list:
             b0 = [v / sum(b0) for v in b0]
             inits.append((a0, b0))
 
-    residuals = _cell_residuals(table, items)
-    fits = []
-    for a0, b0 in inits:
-        a0 = [min(max(float(v), 1e-6), 1.0) for v in a0]
-        b0 = [min(max(float(v), 1e-6), 1.0) for v in b0]
-        a0 = [v / sum(a0) for v in a0]
-        b0 = [v / sum(b0) for v in b0]
-        a, b, loss = _refine_weights(a0, b0, residuals)
-        if math.isfinite(loss):
-            fits.append((loss, a, b))
+    a0, b0 = (np.clip(np.array(w, dtype=float), 1e-6, 1.0) for w in zip(*inits))
+    a0, b0 = (w / w.sum(axis=1, keepdims=True) for w in (a0, b0))
+    a, b, loss = _refit(a0, b0, _cell_residuals(table, items))
     basins: list = []
-    for loss, a, b in sorted(fits, key=lambda f: f[0]):
-        if not any(_close(a + b, c.a + c.b, BASIN_RTOL) for c in basins):
+    # a stable sort: equal losses keep the initializer order
+    for t in np.argsort(loss, kind="stable"):
+        if not math.isfinite(loss[t]):
+            break
+        fit = a[t].tolist() + b[t].tolist()
+        if not any(_close(fit, c.a + c.b, BASIN_RTOL) for c in basins):
             basins.append(CandidateSolution(
-                items=items, a=tuple(a), b=tuple(b), residual=loss, admissible=True
+                items=items, a=tuple(fit[:k]), b=tuple(fit[k:]),
+                residual=float(loss[t]), admissible=True,
             ))
     return basins
 
@@ -311,17 +309,25 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
     if not fits:
         statuses.extend(starts[0][2] if starts else ())
         return report()
+    a_hat, b_hat, st = fits[0]
     if oracle.noisy:
-        # the queries are all made, so one residual map serves every refit
-        residuals = _cell_residuals(oracle.sampled_table(), range(1, oracle.n + 1))
-        fits = [(*_refine_weights(a, b, residuals), st) for a, b, st in fits]
-    else:
-        fits = [(a, b, 0.0, st) for a, b, st in fits]
-    # the fit with the lowest loss on all sampled rows wins. `min` keeps the
-    # earlier start, from the basin with the lower block loss, only when two
-    # losses are exactly equal; on near-ties the last digits decide
-    a_hat, b_hat, _, st = min(fits, key=lambda f: f[2])
+        # the queries are all made, so one residual map serves every start
+        a, b, loss = _refit(
+            np.array([f[0] for f in fits]), np.array([f[1] for f in fits]),
+            _cell_residuals(oracle.sampled_table(), range(1, oracle.n + 1)),
+        )
+        # the fit with the lowest loss on all sampled rows wins. `argmin`
+        # keeps the earlier start, from the basin with the lower block loss,
+        # only when two losses are exactly equal; on near-ties the last
+        # digits decide
+        t = int(np.argmin(loss))
+        a_hat, b_hat, st = a[t].tolist(), b[t].tolist(), fits[t][2]
     statuses.extend(st)
+    if float(oracle.lam) == 1.0:
+        # (a, b) and (b, a) are one model at lambda = 1, with equal losses:
+        # report them in lexicographic order, not in the order that
+        # last-digit luck gives
+        a_hat, b_hat = sorted((tuple(a_hat), tuple(b_hat)))
     err = _rel_error(a_hat, b_hat, truth) if truth is not None else None
     return report(tuple(a_hat), tuple(b_hat), err)
 
@@ -412,25 +418,27 @@ def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) 
     return normalized
 
 
-def _unpack(theta: np.ndarray, n: int) -> tuple:
-    """Weight vectors from their trailing coordinates (a_2..a_n, b_2..b_n)."""
-    a = np.concatenate(([1 - theta[: n - 1].sum()], theta[: n - 1]))
-    b = np.concatenate(([1 - theta[n - 1:].sum()], theta[n - 1:]))
-    return a, b
+def _weights(theta: np.ndarray) -> np.ndarray:
+    """(S, 2, n) stack of (a, b) from (S, 2n - 2) trailing coordinates
+    (a_2..a_n, b_2..b_n), each first weight one minus the others."""
+    rest = theta.reshape(len(theta), 2, -1)
+    return np.concatenate((1 - rest.sum(axis=2, keepdims=True), rest), axis=2)
 
 
 def _cell_residuals(table: OracleTable, items: Sequence[int]):
     """Residual map of every (row, item) value of `table`, rows in slate
-    order, with its analytic Jacobian.
+    order, with its analytic Jacobian, at a stack of S starts.
 
     With slate sums S_a, S_b the model value of a cell is
     q = a_i/S_a + lam b_i/S_b, and dq/da_t = [t = i]/S_a - a_i [t in slate]/S_a^2
     (likewise for b). The residual is variance-stabilized, sqrt(value) -
     sqrt(q): Gauss-Newton on sqrt cells is the asymptotically efficient
     multinomial fit (the row-sum constraint cancels the rank-one Fisher
-    term). Returns residuals(theta, with_jac=False), which gives the
-    residual vector, or (residuals, Jacobian) with respect to theta, and
-    None when theta leaves the open simplex.
+    term). Returns residuals(theta, with_jac=False) for the (S, 2n - 2)
+    trailing coordinates of `_weights`, which gives (res, inside) or
+    (res, jac, inside): the (S, cells) residuals, the (S, cells, 2n - 2)
+    Jacobian with respect to theta, and the (S,) mask of the starts inside
+    the open simplex. The rows of a start outside it are meaningless.
     """
     lam = float(table.lam)
     rows = [(it, table.entries[it]) for it in sorted(table.entries)]
@@ -439,68 +447,74 @@ def _cell_residuals(table: OracleTable, items: Sequence[int]):
     # `member` expanded to cells, `hit` the one-hot item column of each cell
     member, hit = member[row_of].astype(float), np.eye(n)[col_of]
     target = np.sqrt(np.maximum(values, 0.0))
-    # d(weights)/d(theta) for weights = (1 - sum(theta), theta)
-    lift = np.vstack([-np.ones(n - 1), np.eye(n - 1)])
-
-    def shares(w):
-        sums = member @ w
-        share = w[col_of] / sums
-        return share, (hit - share[:, None] * member) / sums[:, None]
 
     def residuals(theta, with_jac=False):
-        a, b = _unpack(theta, n)
-        if a.min() <= 0 or b.min() <= 0:
-            return None
-        qa, da = shares(a)
-        qb, db = shares(b)
-        root = np.sqrt(qa + lam * qb)
+        w = _weights(theta)
+        inside = w.min(axis=(1, 2)) > 0
+        with np.errstate(all="ignore"):
+            sums = w @ member.T
+            share = w[..., col_of] / sums
+            root = np.sqrt(share[:, 0] + lam * share[:, 1])
         res = target - root
         if not with_jac:
-            return res
-        jac = np.hstack([da @ lift, lam * (db @ lift)]) * (-0.5 / root)[:, None]
-        return res, jac
+            return res, inside
+        with np.errstate(all="ignore"):
+            d = (hit - share[..., None] * member) / sums[..., None]
+        # d(weights)/d(theta): the first weight is one minus the others
+        d = d[..., 1:] - d[..., :1]
+        jac = np.concatenate((d[:, 0], lam * d[:, 1]), axis=2) * (-0.5 / root)[..., None]
+        return res, jac, inside
 
     return residuals
 
 
-def _refine_weights(a0: Sequence[float], b0: Sequence[float], residuals) -> tuple:
-    """Gauss-Newton refit of the weights against the rows of a
+def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
+    """Gauss-Newton refit of a stack of starts against the rows of a
     `_cell_residuals` map.
 
     The chained plug-in estimate uses a minimal equation set; refitting
     against every queried row is the least-squares use of the same data and
-    shrinks the noise amplification by a sizable factor. Equations carry
-    inverse-sigma weights from the multinomial noise model; the weight
-    vectors are parameterized by their trailing coordinates so the simplex
-    constraint is built in. Each step is the least-squares solution of the
-    linearized system, with the analytic Jacobian of `_cell_residuals`.
-    Returns (a, b, weighted_sse).
+    shrinks the noise amplification by a sizable factor. The weight vectors
+    are parameterized by their trailing coordinates so the simplex
+    constraint is built in. Each start takes up to 12 steps, each the
+    least-squares solution of its linearized system, tried at full length
+    and halved up to five times; a start takes the first length that stays
+    in the simplex and lowers its loss, and stops when none does or its
+    loss falls under 1e-28. All starts step together: one batched
+    pseudo-inverse gives every step, and every length of every start goes
+    through one residual call.
+
+    `a0` and `b0` are (S, n) weights. Returns (a, b, loss): the refitted
+    (S, n) weights and each start's sum of squared residuals, inf (with the
+    start's own weights) for a start outside the open simplex.
     """
-    theta = np.array(list(a0[1:]) + list(b0[1:]), dtype=float)
-    cur = residuals(theta)
-    if cur is None:
-        return list(a0), list(b0), float("inf")
-    best_ss, best_theta = float(cur @ cur), theta
+    theta = np.hstack((a0[:, 1:], b0[:, 1:]))
+    res, inside = residuals(theta)
+    loss = np.where(inside, np.einsum("ij,ij->i", res, res), np.inf)
+    scales = 0.5 ** np.arange(6)
+    active = np.flatnonzero(inside)
     for _ in range(12):
-        base, jac = residuals(theta, with_jac=True)
-        step = np.linalg.lstsq(jac, -base, rcond=None)[0]
-        moved = False
-        scale = 1.0
-        for _ in range(6):
-            trial = theta + scale * step
-            rt = residuals(trial)
-            if rt is not None:
-                ss = float(rt @ rt)
-                if ss < best_ss:
-                    best_ss, best_theta = ss, trial
-                    theta = trial
-                    moved = True
-                    break
-            scale /= 2
-        if not moved or best_ss < 1e-28:
+        if not active.size:
             break
-    a, b = _unpack(best_theta, len(a0))
-    return a.tolist(), b.tolist(), best_ss
+        base, jac, _ = residuals(theta[active], with_jac=True)
+        # minimum-norm least-squares steps, with `np.linalg.lstsq`'s default
+        # rank cutoff: eps * max(cells, p) times the largest singular value
+        pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape[1:]))
+        step = (pinv @ -base[..., None])[..., 0]
+        trial = theta[active, None] + scales[:, None] * step[:, None]
+        rt, ok = residuals(trial.reshape(-1, theta.shape[1]))
+        ss = np.where(ok, np.einsum("ij,ij->i", rt, rt), np.inf).reshape(len(active), -1)
+        better = ss < loss[active, None]
+        moved = better.any(axis=1)
+        first = better.argmax(axis=1)[moved]
+        active = active[moved]
+        theta[active] = trial[moved, first]
+        loss[active] = ss[moved, first]
+        active = active[loss[active] >= 1e-28]
+    w = _weights(theta)
+    a = np.where(inside[:, None], w[:, 0], a0)
+    b = np.where(inside[:, None], w[:, 1], b0)
+    return a, b, loss
 
 
 def _normalization_scales(r: float, tail: PairSystemInput, margin: float) -> tuple:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnlmix import learn
 from mnlmix.learn import (
@@ -39,6 +41,18 @@ def test_oracle_round_trip(n, lam):
         assert rep.max_rel_error <= 1e-8
         assert abs(sum(rep.a_hat) - 1) <= 1e-10 and abs(sum(rep.b_hat) - 1) <= 1e-10
         assert min(rep.a_hat) > 0 and min(rep.b_hat) > 0
+        if lam == 1.0:
+            # (a, b) and (b, a) are one model: one canonical order
+            assert rep.a_hat <= rep.b_hat
+
+
+def test_samples_at_lambda_one_report_components_in_order():
+    """At lambda = 1 the two orders of a fit tie in loss exactly, so the
+    learner reports the lexicographically smaller weight vector as a_hat."""
+    for t in range(40):
+        m = random_instance(6, 1.0, 1000 + t)
+        rep = learn_from_samples(m, cfg=LearnConfig(eps=0.05, seed=t))
+        assert rep.a_hat <= rep.b_hat
 
 
 def test_query_constant_across_n():
@@ -372,17 +386,127 @@ def test_samples_without_admissible_block_roots_is_ok():
 
 
 def test_cell_residual_jacobian_matches_differences():
+    """The map takes a stack of starts: the Jacobian of every start inside
+    the simplex matches central differences, and the mask flags the start
+    outside it."""
     m = random_instance(5, 2.0, 4)
     entries = {
         s.items: tuple(float(v) * 1.01 for v in oracle_table(m, [s]).value(s))
         for s in all_slates(5)
     }
     residuals = _cell_residuals(OracleTable(5, 2.0, entries), range(1, 6))
-    theta = np.array(m.a.w[1:] + m.b.w[1:])
-    _, jac = residuals(theta, with_jac=True)
+    other = random_instance(5, 2.0, 5)
+    theta = np.array([
+        m.a.w[1:] + m.b.w[1:],
+        other.a.w[1:] + other.b.w[1:],
+        # a_1 = 1 - sum(a_2..a_5) < 0
+        (0.5, 0.3, 0.2, 0.1) + m.b.w[1:],
+    ])
+    _, jac, inside = residuals(theta, with_jac=True)
+    assert inside.tolist() == [True, True, False]
     h = 1e-6
-    for t in range(len(theta)):
+    for t in range(theta.shape[1]):
         bump = np.zeros_like(theta)
-        bump[t] = h
-        diff = (residuals(theta + bump) - residuals(theta - bump)) / (2 * h)
-        assert np.max(np.abs(diff - jac[:, t])) <= 1e-6
+        bump[:, t] = h
+        (up, _), (down, _) = residuals(theta + bump), residuals(theta - bump)
+        diff = (up - down)[:2] / (2 * h)
+        assert np.max(np.abs(diff - jac[:2, :, t])) <= 1e-6
+
+
+def _scalar_refit(a0, b0, residuals) -> tuple:
+    """The one-start Gauss-Newton loop that `_refit` must match start by
+    start: an `np.linalg.lstsq` step, six lengths from full halving down,
+    strict descent, at most 12 steps, stop under 1e-28."""
+
+    def at(theta, with_jac=False):
+        *out, inside = residuals(theta[None], with_jac)
+        return [x[0] for x in out] if inside[0] else None
+
+    n = len(a0)
+    theta = np.array(list(a0[1:]) + list(b0[1:]), dtype=float)
+    cur = at(theta)
+    if cur is None:
+        return list(a0), list(b0), float("inf")
+    best_ss, best_theta = float(cur[0] @ cur[0]), theta
+    for _ in range(12):
+        base, jac = at(theta, with_jac=True)
+        step = np.linalg.lstsq(jac, -base, rcond=None)[0]
+        moved = False
+        scale = 1.0
+        for _ in range(6):
+            trial = theta + scale * step
+            rt = at(trial)
+            if rt is not None:
+                ss = float(rt[0] @ rt[0])
+                if ss < best_ss:
+                    best_ss, best_theta = ss, trial
+                    theta = trial
+                    moved = True
+                    break
+            scale /= 2
+        if not moved or best_ss < 1e-28:
+            break
+    a = [1 - best_theta[: n - 1].sum()] + best_theta[: n - 1].tolist()
+    b = [1 - best_theta[n - 1:].sum()] + best_theta[n - 1:].tolist()
+    return a, b, best_ss
+
+
+def _refit_calls(monkeypatch, model, cfg) -> list:
+    """(a0, b0, residual map, result) of every `_refit` call of one run."""
+    calls, refit = [], learn._refit
+
+    def spy(a0, b0, residuals):
+        out = refit(a0, b0, residuals)
+        calls.append((a0, b0, residuals, out))
+        return out
+
+    monkeypatch.setattr(learn, "_refit", spy)
+    learn_from_samples(model, cfg=cfg)
+    return calls
+
+
+def _assert_matches_scalar(a0, b0, residuals, out) -> list:
+    """Each start of a stacked refit matches the scalar loop: the same
+    finite/inf pattern, weights within 1e-7, losses within 1e-6 relative.
+    Returns the scalar losses."""
+    losses = []
+    for start, (a, b, loss) in enumerate(zip(*out)):
+        ra, rb, rloss = _scalar_refit(a0[start], b0[start], residuals)
+        assert np.isfinite(loss) == np.isfinite(rloss)
+        assert np.max(np.abs(np.concatenate((a - ra, b - rb)))) <= 1e-7
+        if np.isfinite(rloss):
+            assert abs(loss - rloss) <= 1e-6 * rloss
+        losses.append(rloss)
+    return losses
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(t=st.integers(0, 49), size=st.sampled_from([691200, 4000]))
+def test_stacked_refit_matches_scalar_loop(t, size):
+    """Every start of a sampling run, refitted together, lands where the
+    one-start loop takes it: the block's root and split starts on the noisy
+    block table, and the final starts on the all-rows table."""
+    m = random_instance(6, 2.0, 1000 + t)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _refit_calls(mp, m, LearnConfig(eps=0.05, samples_per_slate=size, seed=t))
+    # the block call, then the final call over all six items
+    assert [a0.shape[1] for a0, *_ in calls] == [4, 6]
+    for call in calls:
+        _assert_matches_scalar(*call)
+
+
+def test_stacked_refit_matches_scalar_loop_from_clamped_start(monkeypatch):
+    """The wrong block basin of this draw extends to final starts with a
+    weight clamped to 1e-9; stacked beside the right basin's start, each
+    still refits as the one-start loop refits it alone."""
+    seed = 3202507196
+    m = regular_instance(6, 2.0, seed)
+    calls = _refit_calls(
+        monkeypatch, m, LearnConfig(eps=0.05, samples_per_slate=691200, seed=seed)
+    )
+    a0, b0, residuals, out = calls[-1]
+    clamped = np.minimum(a0.min(axis=1), b0.min(axis=1)) <= 1e-9
+    assert clamped.any() and not clamped.all()
+    losses = np.array(_assert_matches_scalar(a0, b0, residuals, out))
+    # the clamped starts refit to the wrong basin's far higher loss
+    assert losses[clamped].min() > 10 * losses[~clamped].max()

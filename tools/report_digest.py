@@ -12,6 +12,10 @@ The digests are not golden values. The last digits of float results depend
 on the platform and the numpy build, so compare two commits on one machine,
 never against a stored list.
 
+With `--dump PATH` the script also writes every report, as JSON
+`{label: [reports]}`, so that `tools/report_diff.py` can say how far the
+reports of a family moved when its digest changed.
+
 Families: `check_identifiability` by n and lambda over random instances, on
 rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
 `identify-exact-cli` benchmark draws them), on the exact model with item 1
@@ -51,6 +55,7 @@ families about 3 s and the experiments about 2 s.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -319,8 +324,17 @@ def experiment_families():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", metavar="PATH", help="also write {label: [reports]} as JSON")
+    args = parser.parse_args()
+    dumped = {}
     for label, reports in chain(families(), experiment_families()):
+        reports = list(reports)
         print(f"{digest(reports)}  {label}", flush=True)
+        dumped[label] = reports
+    if args.dump:
+        with open(args.dump, "w") as f:
+            json.dump(dumped, f)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .polynomials import (
     RealPolynomial,
     count_real_roots_sturm,
     deflate_root,
+    integer_coefficients,
     poly_gcd,
     solve_all_roots,
     sylvester_resultants,
@@ -151,10 +152,24 @@ def _dedup(cands: list) -> list:
 
 
 def _rationalize_root(poly: RealPolynomial, r: float):
-    """Nearest small-denominator rational that is an exact root, else None."""
+    """Nearest small-denominator rational that is an exact root, else None.
+
+    A candidate p/q in lowest terms can be a nonzero root of the cleared
+    integer polynomial only if q divides its leading coefficient and p its
+    lowest nonzero one (rational root theorem); the candidates that pass
+    take one integer evaluation, the sum of c_k p^k q^(d - k).
+    """
+    ints, _ = integer_coefficients(poly.coeffs)
+    lead, low = ints[-1], next((c for c in ints if c), 0)
     for digits in range(1, 13):
         cand = Fraction(r).limit_denominator(10**digits)
-        if poly(cand) == 0:
+        p, q = cand.numerator, cand.denominator
+        if lead % q or (p and low % p):
+            continue
+        acc, qk = 0, 1
+        for c in reversed(ints):
+            acc, qk = acc * p + c * qk, qk * q
+        if acc == 0:
             return cand
     return None
 
@@ -276,6 +291,12 @@ def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
         c_drop_i_j=drop[i, j],
         c_pair_i=np.array([table.entries[p][0] for p in pairs])[:, None],
     )
+
+
+def _batch_rows(batch: PairSystemInput, rows: slice) -> PairSystemInput:
+    """The systems `rows` of a batched system."""
+    vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j, batch.c_pair_i)
+    return PairSystemInput(batch.lam, *(v[rows] for v in vals))
 
 
 def _coefficient_rows(coeffs: Sequence) -> np.ndarray:
@@ -478,9 +499,27 @@ def slate_cells(rows, items: Sequence[int]) -> tuple:
 def full_residual(a: np.ndarray, b: np.ndarray, lam, oracle: OracleTable, items: Sequence[int]):
     """Max violation over every oracle equation plus the two sum constraints
     for each row of the (K, m) weights, inf where a slate sum is not positive.
-    A slate sum adds the slate's own cells in slate order, the order of
-    `items`, as Python's `sum` does; object weights keep their arithmetic."""
-    member, row_of, col_of, values = slate_cells(oracle.entries.items(), items)
+
+    On an exact table and lambda, rows that are all Fractions run in
+    integers (`_integer_residual`). Any other row keeps its arithmetic: a
+    slate sum adds the slate's own cells in slate order, the order of
+    `items`, as Python's `sum` does.
+    """
+    cells = slate_cells(oracle.entries.items(), items)
+    exact = np.zeros(len(a), bool)
+    if a.dtype == object and is_exact(lam, *cells[3]):
+        exact = np.array([is_exact(*u, *v) for u, v in zip(a, b)], bool)
+    out = np.empty(len(a))
+    if exact.any():
+        out[exact] = _integer_residual(a[exact], b[exact], lam, cells)
+    if not exact.all():
+        out[~exact] = _residual(a[~exact], b[~exact], lam, cells)
+    return out
+
+
+def _residual(a, b, lam, cells) -> np.ndarray:
+    """`full_residual` of rows in the weights' own arithmetic."""
+    member, row_of, col_of, values = cells
     sa, sb = (np.zeros((len(w), len(member)), w.dtype) for w in (a, b))
     for s, w in ((sa, a), (sb, b)):
         np.add.at(s, (slice(None), row_of), w[:, col_of])
@@ -488,6 +527,31 @@ def full_residual(a: np.ndarray, b: np.ndarray, lam, oracle: OracleTable, items:
     sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
     cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
     worst = [abs(sum(w[:, t] for t in range(w.shape[1])) - 1).astype(float) for w in (a, b)]
+    return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
+
+
+def _integer_residual(a, b, lam, cells) -> np.ndarray:
+    """`_residual` of rational rows on an exact table and lambda.
+
+    With a = alpha / A and b = beta / B over integers, a_i / s_a is
+    alpha_i / sum(alpha), so each cell is one integer numerator over an
+    integer denominator and a sum constraint is |sum(alpha) - A| / A. An
+    int / int division rounds correctly, as the float of the Fraction does.
+    """
+    member, row_of, col_of, values = cells
+    (al, da), (be, db) = (
+        [np.array(x, object) for x in zip(*map(integer_coefficients, w))] for w in (a, b)
+    )
+    vals, lam = [Fraction(v) for v in values], Fraction(lam)
+    vn = np.array([v.numerator for v in vals], object)
+    vd = np.array([v.denominator for v in vals], object)
+    sa, sb = al @ member.T, be @ member.T
+    bad = ((sa <= 0) | (sb <= 0)).any(axis=1)
+    sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
+    num = (al[:, col_of] * sb * lam.denominator + lam.numerator * be[:, col_of] * sa) * vd
+    num -= vn * sa * sb * lam.denominator
+    cells = (abs(num) / (sa * sb * lam.denominator * vd)).astype(float)
+    worst = [(abs(w.sum(axis=1) - d) / d).astype(float) for w, d in ((al, da), (be, db))]
     return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
 
 
@@ -636,8 +700,10 @@ def check_identifiability(
     resultant gates with `_gate_values` on the (1, j) coefficient rows of one
     batch of pair systems, in the table's arithmetic. At n >= 4 the batch
     holds every pair, and the pair screen picks from its rows the pairs that
-    `solve_pair_system` solves. Unique means a single admissible class at
-    both levels. At lambda = 1 solutions are classes up to component swap.
+    `solve_pair_system` solves; it reads them as floats, so on an exact
+    table only the (1, j) rows are evaluated exactly. Unique means a single
+    admissible class at both levels. At lambda = 1 solutions are classes up
+    to component swap.
     """
     n = model.n
     codes: list = []
@@ -687,11 +753,18 @@ def check_identifiability(
     # n >= 4, their pair-slate quartic rows. At n = 3 no pair is scanned
     pairs = list(combinations(range(1, n + 1), 2))
     batch = _pair_batch(table, pairs if n >= 4 else pairs[: n - 1])
-    quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
+    lead = _batch_rows(batch, slice(n - 1))
+    if n >= 4 and batch.c_full_i.dtype == object:
+        # the screen reads the other rows only as floats, so they are
+        # evaluated on the batch's float image
+        rest = _float_system(_batch_rows(batch, slice(n - 1, None)))
+        quartic = np.concatenate(
+            [_coefficient_rows(cleared_pair_quartic(sys, X)) for sys in (lead, rest)]
+        )
+    else:
+        quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
     slate = None
     if n >= 4:
-        vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j, batch.c_pair_i)
-        lead = PairSystemInput(batch.lam, *(v[: n - 1] for v in vals))
         slate = _coefficient_rows(cleared_pair_slate_quartic(lead, X))
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         for i, j in compress(pairs, _screen_pairs(batch, quartic, tol, is_uniform)):

@@ -10,7 +10,8 @@ Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
 arithmetic the coefficients carry. `sylvester_resultants` is the
-resultant on stacks of float or Fraction coefficient rows, one numpy batch.
+resultant on stacks of coefficient rows: float rows in one numpy batch,
+Fraction rows by fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -454,25 +455,73 @@ def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
     return sign * det
 
 
+def integer_coefficients(row) -> tuple:
+    """The integer numerators of a row of rationals over the lcm of their
+    denominators, and that lcm."""
+    row = [Fraction(c) for c in row]
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def _integer_determinant(rows: list) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in place: every division is exact. A zero pivot takes the
+    first lower row with a nonzero entry in its column and flips the sign;
+    a column with none gives 0."""
+    size = len(rows)
+    sign, prev = 1, 1
+    for col in range(size - 1):
+        if rows[col][col] == 0:
+            swap = next((r for r in range(col + 1, size) if rows[r][col] != 0), None)
+            if swap is None:
+                return 0
+            rows[col], rows[swap] = rows[swap], rows[col]
+            sign = -sign
+        top = rows[col]
+        piv = top[col]
+        for row in rows[col + 1:]:
+            f = row[col]
+            for cc in range(col + 1, size):
+                row[cc] = (row[cc] * piv - f * top[cc]) // prev
+        prev = piv
+    return sign * rows[-1][-1]
+
+
+def _exact_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact `sylvester_resultant` of each row pair of two rational stacks:
+    the integer determinant of the cleared rows over dp**n * dq**m."""
+    m, n = p.shape[1] - 1, q.shape[1] - 1
+    out = np.empty(len(p), object)
+    for k, (pr, qr) in enumerate(zip(p, q)):
+        pc, dp = integer_coefficients(pr[::-1])
+        qc, dq = integer_coefficients(qr[::-1])
+        rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+        out[k] = Fraction(_integer_determinant(rows), dp**n * dq**m)
+    return out
+
+
 def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """`sylvester_resultant` of every row pair of two coefficient stacks.
 
     p and q are (B, m + 1) and (B, n + 1) arrays of ascending coefficients
     whose last columns hold the leading coefficients: float arrays, or
-    object arrays of Fractions, which give exact determinants. All B
-    eliminations run at once with the scalar function's pivots and the same
-    operations in the same order, so each float determinant equals the
-    scalar one bitwise. Two differences change no pivot and no determinant:
-    the scalar loop skips a row update whose factor is zero, which can only
-    change the sign of a zero entry, and it also updates the column below
-    each pivot, which is not read again. A matrix with a zero pivot gives 0.
+    object arrays of Fractions, which give exact determinants by integer
+    elimination. All B float eliminations run at once with the scalar
+    function's pivots and the same operations in the same order, so each
+    float determinant equals the scalar one bitwise. Two differences change
+    no pivot and no determinant: the scalar loop skips a row update whose
+    factor is zero, which can only change the sign of a zero entry, and it
+    also updates the column below each pivot, which is not read again. A
+    matrix with a zero pivot gives 0.
     """
     m, n = p.shape[1] - 1, q.shape[1] - 1
     if m < 1 or n < 1:
         raise PolynomialShapeError("resultant needs two polynomials of degree >= 1")
-    size, count = m + n, len(p)
     dtype = np.result_type(p, q)
-    exact = dtype == object
+    if dtype == object:
+        return _exact_resultants(p, q)
+    size, count = m + n, len(p)
     rows = np.zeros((count, size, size), dtype)
     for i in range(n):
         rows[:, i, i:i + m + 1] = p[:, ::-1]
@@ -492,10 +541,6 @@ def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             flip ^= piv != col
             pval = pivots[:, col] = top[:, col]
             det *= pval
-            if exact:
-                # a zero pivot's matrix gives 0 below; dividing it by 1
-                # keeps Fractions from raising
-                pval = np.where(pval == 0, 1, pval)
             f = rows[:, col + 1:, col] / pval[:, None]
             rows[:, col + 1:, col + 1:] -= f[:, :, None] * top[:, None, col + 1:]
         pivots[:, -1] = rows[:, -1, -1]

@@ -1,5 +1,6 @@
 """Solution enumeration and identifiability-report tests."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +22,7 @@ from mnlmix.identify import (
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
     X,
+    Coeffs,
     NotARootError,
     PolynomialShapeError,
     RealPolynomial,
@@ -503,25 +505,121 @@ def test_batched_full_residual_matches_candidate_loop(data, n, seed, lam, exact,
     assert [r.hex() for r in got.tolist()] == [r.hex() for r in want]
 
 
+def test_full_residual_on_mixed_stacks():
+    """One object stack on an exact table holds all-Fraction rows, which
+    run in integers, and float-bearing rows, which keep object arithmetic;
+    each equals the per-candidate loop bitwise, the truth row scores 0.0
+    and a row with a non-positive slate sum inf."""
+    m = counterexample()
+    table = oracle_table(m, all_slates(4))
+    items = (1, 2, 3, 4)
+    truth = (list(m.a.w), list(m.b.w))
+    fraction = ([F(1, 3), F(1, 4), F(1, 5), F(13, 60)], [F(2, 7), F(1, 7), F(3, 7), F(1, 7)])
+    floats = ([0.25, F(1, 4), F(1, 4), F(1, 4)], [F(1, 4), 0.25, F(1, 4), F(1, 4)])
+    # the slate {1, 2} sums to zero under b, in Fractions and with a float
+    zero_sum = (truth[0], [F(3, 10), F(-3, 10), F(1, 2), F(1, 2)])
+    zero_sum_float = (truth[0], [0.3, -0.3, F(1, 2), F(1, 2)])
+    cands = [truth, fraction, floats, zero_sum, zero_sum_float, truth]
+    a, b = (np.array(w, dtype=object) for w in zip(*cands))
+    got = identify.full_residual(a, b, m.lam, table, items).tolist()
+    want = [_reference_full_residual(a, b, m.lam, table, items) for a, b in cands]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+    assert got[0] == got[-1] == 0.0
+    assert got[3] == got[4] == float("inf")
+    assert 0 < got[1] < float("inf") and 0 < got[2] < float("inf")
+
+
+def _twelve_try_rationalize(poly, r):
+    """The rationalization loop `_rationalize_root` shortens: every
+    `limit_denominator` candidate takes an exact evaluation."""
+    for digits in range(1, 13):
+        cand = Fraction(r).limit_denominator(10**digits)
+        if poly(cand) == 0:
+            return cand
+    return None
+
+
+# denominators from 1 to 10^13, some past the 10^12 that the loop reaches
+_ROOT_DENOMINATOR = st.one_of(
+    st.integers(1, 12),
+    st.integers(1, 10**6),
+    st.integers(10**6, 10**12),
+    st.integers(10**12, 10**13),
+)
+
+
+@st.composite
+def _planted_quartic(draw):
+    """(coefficients, queried root) of a planted quartic: a product of
+    rational linear factors, x (a root at 0, zero constant term) and
+    x^2 - k s^2 with non-square k (roots +-s sqrt(k)), times a nonzero
+    Fraction or cleared to integers; the query is a float near one of its
+    roots."""
+
+    def rational():
+        q = draw(_ROOT_DENOMINATOR)
+        return Fraction(draw(st.integers(-3 * q, 3 * q).filter(bool)), q)
+
+    poly, roots = Coeffs((1,)), []
+    while len(poly) < 5:
+        kind = draw(st.sampled_from(["rational", "irrational", "rational", "zero"]))
+        if kind == "irrational" and len(poly) < 4:
+            k = draw(st.sampled_from([2, 3, 5, 7, 10]))
+            s = draw(st.fractions(F(1, 10), 2, max_denominator=100))
+            poly = poly * (X * X - k * s * s)
+            root = float(s) * math.sqrt(k)
+            roots += [root, -root]
+        else:
+            root = Fraction(0) if kind == "zero" else rational()
+            poly = poly * (X - root)
+            roots.append(float(root))
+    scale = draw(st.fractions(-5, 5, max_denominator=10**6).filter(lambda v: v != 0))
+    coeffs = [scale * c for c in poly]
+    if draw(st.booleans()):
+        den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+        coeffs = [int(c * den) for c in coeffs]
+    query = draw(st.sampled_from(roots)) * (1 + draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9])))
+    return coeffs, query
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_planted_quartic())
+def test_rationalize_root_matches_twelve_tries(case):
+    """The rational-root filter skips only candidates that cannot be roots,
+    so `_rationalize_root` returns what the twelve-try loop returns."""
+    coeffs, r = case
+    poly = RealPolynomial.of(coeffs)
+    got = identify._rationalize_root(poly, r)
+    assert got == _twelve_try_rationalize(poly, r)
+    assert got is None or poly(got) == 0
+
+
 @pytest.mark.parametrize(
     "model, rows",
-    [(random_instance(6, 2.0, 0), 15), (random_instance(3, 2.0, 0), 2), (counterexample(), 6)],
-    ids=["float-n6", "float-n3", "exact-n4"],
+    [
+        (random_instance(6, 2.0, 0), [(15, False)]),
+        (random_instance(3, 2.0, 0), [(2, False)]),
+        (counterexample(), [(3, True), (3, False)]),
+        (exact_model(random_instance(3, 2.0, 0)), [(2, True)]),
+    ],
+    ids=["float-n6", "float-n3", "exact-n4", "exact-n3"],
 )
 def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
-    """`check_identifiability` evaluates the pair quartic rows once, in the
-    table's arithmetic: for every pair at n >= 4, which the screen also
-    reads, and for the (1, j) pairs of the gates at n = 3."""
+    """`check_identifiability` evaluates each pair quartic row once: on a
+    float table every pair at n >= 4 in one call, and the (1, j) pairs of
+    the gates at n = 3; on an exact table the (1, j) rows, which the gates
+    read, in Fractions and the other rows, which only the screen reads, on
+    the batch's float image."""
     seen = []
     cleared = identify.cleared_pair_quartic
 
     def spy(batch, x):
-        seen.append(len(batch.c_full_i))
+        seen.append((len(batch.c_full_i), batch.c_full_i.dtype == object))
         return cleared(batch, x)
 
     monkeypatch.setattr(identify, "cleared_pair_quartic", spy)
     check_identifiability(model)
-    assert seen == [rows]
+    assert seen == rows
 
 
 def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
@@ -921,7 +1019,27 @@ def test_stacked_sylvester_determinant_matches_scalar(cases):
     ]
 
 
-_RATIONAL = st.fractions(-2, 2, max_denominator=12)
+_RATIONAL = st.one_of(
+    st.fractions(-2, 2, max_denominator=12), st.fractions(-2, 2, max_denominator=10**6)
+)
+_SCALE = st.fractions(-3, 3, max_denominator=10**6).filter(lambda v: v != 0)
+# for each (m, n) with m >= 2, a pair of monic integer polynomials with a
+# nonzero resultant whose Sylvester matrix has a zero leading principal
+# minor, so that fraction-free elimination meets a zero pivot
+_ZERO_PIVOT_PAIRS = {
+    (2, 1): ([1, 0, 1], [0, 1]),
+    (2, 2): ([1, 0, 1], [1, 1, 1]),
+    (2, 3): ([1, 0, 1], [0, 0, 0, 1]),
+    (3, 1): ([0, 1, 1, 1], [1, 1]),
+    (3, 2): ([0, 1, 0, 1], [1, 1, 1]),
+    (3, 3): ([0, 1, 0, 1], [1, 0, 1, 1]),
+}
+
+
+def _scaled(coeffs: list, scale: Fraction, k: Fraction) -> list:
+    """The coefficients of scale * p(k x); both keep every zero minor of
+    the Sylvester matrix zero."""
+    return [scale * c * k**j for j, c in enumerate(coeffs)]
 
 
 @_PROPERTY
@@ -937,17 +1055,24 @@ _RATIONAL = st.fractions(-2, 2, max_denominator=12)
                 max_size=5,
             )
         )
-    )
+    ),
+    st.tuples(_SCALE, _SCALE, _SCALE),
 )
-def test_stacked_sylvester_determinant_exact(cases):
-    """On Fraction stacks `sylvester_resultants` equals the exact
-    `sylvester_resultant`; a pair with a common root, whose elimination
-    meets a zero pivot, gives exactly 0."""
+def test_stacked_sylvester_determinant_exact(cases, scales):
+    """On Fraction stacks, with denominators up to 10^6, `sylvester_resultants`
+    equals the exact `sylvester_resultant`, sign included. A pair with a
+    common root gives exactly 0; a pair whose elimination meets a zero pivot
+    while the resultant is not zero gives the scalar value."""
     m, n = len(cases[0][0]) - 1, len(cases[0][1]) - 1
     # x^(m-1) (x - 1/3) and x^(n-1) (x - 1/3) share the root 1/3
     cases = cases + [
         ([F(0)] * (m - 1) + [F(-1, 3), F(1)], [F(0)] * (n - 1) + [F(-1, 3), F(1)])
     ]
+    common = len(cases) - 1
+    if (m, n) in _ZERO_PIVOT_PAIRS:
+        p, q = _ZERO_PIVOT_PAIRS[m, n]
+        a, b, k = scales
+        cases.append((_scaled(p, a, k), _scaled(q, b, k)))
     stacked = sylvester_resultants(
         np.array([p for p, _ in cases], dtype=object),
         np.array([q for _, q in cases], dtype=object),
@@ -956,4 +1081,6 @@ def test_stacked_sylvester_determinant_exact(cases):
         sylvester_resultant(RealPolynomial.of(p), RealPolynomial.of(q)) for p, q in cases
     ]
     assert all(isinstance(v, (F, int)) for v in stacked)
-    assert stacked[-1] == 0
+    assert stacked[common] == 0
+    if (m, n) in _ZERO_PIVOT_PAIRS:
+        assert stacked[-1] != 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .identify import RESIDUAL_TOL, _gate_values, check_identifiability, solve_pair_system
 from .learn import LearnConfig, learn_from_samples
-from .model import MixtureModel, Slate, oracle_table, random_instance
+from .model import MixtureModel, Slate, model_to_dict, oracle_table, random_instance
 from .polynomials import (
     X,
     NotARootError,
@@ -114,15 +114,18 @@ def discriminant_exact(lam, a1, a2, b1, b2) -> Fraction:
 
 def _exact_record(lam, point) -> dict:
     """discriminant_at's raw and scaled values, computed in exact arithmetic
-    at the rationalized point; -inf where the tuple is degenerate."""
+    at the rationalized point, with the raw value also as the exact
+    Fraction; -inf where the tuple is degenerate."""
     try:
         cubic = _exact_pair_cubic(lam, point)
+        exact = cubic_discriminant(cubic)
         return {
-            "raw": float(cubic_discriminant(cubic)),
+            "exact": exact,
+            "raw": float(exact),
             "scaled": float(cubic_discriminant(cubic.scaled_to_unit())),
         }
     except (NotARootError, PolynomialShapeError, ZeroDivisionError):
-        return {"raw": -math.inf, "scaled": -math.inf}
+        return {"exact": -math.inf, "raw": -math.inf, "scaled": -math.inf}
 
 
 DOMAIN_MARGIN = 1e-7
@@ -201,6 +204,7 @@ def experiment_discriminant_max(
         degenerate = gap < 0.02 or abs(d["scaled"]) < 1e-12
         records.append(
             {
+                "exact": d["exact"],
                 "value": d["raw"],
                 "scaled": d["scaled"],
                 "point": [float(v) for v in x],
@@ -213,7 +217,7 @@ def experiment_discriminant_max(
     best = max(records, key=lambda r: r[key])
     nondeg = [r for r in records if not r["degenerate"]]
     best_nondeg = max(nondeg, key=lambda r: r[key]) if nondeg else None
-    exact_best = discriminant_exact(lam, *best["point"])
+    exact_best = best["exact"]
     return {
         "schema": SCHEMA,
         "experiment": "discriminant-max",
@@ -292,8 +296,6 @@ def _sweep_seeds(seed: int, trials: int) -> list:
 
 
 def _sweep_one(args: tuple) -> dict:
-    from .model import model_to_dict
-
     n, lam, tol, trial_seed = args
     model = random_instance(n, lam, trial_seed)
     rep = check_identifiability(model, tol=tol)

@@ -332,7 +332,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _screen_pairs(batch: PairSystemInput, quartic, tol: float, uniform: bool) -> np.ndarray:
+def _screen_pairs(batch: PairSystemInput, quartic, tol: float) -> np.ndarray:
     """Which pair systems of the batch can add a solution to the report.
 
     `quartic` holds the batch's `cleared_pair_quartic` rows; both are read as
@@ -348,6 +348,7 @@ def _screen_pairs(batch: PairSystemInput, quartic, tol: float, uniform: bool) ->
 
     Returns the (P,) mask of rows to solve.
     """
+    uniform = float(batch.lam) == 1.0
     batch = _float_system(batch, pair=True)
     c, lam, quartic = _float_system(batch), batch.lam, quartic.astype(float)
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
@@ -496,15 +497,17 @@ def slate_cells(rows, items: Sequence[int]) -> tuple:
     return member, row_of, col_of, values
 
 
-def full_residual(a: np.ndarray, b: np.ndarray, lam, oracle: OracleTable, items: Sequence[int]):
-    """Max violation over every oracle equation plus the two sum constraints
-    for each row of the (K, m) weights, inf where a slate sum is not positive.
+def full_residual(a: np.ndarray, b: np.ndarray, oracle: OracleTable, items: Sequence[int]):
+    """Max violation over every oracle equation, at the table's lambda, plus
+    the two sum constraints for each row of the (K, m) weights, inf where a
+    slate sum is not positive.
 
     On an exact table and lambda, rows that are all Fractions run in
     integers (`_integer_residual`). Any other row keeps its arithmetic: a
     slate sum adds the slate's own cells in slate order, the order of
     `items`, as Python's `sum` does.
     """
+    lam = oracle.lam
     cells = slate_cells(oracle.entries.items(), items)
     exact = np.zeros(len(a), bool)
     if a.dtype == object and is_exact(lam, *cells[3]):
@@ -559,7 +562,6 @@ def _extend_candidate(
     b1,
     b2,
     oracle: OracleTable,
-    lam,
     items: Sequence[int],
     systems: dict,
     polish: bool,
@@ -571,7 +573,7 @@ def _extend_candidate(
     a float b_j is Newton-refined on the (pivot, j) system; the pivot keeps
     its value from the first pair.
     """
-    m = len(items)
+    m, lam = len(items), oracle.lam
     full = Slate.of(items)
     c_full = {i: oracle.value_for(full, i) for i in items}
     if m == 3:
@@ -597,7 +599,6 @@ def _extend_candidate(
 
 def enumerate_candidates(
     oracle: OracleTable,
-    lam,
     items: Sequence[int],
     tol: float = RESIDUAL_TOL,
     noisy: bool = False,
@@ -650,12 +651,12 @@ def enumerate_candidates(
 
     # in sampling mode the caller's least-squares refit corrects b_j
     weights = [
-        _extend_candidate(b1, b2, oracle, lam, items, systems, polish=not noisy)
+        _extend_candidate(b1, b2, oracle, items, systems, polish=not noisy)
         for b1, b2, _ in pairs
     ]
     floats = all(isinstance(v, float) for a, b in weights for v in a + b)
     w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))
-    residuals = full_residual(w[:, 0], w[:, 1], lam, oracle, items)
+    residuals = full_residual(w[:, 0], w[:, 1], oracle, items)
     cands = [
         CandidateSolution(
             items=items, a=a, b=b, residual=float(res),
@@ -732,9 +733,7 @@ def check_identifiability(
     ]
     table = oracle_table(model, budget)
 
-    full_cands, _ = enumerate_candidates(
-        table, model.lam, tuple(range(1, n + 1)), tol=tol
-    )
+    full_cands, _ = enumerate_candidates(table, tuple(range(1, n + 1)), tol=tol)
 
     is_uniform = float(model.lam) == 1.0
     swap_note = False
@@ -767,7 +766,7 @@ def check_identifiability(
     if n >= 4:
         slate = _coefficient_rows(cleared_pair_slate_quartic(lead, X))
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
-        for i, j in compress(pairs, _screen_pairs(batch, quartic, tol, is_uniform)):
+        for i, j in compress(pairs, _screen_pairs(batch, quartic, tol)):
             sys_ij = pair_system(table, i, j, include_pair=True)
             sols = solve_pair_system(sys_ij, tol=tol)
             if is_uniform:

@@ -253,7 +253,7 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     statuses: list = []
     block_slates = all_slates(len(items), items=items)
     table = oracle.table_for(block_slates, "kblock")
-    cands, st = enumerate_candidates(table, table.lam, items, noisy=oracle.noisy)
+    cands, st = enumerate_candidates(table, items, noisy=oracle.noisy)
     statuses.extend(st)
     if not cands and not oracle.noisy:
         raise OracleInconsistentError("no admissible block solution")

@@ -10,7 +10,7 @@ Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
 arithmetic the coefficients carry. `sylvester_resultants` is the
-resultant on stacks of coefficient rows: float rows in one numpy batch,
+resultant on stacks of coefficient rows: float rows by `np.linalg.det`,
 Fraction rows by fraction-free integer elimination.
 """
 
@@ -411,48 +411,11 @@ def is_exact_root(p: RealPolynomial, r) -> bool:
 
 
 def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
-    """Resultant of p and q as the determinant of their Sylvester matrix.
-
-    Determinant by Gaussian elimination with partial pivoting; runs exactly
-    when both polynomials carry Fraction coefficients.
-    """
-    m, n = p.degree, q.degree
-    if m < 1 or n < 1:
-        raise PolynomialShapeError("resultant needs two polynomials of degree >= 1")
-    size = m + n
-    exact = p.exact and q.exact
-    zero = Fraction(0) if exact else 0.0
-    pc = list(reversed(p.coeffs))  # descending
-    qc = list(reversed(q.coeffs))
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, cf in enumerate(pc):
-            row[i + j] = cf if exact else float(cf)
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, cf in enumerate(qc):
-            row[i + j] = cf if exact else float(cf)
-        rows.append(row)
-    det = Fraction(1) if exact else 1.0
-    sign = 1
-    for col in range(size):
-        piv = max(range(col, size), key=lambda r: abs(rows[r][col]))
-        if rows[piv][col] == 0:
-            return zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pval = rows[col][col]
-        det *= pval
-        for r in range(col + 1, size):
-            f = rows[r][col] / pval
-            if f == 0:
-                continue
-            for cc in range(col, size):
-                rows[r][cc] -= f * rows[col][cc]
-    return sign * det
+    """Resultant of p and q as the determinant of their Sylvester matrix:
+    `sylvester_resultants` on one-row stacks, exact when both polynomials
+    carry Fraction coefficients and in floats otherwise."""
+    dtype = object if p.exact and q.exact else float
+    return sylvester_resultants(np.array([p.coeffs], dtype), np.array([q.coeffs], dtype))[0]
 
 
 def integer_coefficients(row) -> tuple:
@@ -488,7 +451,7 @@ def _integer_determinant(rows: list) -> int:
 
 
 def _exact_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact `sylvester_resultant` of each row pair of two rational stacks:
+    """Exact Sylvester resultant of each row pair of two rational stacks:
     the integer determinant of the cleared rows over dp**n * dq**m."""
     m, n = p.shape[1] - 1, q.shape[1] - 1
     out = np.empty(len(p), object)
@@ -502,51 +465,27 @@ def _exact_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def sylvester_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """`sylvester_resultant` of every row pair of two coefficient stacks.
+    """Resultant of every row pair of two coefficient stacks, as the
+    determinant of its Sylvester matrix.
 
     p and q are (B, m + 1) and (B, n + 1) arrays of ascending coefficients
-    whose last columns hold the leading coefficients: float arrays, or
-    object arrays of Fractions, which give exact determinants by integer
-    elimination. All B float eliminations run at once with the scalar
-    function's pivots and the same operations in the same order, so each
-    float determinant equals the scalar one bitwise. Two differences change
-    no pivot and no determinant: the scalar loop skips a row update whose
-    factor is zero, which can only change the sign of a zero entry, and it
-    also updates the column below each pivot, which is not read again. A
-    matrix with a zero pivot gives 0.
+    whose last columns hold the leading coefficients: float arrays, whose
+    determinants come from one `np.linalg.det` call (LAPACK's LU with
+    partial pivoting, one factorization per matrix, so a row's value does
+    not depend on the rest of its stack), or object arrays of Fractions,
+    which give exact determinants by integer elimination.
     """
     m, n = p.shape[1] - 1, q.shape[1] - 1
     if m < 1 or n < 1:
         raise PolynomialShapeError("resultant needs two polynomials of degree >= 1")
-    dtype = np.result_type(p, q)
-    if dtype == object:
+    if np.result_type(p, q) == object:
         return _exact_resultants(p, q)
-    size, count = m + n, len(p)
-    rows = np.zeros((count, size, size), dtype)
+    rows = np.zeros((len(p), m + n, m + n))
     for i in range(n):
         rows[:, i, i:i + m + 1] = p[:, ::-1]
     for i in range(m):
         rows[:, n + i, i:i + n + 1] = q[:, ::-1]
-    det = np.ones(count, dtype)
-    flip = np.zeros(count, dtype=bool)
-    pivots = np.empty((count, size), dtype)
-    at = np.arange(count)
-    with np.errstate(all="ignore"):
-        for col in range(size - 1):
-            piv = col + abs(rows[:, col:, col]).argmax(axis=1)
-            # row col is not read again, so the pivot row is taken out and
-            # row col moves to its place
-            top = rows[at, piv]
-            rows[at, piv] = rows[:, col]
-            flip ^= piv != col
-            pval = pivots[:, col] = top[:, col]
-            det *= pval
-            f = rows[:, col + 1:, col] / pval[:, None]
-            rows[:, col + 1:, col + 1:] -= f[:, :, None] * top[:, None, col + 1:]
-        pivots[:, -1] = rows[:, -1, -1]
-        det *= pivots[:, -1]
-    # the scalar loop returns 0 at a zero pivot
-    return np.where((pivots == 0).any(axis=1), 0, np.where(flip, -det, det))
+    return np.linalg.det(rows)
 
 
 def _poly_remainder(a: RealPolynomial, b: RealPolynomial, exact: bool) -> RealPolynomial:

@@ -283,8 +283,9 @@ def resultant_gate(cubic_a: RealPolynomial, cubic_b: RealPolynomial):
     return sylvester_resultant(cubic_a.scaled_to_unit(), cubic_b.scaled_to_unit())
 
 
-def formal_pair_system(lam, a1, a2, b1, b2, include_pair: bool = False) -> PairSystemInput:
-    """Pair system generated by formal 4-tuple inputs.
+def formal_pair_system(lam, a1, a2, b1, b2) -> PairSystemInput:
+    """Pair system generated by formal 4-tuple inputs, without the two-item
+    slate.
 
     The four oracle values only involve (a_1, a_2, b_1, b_2); third
     coordinates are implicitly one minus the sums, which may sit outside the
@@ -294,7 +295,4 @@ def formal_pair_system(lam, a1, a2, b1, b2, include_pair: bool = False) -> PairS
     c_full_2 = a2 + lam * b2
     c_drop_2_1 = a1 / (1 - a2) + lam * (b1 / (1 - b2))
     c_drop_1_2 = a2 / (1 - a1) + lam * (b2 / (1 - b1))
-    c_pair = None
-    if include_pair:
-        c_pair = a1 / (a1 + a2) + lam * (b1 / (b1 + b2))
-    return PairSystemInput(lam, c_full_1, c_full_2, c_drop_2_1, c_drop_1_2, c_pair)
+    return PairSystemInput(lam, c_full_1, c_full_2, c_drop_2_1, c_drop_1_2)

@@ -33,7 +33,6 @@ from mnlmix.polynomials import (
     count_real_roots_sturm,
     deflate_root,
     solve_all_roots,
-    solve_cubic,
 )
 from mnlmix.systems import pair_quartic, pair_system
 

@@ -183,6 +183,18 @@ def test_experiment_discriminant_cli(tmp_path):
     assert len(data["restart_values"]) == 10
 
 
+def test_experiment_lambda_threshold_cli(tmp_path):
+    rep = tmp_path / "t.json"
+    assert run([
+        "experiment", "lambda-threshold", "--grid", "2,5", "--restarts", "10",
+        "--seed", "1", "--refine", "1", "--out", str(rep),
+    ]) == 0
+    data = json.loads(rep.read_text())
+    assert data["restarts"] == 10
+    assert [row["lambda"] for row in data["grid"]] == [2.0, 3.5, 5.0]
+    assert data["signs"][0] == "-" and data["signs"][-1] == "+"
+
+
 def test_default_seed_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MNLMIX_DEFAULT_SEED", "31")
     out1 = tmp_path / "e1.json"

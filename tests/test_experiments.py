@@ -93,6 +93,37 @@ def test_identifiability_sweep_deterministic():
     assert r1 == r2
 
 
+def test_identifiability_sweep_counts_each_outcome(monkeypatch):
+    """Collapse trials count only as collapse; a non-unique trial is dumped
+    with its model and codes, pair multiplicity is counted on top, and only
+    trials with gates enter the gate summary."""
+    rows = [
+        {"codes": ["collapse"], "unique": False, "min_gate": None, "model": None},
+        {"codes": [], "unique": True, "min_gate": 1e-3, "model": None},
+        {"codes": ["no-solution"], "unique": False, "min_gate": None, "model": {"n": 4}},
+        {
+            "codes": ["pair-multiplicity"], "unique": False, "min_gate": 1e-9,
+            "model": {"n": 4},
+        },
+    ]
+    seeds = xp._sweep_seeds(7, len(rows))
+    by_seed = dict(zip(seeds, rows))
+    monkeypatch.setattr(
+        xp, "_sweep_one", lambda args: {"seed": args[3], **by_seed[args[3]]}
+    )
+    rep = xp.experiment_identifiability_sweep(4, 2.0, trials=len(rows), seed=7)
+    assert rep["counts"] == {
+        "unique": 1, "non_unique": 2, "collapse": 1, "pair_multiplicity": 1,
+    }
+    assert rep["non_unique_instances"] == [
+        {"seed": seeds[2], "model": {"n": 4}, "codes": ["no-solution"]},
+        {"seed": seeds[3], "model": {"n": 4}, "codes": ["pair-multiplicity"]},
+    ]
+    summary = rep["min_gate_summary"]
+    assert (summary["min"], summary["max"]) == (1e-9, 1e-3)
+    assert summary["log10_histogram"] == {"-9": 1, "-3": 1}
+
+
 def test_identifiability_sweep_zero_trials():
     rep = xp.experiment_identifiability_sweep(4, 2.0, trials=0, seed=0)
     assert rep["counts"]["unique"] == 0

@@ -106,7 +106,7 @@ def test_pair_system_truth_always_contained():
 def test_solve_3item_generic_singleton(seed):
     m = random_instance(3, 2.0, seed)
     table = oracle_table(m, all_slates(3))
-    sols = enumerate_candidates(table, m.lam, (1, 2, 3))[0]
+    sols = enumerate_candidates(table, (1, 2, 3))[0]
     assert len(sols) == 1
     got = tuple(map(float, sols[0].a + sols[0].b))
     assert got == pytest.approx(m.a.w + m.b.w, abs=1e-8)
@@ -116,7 +116,7 @@ def test_solve_3item_generic_singleton(seed):
 def test_solve_3item_uniform_mixture_swap_pair():
     m = random_instance(3, 1.0, 4)
     table = oracle_table(m, all_slates(3))
-    sols = enumerate_candidates(table, 1.0, (1, 2, 3))[0]
+    sols = enumerate_candidates(table, (1, 2, 3))[0]
     assert len(sols) == 2
     flat = sorted(tuple(map(float, s.a + s.b)) for s in sols)
     direct = m.a.w + m.b.w
@@ -212,7 +212,7 @@ def _residual_at(table, lam, c_full, x, y):
 def test_solve_3item_matches_grid_search(seed):
     m = random_instance(3, 2.0, seed)
     table = oracle_table(m, all_slates(3))
-    sols = enumerate_candidates(table, 2.0, (1, 2, 3))[0]
+    sols = enumerate_candidates(table, (1, 2, 3))[0]
     brute = _grid_search_3item(table, 2.0)
     assert len(sols) == len(brute)
     for s in sols:
@@ -286,7 +286,7 @@ def test_check_identifiability_collapse():
 def test_swap_closure_uniform_mixture():
     m = random_instance(3, 1.0, 17)
     table = oracle_table(m, all_slates(3))
-    sols = enumerate_candidates(table, 1.0, (1, 2, 3))[0]
+    sols = enumerate_candidates(table, (1, 2, 3))[0]
     flats = [tuple(map(float, s.a + s.b)) for s in sols]
     for s in sols:
         swapped = tuple(map(float, s.b + s.a))
@@ -317,9 +317,7 @@ def test_report_json_shape():
 def test_enumerate_candidates_noisy_statuses():
     m = random_instance(4, 2.0, 3)
     table = oracle_table(m, all_slates(4))
-    cands, statuses = enumerate_candidates(
-        table, 2.0, (1, 2, 3, 4), tol=1e-8, noisy=True
-    )
+    cands, statuses = enumerate_candidates(table, (1, 2, 3, 4), tol=1e-8, noisy=True)
     # noise-free, the two roots nearest to real are both real: their |imag|
     # gap is under SEL_RTOL, so the selection is flagged
     assert statuses == ["root-ambiguity"]
@@ -500,7 +498,7 @@ def test_batched_full_residual_matches_candidate_loop(data, n, seed, lam, exact,
         b[1] = -b[0]
     floats = all(isinstance(v, float) for a, b in cands for v in a + b)
     a, b = (np.array(w, dtype=float if floats else object) for w in zip(*cands))
-    got = identify.full_residual(a, b, m.lam, table, items)
+    got = identify.full_residual(a, b, table, items)
     want = [_reference_full_residual(a, b, m.lam, table, items) for a, b in cands]
     assert [r.hex() for r in got.tolist()] == [r.hex() for r in want]
 
@@ -521,7 +519,7 @@ def test_full_residual_on_mixed_stacks():
     zero_sum_float = (truth[0], [0.3, -0.3, F(1, 2), F(1, 2)])
     cands = [truth, fraction, floats, zero_sum, zero_sum_float, truth]
     a, b = (np.array(w, dtype=object) for w in zip(*cands))
-    got = identify.full_residual(a, b, m.lam, table, items).tolist()
+    got = identify.full_residual(a, b, table, items).tolist()
     want = [_reference_full_residual(a, b, m.lam, table, items) for a, b in cands]
     assert [r.hex() for r in got] == [r.hex() for r in want]
     assert got[0] == got[-1] == 0.0
@@ -634,7 +632,7 @@ def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
 
     monkeypatch.setattr(identify, "pair_system", spy)
     m = random_instance(3, 2.0, 0)
-    cands, _ = enumerate_candidates(oracle_table(m, all_slates(3)), m.lam, (1, 2, 3))
+    cands, _ = enumerate_candidates(oracle_table(m, all_slates(3)), (1, 2, 3))
     assert cands
     assert built == [(1, 2), (2, 1)]
 
@@ -643,8 +641,8 @@ def _solve_every_pair(monkeypatch):
     """Make the pair screen send every pair to `solve_pair_system`."""
     screen = identify._screen_pairs
 
-    def flag_all(batch, quartic, tol, uniform):
-        return np.ones_like(screen(batch, quartic, tol, uniform))
+    def flag_all(batch, quartic, tol):
+        return np.ones_like(screen(batch, quartic, tol))
 
     monkeypatch.setattr(identify, "_screen_pairs", flag_all)
 
@@ -719,9 +717,9 @@ def test_pair_screen_runs_on_every_report(case, n, monkeypatch):
     rows = []
     screen = identify._screen_pairs
 
-    def spy(batch, quartic, tol, uniform):
+    def spy(batch, quartic, tol):
         rows.append(len(quartic))
-        return screen(batch, quartic, tol, uniform)
+        return screen(batch, quartic, tol)
 
     monkeypatch.setattr(identify, "_screen_pairs", spy)
     check_identifiability(model)
@@ -761,9 +759,9 @@ def test_int_lambda_twin_is_screened_with_equal_report(n, monkeypatch):
     lams = []
     screen = identify._screen_pairs
 
-    def spy(batch, quartic, tol, uniform):
+    def spy(batch, quartic, tol):
         lams.append(type(batch.lam))
-        return screen(batch, quartic, tol, uniform)
+        return screen(batch, quartic, tol)
 
     monkeypatch.setattr(identify, "_screen_pairs", spy)
     for seed in range(10):
@@ -996,6 +994,32 @@ def _gate_key_items(key: str) -> list:
 
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+_NEAR = st.floats(-1e-6, 1e-6, allow_nan=False)
+
+
+def _fraction_determinant(p, q) -> Fraction:
+    """The Sylvester determinant of two ascending coefficient lists, with
+    every entry taken exactly as a Fraction, by Gaussian elimination with
+    partial pivoting; a zero pivot gives 0."""
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    pc, qc = [F(c) for c in p[::-1]], [F(c) for c in q[::-1]]
+    rows = [[F(0)] * i + pc + [F(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[F(0)] * i + qc + [F(0)] * (m - 1 - i) for i in range(m)]
+    det = F(1)
+    for col in range(size):
+        piv = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        if rows[piv][col] == 0:
+            return F(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            f = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= f * rows[col][c]
+    return det
 
 
 @_PROPERTY
@@ -1017,6 +1041,35 @@ def test_stacked_sylvester_determinant_matches_scalar(cases):
     assert [v.hex() for v in stacked.tolist()] == [
         float(sylvester_resultant(p, q)).hex() for p, q in pairs
     ]
+
+
+@_PROPERTY
+@given(
+    st.lists(st.tuples(*[_UNIT] * 8), min_size=1, max_size=6),
+    st.lists(st.tuples(*[_UNIT] * 7, _NEAR), max_size=3),
+)
+def test_stacked_float_sylvester_determinant_near_exact(cases, near):
+    """Float `sylvester_resultants` of unit-scaled cubic pairs lie within
+    1e-13 of the exact determinant of the same float matrix, on generic
+    pairs and on pairs (x - r) u(x), (x - r - d) v(x) whose roots r and
+    r + d nearly coincide."""
+    polys = [(c[:4], c[4:]) for c in cases]
+    polys += [
+        ((X - r) * (u0 + u1 * X + u2 * X * X), (X - r - d) * (v0 + v1 * X + v2 * X * X))
+        for r, u0, u1, u2, v0, v1, v2, d in near
+    ]
+    pairs = []
+    for p, q in polys:
+        p, q = RealPolynomial.of(p).scaled_to_unit(), RealPolynomial.of(q).scaled_to_unit()
+        if p.degree == 3 and q.degree == 3:
+            pairs.append((p, q))
+    if not pairs:
+        return
+    stacked = sylvester_resultants(
+        np.array([p.coeffs for p, _ in pairs]), np.array([q.coeffs for _, q in pairs])
+    )
+    for v, (p, q) in zip(stacked.tolist(), pairs):
+        assert abs(F(v) - _fraction_determinant(p.coeffs, q.coeffs)) <= 1e-13
 
 
 _RATIONAL = st.one_of(
@@ -1060,9 +1113,10 @@ def _scaled(coeffs: list, scale: Fraction, k: Fraction) -> list:
 )
 def test_stacked_sylvester_determinant_exact(cases, scales):
     """On Fraction stacks, with denominators up to 10^6, `sylvester_resultants`
-    equals the exact `sylvester_resultant`, sign included. A pair with a
-    common root gives exactly 0; a pair whose elimination meets a zero pivot
-    while the resultant is not zero gives the scalar value."""
+    equals the exact `sylvester_resultant` and a Fraction Gaussian
+    elimination of the Sylvester matrix, sign included. A pair with a common
+    root gives exactly 0; a pair whose fraction-free elimination meets a zero
+    pivot while the resultant is not zero gives the eliminated value."""
     m, n = len(cases[0][0]) - 1, len(cases[0][1]) - 1
     # x^(m-1) (x - 1/3) and x^(n-1) (x - 1/3) share the root 1/3
     cases = cases + [
@@ -1080,6 +1134,7 @@ def test_stacked_sylvester_determinant_exact(cases, scales):
     assert list(stacked) == [
         sylvester_resultant(RealPolynomial.of(p), RealPolynomial.of(q)) for p, q in cases
     ]
+    assert list(stacked) == [_fraction_determinant(p, q) for p, q in cases]
     assert all(isinstance(v, (F, int)) for v in stacked)
     assert stacked[common] == 0
     if (m, n) in _ZERO_PIVOT_PAIRS:

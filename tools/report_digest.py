@@ -176,10 +176,10 @@ def identify_slates(n: int) -> list:
     return [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
 
 
-def all_candidates(table, lam, items, **kwargs) -> dict:
+def all_candidates(table, items, **kwargs) -> dict:
     """Every admissible full candidate of `enumerate_candidates` with its
     residual, whatever its size, and the statuses."""
-    cands, statuses = enumerate_candidates(table, lam, items, tol=float("inf"), **kwargs)
+    cands, statuses = enumerate_candidates(table, items, tol=float("inf"), **kwargs)
     return {"candidates": [c.to_dict() for c in cands], "statuses": list(statuses)}
 
 
@@ -192,7 +192,7 @@ def noisy_block_candidates(t: int, size: int) -> dict:
         for s in all_slates(4, items=items)
     }
     table = OracleTable(6, 2.0, entries)
-    return all_candidates(table, 2.0, items, noisy=True)
+    return all_candidates(table, items, noisy=True)
 
 
 def candidate_families():
@@ -201,11 +201,11 @@ def candidate_families():
         items = tuple(range(1, n + 1))
         for lam in LAMBDAS:
             yield f"candidates n={n} lam={lam} tol=inf seeds=0..{draws - 1}", (
-                all_candidates(oracle_table(m, identify_slates(n)), m.lam, items)
+                all_candidates(oracle_table(m, identify_slates(n)), items)
                 for m in (random_instance(n, lam, s) for s in range(draws))
             )
     yield f"candidates rational n=4 lam=2 tol=inf first {RATIONAL_DRAWS[4]} positive draws", (
-        all_candidates(oracle_table(m, all_slates(4)), m.lam, (1, 2, 3, 4))
+        all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4))
         for m in rational_models(4, RATIONAL_DRAWS[4])
     )
     for size in (691200, 4000):

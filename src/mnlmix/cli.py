@@ -14,6 +14,7 @@ message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,10 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. `--seed` defaults to
+    None; `main` reads MNLMIX_DEFAULT_SEED at call time."""
     parser = argparse.ArgumentParser(
         prog="mnlmix",
         description="Mixtures of two multinomial logits: simulation, "
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="generate model files and samples")
@@ -293,9 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ParameterError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -434,18 +434,23 @@ def _cell_residuals(table: OracleTable, items: Sequence[int]):
     (likewise for b). The residual is variance-stabilized, sqrt(value) -
     sqrt(q): Gauss-Newton on sqrt cells is the asymptotically efficient
     multinomial fit (the row-sum constraint cancels the rank-one Fisher
-    term). Returns residuals(theta, with_jac=False) for the (S, 2n - 2)
-    trailing coordinates of `_weights`, which gives (res, inside) or
-    (res, jac, inside): the (S, cells) residuals, the (S, cells, 2n - 2)
-    Jacobian with respect to theta, and the (S,) mask of the starts inside
-    the open simplex. The rows of a start outside it are meaningless.
+    term). The first weight is one minus the others, so the incidence is
+    lifted to theta once, as each column minus the first, and the Jacobian
+    is built in theta directly. Returns residuals(theta, with_jac=False) for
+    the (S, 2n - 2) trailing coordinates of `_weights`, which gives
+    (res, inside) or (res, jac, inside): the (S, cells) residuals, the
+    (S, cells, 2n - 2) Jacobian with respect to theta, and the (S,) mask of
+    the starts inside the open simplex. The rows of a start outside it are
+    meaningless.
     """
     lam = float(table.lam)
     rows = [(it, table.entries[it]) for it in sorted(table.entries)]
     member, row_of, col_of, values = slate_cells(rows, items)
     n = member.shape[1]
-    # `member` expanded to cells, `hit` the one-hot item column of each cell
+    # `member` expanded to cells, `hit` the one-hot item column of each cell;
+    # the `_t` forms are lifted to theta
     member, hit = member[row_of].astype(float), np.eye(n)[col_of]
+    member_t, hit_t = member[:, 1:] - member[:, :1], hit[:, 1:] - hit[:, :1]
     target = np.sqrt(np.maximum(values, 0.0))
 
     def residuals(theta, with_jac=False):
@@ -459,9 +464,7 @@ def _cell_residuals(table: OracleTable, items: Sequence[int]):
         if not with_jac:
             return res, inside
         with np.errstate(all="ignore"):
-            d = (hit - share[..., None] * member) / sums[..., None]
-        # d(weights)/d(theta): the first weight is one minus the others
-        d = d[..., 1:] - d[..., :1]
+            d = (hit_t - share[..., None] * member_t) / sums[..., None]
         jac = np.concatenate((d[:, 0], lam * d[:, 1]), axis=2) * (-0.5 / root)[..., None]
         return res, jac, inside
 
@@ -480,9 +483,13 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
     least-squares solution of its linearized system, tried at full length
     and halved up to five times; a start takes the first length that stays
     in the simplex and lowers its loss, and stops when none does or its
-    loss falls under 1e-28. All starts step together: one batched
-    pseudo-inverse gives every step, and every length of every start goes
-    through one residual call.
+    loss falls under 1e-28. All starts step together: one stacked QR of the
+    Jacobians and one batched solve R step = Q^T (-res) give every step, and
+    every length of every start goes through one residual call.
+    A start whose Jacobian is rank-deficient at `np.linalg.lstsq`'s default
+    cutoff (smallest |R_kk| at most eps * max(cells, p) times the largest)
+    solves an identity system with a zero right-hand side instead: its step
+    is zero, so it stops as a start with no lowering step stops.
 
     `a0` and `b0` are (S, n) weights. Returns (a, b, loss): the refitted
     (S, n) weights and each start's sum of squared residuals, inf (with the
@@ -497,10 +504,16 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
         if not active.size:
             break
         base, jac, _ = residuals(theta[active], with_jac=True)
-        # minimum-norm least-squares steps, with `np.linalg.lstsq`'s default
-        # rank cutoff: eps * max(cells, p) times the largest singular value
-        pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape[1:]))
-        step = (pinv @ -base[..., None])[..., 0]
+        # the R factor of [jac | -base] holds jac's R and, above its last
+        # row, Q^T (-base), so Q is never formed
+        p = jac.shape[2]
+        rr = np.linalg.qr(np.concatenate((jac, -base[..., None]), axis=2), mode="r")
+        r, rhs = rr[:, :p, :p], rr[:, :p, p:]
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        # a NaN diagonal also fails the test and gets the zero step
+        full = diag.min(axis=1) > np.finfo(float).eps * max(jac.shape[1:]) * diag.max(axis=1)
+        r[~full], rhs[~full] = np.eye(p), 0.0
+        step = np.linalg.solve(r, rhs)[..., 0]
         trial = theta[active, None] + scales[:, None] * step[:, None]
         rt, ok = residuals(trial.reshape(-1, theta.shape[1]))
         ss = np.where(ok, np.einsum("ij,ij->i", rt, rt), np.inf).reshape(len(active), -1)

@@ -205,8 +205,9 @@ def interpolate(xs: Sequence[Number], ys: Sequence[Number]) -> RealPolynomial:
     return RealPolynomial.of(acc)
 
 
-def _newton_polish(p: RealPolynomial, r: complex) -> complex:
-    dp = p.derivative()
+def _newton_polish(p: RealPolynomial, dp: RealPolynomial, r: complex) -> complex:
+    """Up to five Newton steps on p from r, with dp = p' built once per
+    polynomial by the caller; keeps the iterate of smallest |p|."""
     best, best_res = r, abs(p(r))
     x = r
     for _ in range(5):
@@ -299,7 +300,8 @@ def solve_cubic(p: RealPolynomial) -> RootSet:
             (cu * w + cv * w.conjugate()) * s - shift,
             (cu * w.conjugate() + cv * w) * s - shift,
         ]
-    roots = [_newton_polish(q, r) for r in roots]
+    dq = q.derivative()
+    roots = [_newton_polish(q, dq, r) for r in roots]
     return _flag_real(tuple(roots))
 
 
@@ -344,7 +346,8 @@ def solve_quartic(p: RealPolynomial) -> RootSet:
             u = (pp + big_s - t) / 2
             v = (pp + big_s + t) / 2
             ys = list(_solve_quadratic(1.0, s, u)) + list(_solve_quadratic(1.0, -s, v))
-    roots = [_newton_polish(q, y * scale - shift) for y in ys]
+    dq = q.derivative()
+    roots = [_newton_polish(q, dq, y * scale - shift) for y in ys]
     return _flag_real(tuple(roots))
 
 

@@ -196,13 +196,20 @@ def test_experiment_lambda_threshold_cli(tmp_path):
 
 
 def test_default_seed_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MNLMIX_DEFAULT_SEED", "31")
-    out1 = tmp_path / "e1.json"
-    assert run(["simulate", "--n", "3", "--lambda", "1", "--out", str(out1)]) == 0
-    monkeypatch.delenv("MNLMIX_DEFAULT_SEED")
-    out2 = tmp_path / "e2.json"
-    run(["simulate", "--n", "3", "--lambda", "1", "--seed", "31", "--out", str(out2)])
-    assert out1.read_text() == out2.read_text()
+    """A seedless run reads MNLMIX_DEFAULT_SEED when it is called, not when
+    the parser was built: two seedless runs in one process, under two env
+    values, each match the run with that seed given explicitly."""
+    texts = []
+    for seed in ("31", "7"):
+        monkeypatch.setenv("MNLMIX_DEFAULT_SEED", seed)
+        seedless = tmp_path / f"env{seed}.json"
+        assert run(["simulate", "--n", "3", "--lambda", "1", "--out", str(seedless)]) == 0
+        monkeypatch.delenv("MNLMIX_DEFAULT_SEED")
+        explicit = tmp_path / f"arg{seed}.json"
+        run(["simulate", "--n", "3", "--lambda", "1", "--seed", seed, "--out", str(explicit)])
+        assert seedless.read_text() == explicit.read_text()
+        texts.append(seedless.read_text())
+    assert texts[0] != texts[1]
 
 
 def test_bad_model_file(tmp_path):

@@ -510,3 +510,83 @@ def test_stacked_refit_matches_scalar_loop_from_clamped_start(monkeypatch):
     losses = np.array(_assert_matches_scalar(a0, b0, residuals, out))
     # the clamped starts refit to the wrong basin's far higher loss
     assert losses[clamped].min() > 10 * losses[~clamped].max()
+
+
+def _linear_map(pick, y, log):
+    """A `_cell_residuals`-shaped map r(theta) = A theta - y, every start
+    inside; `pick(theta)` gives each row's (cells, p) matrix A. Appends
+    (theta, with_jac) to `log` for every call."""
+
+    def residuals(theta, with_jac=False):
+        log.append((theta.copy(), with_jac))
+        jac = pick(theta)
+        res = np.einsum("scp,sp->sc", jac, theta) - y
+        inside = np.ones(len(theta), dtype=bool)
+        return (res, jac, inside) if with_jac else (res, inside)
+
+    return residuals
+
+
+def _starts(theta):
+    """(a0, b0) whose trailing coordinates are the rows of `theta`."""
+    w = learn._weights(theta)
+    return w[:, 0], w[:, 1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), extra=st.integers(1, 30))
+def test_refit_step_is_the_least_squares_solution(seed, n, extra):
+    """On a linear map with full-rank A, the first step lands on
+    `np.linalg.lstsq`'s solution, and the refit ends there."""
+    rng = np.random.default_rng(seed)
+    p = 2 * n - 2
+    a = rng.normal(size=(p + extra, p)) * rng.uniform(0.1, 10, size=p)
+    y = rng.normal(size=p + extra)
+    log = []
+    residuals = _linear_map(lambda t: np.broadcast_to(a, (len(t),) + a.shape), y, log)
+    theta0 = rng.normal(size=(1, p))
+    out_a, out_b, loss = learn._refit(*_starts(theta0), residuals)
+    want = np.linalg.lstsq(a, y, rcond=None)[0]
+    # the second linearization point is where the first step landed
+    linearized = [theta[0] for theta, with_jac in log if with_jac]
+    assert len(linearized) >= 2
+    scale = np.linalg.norm(want)
+    assert np.linalg.norm(linearized[1] - want) <= 1e-12 * scale
+    got = np.concatenate((out_a[0, 1:], out_b[0, 1:]))
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+    assert loss[0] == pytest.approx(np.sum((a @ want - y) ** 2), rel=1e-12)
+
+
+def test_refit_rank_deficient_start_keeps_its_weights():
+    """A start whose Jacobian has a duplicated column, stacked beside a
+    full-rank start: nothing raises, the rank-deficient start is evaluated
+    only at its own weights (its step is zero) and keeps them and its loss,
+    and the full-rank one steps to its solution. The map takes A from the
+    sign of theta's first coordinate, which the full-rank start's steps
+    keep positive."""
+    rng = np.random.default_rng(7)
+    cells, p = 20, 6
+    full = rng.normal(size=(cells, p))
+    dup = full.copy()
+    dup[:, 1] = dup[:, 0]
+    target = np.array([5.0, 0.3, -0.2, 0.1, 0.4, -0.3])
+    y = full @ target + 1e-3 * rng.normal(size=cells)
+
+    def pick(theta):
+        return np.where((theta[:, 0] > 0)[:, None, None], full, dup)
+
+    log = []
+    residuals = _linear_map(pick, y, log)
+    theta0 = np.array([[4.0, 0.1, 0.1, 0.1, 0.1, 0.1],
+                       [-1.0, 0.2, 0.3, -0.1, 0.2, 0.1]])
+    a0, b0 = _starts(theta0)
+    a, b, loss = learn._refit(a0, b0, residuals)
+    for row in np.concatenate([theta for theta, _ in log]):
+        assert np.array_equal(row, theta0[1]) or (row[0] > 0 and np.abs(row).max() < 10)
+    start_loss = np.sum((dup @ theta0[1] - y) ** 2)
+    assert np.array_equal(a[1], a0[1]) and np.array_equal(b[1], b0[1])
+    assert loss[1] == pytest.approx(start_loss, rel=1e-14)
+    want = np.linalg.lstsq(full, y, rcond=None)[0]
+    got = np.concatenate((a[0, 1:], b[0, 1:]))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert loss[0] < np.sum((full @ theta0[0] - y) ** 2)

@@ -34,6 +34,7 @@ from .polynomials import (
     count_real_roots_sturm,
     deflate_root,
     integer_coefficients,
+    integer_resultant,
     poly_gcd,
     solve_all_roots,
     sylvester_resultants,
@@ -528,7 +529,9 @@ def _residual(a, b, lam, cells) -> np.ndarray:
         np.add.at(s, (slice(None), row_of), w[:, col_of])
     bad = ((sa <= 0) | (sb <= 0)).any(axis=1)
     sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
-    cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
+    # a cell may overflow to inf, the residual such a candidate should get
+    with np.errstate(all="ignore"):
+        cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
     worst = [abs(sum(w[:, t] for t in range(w.shape[1])) - 1).astype(float) for w in (a, b)]
     return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
 
@@ -882,35 +885,24 @@ def _gate_values(b1, quartic: np.ndarray, slate=None) -> dict:
     `quartic` holds the `pair_quartic` coefficient rows of the (1, j) pair
     systems for j = 2..n, untrimmed, and `slate` their `pair_slate_quartic`
     rows (none at n = 3, which has no `pair:` gates). Each row goes through
-    the steps of `deflate_root` at b1 and `resultant_gate`: trim, deflate,
-    trim, divide by the sup-norm, trim. Rows of Fractions with a Fraction
-    b1 run exactly, anything else in floats, as `RealPolynomial.of` and
-    `deflate_root` decide. A (1, j) row whose deflation residual exceeds
-    tau_defl times its sup-norm (exactly: is not zero) drops every gate that
-    involves j; a pair-slate row that fails drops `pair:j`; a gate with a
-    side of degree below 1 is omitted. The gates are Sylvester
-    determinants, one stack per pair of degrees.
+    the steps of `deflate_root` at b1 and `resultant_gate`. Rows of
+    Fractions with a Fraction b1 run exactly, on integer cubics
+    (`_integer_cubics`); anything else runs in floats, as
+    `RealPolynomial.of` and `deflate_root` decide (`_float_cubics`). A
+    (1, j) row whose deflation residual exceeds tau_defl times its sup-norm
+    (exactly: is not zero) drops every gate that involves j; a pair-slate
+    row that fails drops `pair:j`; a gate with a side of degree below 1 is
+    omitted. The gates are Sylvester determinants, one stack per pair of
+    degrees.
     """
     count = len(quartic)
     p = quartic if slate is None else np.concatenate([quartic, slate])
     exact = p.dtype == object and is_exact(b1, *p.flat)
-    if not exact:
+    if exact:
+        cubic, degree, root, norm = _integer_cubics(p, b1)
+    else:
         # a row with a float in it, or a float b1, runs in floats
-        p, b1 = p.astype(float), float(b1)
-    with np.errstate(all="ignore"):
-        p, _, norm = _trimmed(p)
-        # synthetic division as in `deflate_root`; its last step leaves the
-        # Horner residual p(b1)
-        acc, out = p[:, 4], []
-        for k in range(3, -1, -1):
-            out.append(acc)
-            acc = p[:, k] + acc * b1
-        if exact:
-            root = acc == 0
-        else:
-            root = ~(abs(acc) > DEFAULT_TOL.tau_defl * norm)
-        cubic, _, norm = _trimmed(np.stack(out[::-1], axis=1))
-        cubic, degree, _ = _trimmed(cubic / np.where(norm == 0, 1, norm)[:, None])
+        cubic, degree, root = _float_cubics(p.astype(float), float(b1))
     usable = (degree >= 1) & root
     # rows j < k of the (1, j) cubics for the drop gates, then row j against
     # its pair-slate cubic, in key order
@@ -921,10 +913,60 @@ def _gate_values(b1, quartic: np.ndarray, slate=None) -> dict:
     keys = [f"drop:{j + 2},{k + 2}" for j, k in drop]
     keys += [f"pair:{j + 2}" for j in pair]
     live = usable[first] & usable[second]
-    gates = np.zeros(len(keys), cubic.dtype)
+    gates = np.zeros(len(keys))
     dp, dq = degree[first], degree[second]
     for d, e in set(zip(dp[live].tolist(), dq[live].tolist())):
         at = live & (dp == d) & (dq == e)
-        gates[at] = sylvester_resultants(cubic[first[at], : d + 1], cubic[second[at], : e + 1])
-    values = abs(gates).astype(float).tolist()
-    return {key: v for key, v, ok in zip(keys, values, live) if ok}
+        f, g = cubic[first[at], : d + 1], cubic[second[at], : e + 1]
+        if exact:
+            # R(F / |F|, G / |G|) = R(F, G) / (|F|^e |G|^d); an int / int
+            # division rounds correctly, as the float of the Fraction does
+            gates[at] = [
+                abs(integer_resultant(a, b)) / (u**e * v**d)
+                for a, b, u, v in zip(f, g, norm[first[at]], norm[second[at]])
+            ]
+        else:
+            gates[at] = abs(sylvester_resultants(f, g))
+    return {key: v for key, v, ok in zip(keys, gates.tolist(), live) if ok}
+
+
+def _float_cubics(p: np.ndarray, b1: float) -> tuple:
+    """The float steps of `deflate_root` at b1 and `resultant_gate` on each
+    quartic row: trim, deflate, trim, divide by the sup-norm, trim. Returns
+    the unit-scaled cubics, their degrees and whether each row passed the
+    deflation check."""
+    with np.errstate(all="ignore"):
+        p, _, norm = _trimmed(p)
+        # synthetic division as in `deflate_root`; its last step leaves the
+        # Horner residual p(b1)
+        acc, out = p[:, 4], []
+        for k in range(3, -1, -1):
+            out.append(acc)
+            acc = p[:, k] + acc * b1
+        root = ~(abs(acc) > DEFAULT_TOL.tau_defl * norm)
+        cubic, _, norm = _trimmed(np.stack(out[::-1], axis=1))
+        cubic, degree, _ = _trimmed(cubic / np.where(norm == 0, 1, norm)[:, None])
+    return cubic, degree, root
+
+
+def _integer_cubics(p: np.ndarray, b1) -> tuple:
+    """The exact deflation of each rational quartic row at b1 = s / t, as a
+    positive integer multiple of its deflated cubic.
+
+    Each row is cleared to integers f_0..f_4 (`integer_coefficients`); the
+    fraction-free synthetic division h_3 = f_4, h_(k-1) = f_k t^(4-k) + s h_k
+    leaves the residual t^4 F(b1) as its last step, and the deflated cubic
+    times t^3 is sum h_k t^k x^k. Returns the integer cubics with their
+    trailing zeros, their degrees, whether each row vanishes at b1, and
+    their sup-norms.
+    """
+    s, t = b1.numerator, b1.denominator
+    f = np.array([integer_coefficients(row)[0] for row in p], object)
+    acc, out, scale = f[:, 4], [], 1
+    for k in range(3, -1, -1):
+        out.append(acc)
+        scale *= t
+        acc = f[:, k] * scale + s * acc
+    cubic = np.stack(out[::-1], axis=1) * np.array([t**k for k in range(4)], object)
+    cubic, degree, norm = _trimmed(cubic)
+    return cubic, degree, acc == 0, norm

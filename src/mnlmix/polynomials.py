@@ -11,7 +11,8 @@ closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
 arithmetic the coefficients carry. `sylvester_resultants` is the
 resultant on stacks of coefficient rows: float rows by `np.linalg.det`,
-Fraction rows by fraction-free integer elimination.
+Fraction rows by fraction-free integer elimination (`integer_resultant`,
+which also takes integer polynomials as they are).
 """
 
 from __future__ import annotations
@@ -422,9 +423,8 @@ def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
 
 
 def integer_coefficients(row) -> tuple:
-    """The integer numerators of a row of rationals over the lcm of their
-    denominators, and that lcm."""
-    row = [Fraction(c) for c in row]
+    """The integer numerators of a row of rationals (Fractions or ints)
+    over the lcm of their denominators, and that lcm."""
     den = math.lcm(*(c.denominator for c in row))
     return [c.numerator * (den // c.denominator) for c in row], den
 
@@ -453,17 +453,24 @@ def _integer_determinant(rows: list) -> int:
     return sign * rows[-1][-1]
 
 
+def integer_resultant(p, q) -> int:
+    """Sylvester determinant of two integer polynomials, given as ascending
+    coefficients, by `_integer_determinant`."""
+    m, n = len(p) - 1, len(q) - 1
+    pc, qc = list(p[::-1]), list(q[::-1])
+    rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+    return _integer_determinant(rows)
+
+
 def _exact_resultants(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Exact Sylvester resultant of each row pair of two rational stacks:
-    the integer determinant of the cleared rows over dp**n * dq**m."""
+    the `integer_resultant` of the cleared rows over dp**n * dq**m."""
     m, n = p.shape[1] - 1, q.shape[1] - 1
     out = np.empty(len(p), object)
     for k, (pr, qr) in enumerate(zip(p, q)):
-        pc, dp = integer_coefficients(pr[::-1])
-        qc, dq = integer_coefficients(qr[::-1])
-        rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
-        rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
-        out[k] = Fraction(_integer_determinant(rows), dp**n * dq**m)
+        (pc, dp), (qc, dq) = integer_coefficients(pr), integer_coefficients(qr)
+        out[k] = Fraction(integer_resultant(pc, qc), dp**n * dq**m)
     return out
 
 

@@ -12,17 +12,21 @@ number it gives the polynomial's value, and evaluated at the polynomial
 ``X`` it gives the coefficients, exactly when the oracle values are
 Fractions and with no hand-expanded coefficient formulas. A system whose
 oracle fields are numpy arrays gives the coefficients of every row at once.
+On an exact system the expression runs at ``X`` over integers (`_Scaled`)
+and each coefficient becomes a Fraction once, at the end.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import OracleTable, Slate, is_exact
-from .polynomials import X, RealPolynomial, sylvester_resultant
+from .polynomials import X, Coeffs, RealPolynomial, integer_coefficients, sylvester_resultant
 
 
 # a slate equation of the pair system counts as undefined where one of its
@@ -55,6 +59,10 @@ class PairSystemInput:
 
     @property
     def exact(self) -> bool:
+        """Every value is a Fraction or an int; on a system of array fields,
+        the fields are object arrays (of Fractions) and lambda is exact."""
+        if isinstance(self.c_full_i, np.ndarray):
+            return self.c_full_i.dtype == object and is_exact(self.lam)
         vals = [self.lam, self.c_full_i, self.c_full_j, self.c_drop_j_i, self.c_drop_i_j]
         if self.c_pair_i is not None:
             vals.append(self.c_pair_i)
@@ -144,6 +152,125 @@ def back_substitute(b1, b2, c_full_row: Sequence, lam):
     return a1, a2, a3, b3
 
 
+class _Scaled:
+    """The rational num / D**k, with D the base of one integer evaluation.
+
+    Every value of the evaluation shares D, so a sum raises the side of
+    lower power to the larger power and a product adds the powers: no step
+    takes a gcd. `num` is an int, or an object array of ints on a system of
+    array fields, whose D is then one per row. `pows`, which the values of
+    one evaluation share, holds D**0, D**1, ... as far as the evaluation
+    has needed them.
+    """
+
+    __slots__ = ("num", "k", "pows")
+
+    def __init__(self, num, k: int, pows: list):
+        self.num, self.k, self.pows = num, k, pows
+
+    def _power(self, j: int):
+        pows = self.pows
+        while len(pows) <= j:
+            pows.append(pows[-1] * pows[1])
+        return pows[j]
+
+    def __add__(self, other):
+        if type(other) is not _Scaled:
+            if not isinstance(other, int):
+                return NotImplemented
+            if not other:
+                return self
+            other = _Scaled(other, 0, self.pows)
+        k, j = self.k, other.k
+        if k == j:
+            return _Scaled(self.num + other.num, k, self.pows)
+        if k > j:
+            return _Scaled(self.num + other.num * self._power(k - j), k, self.pows)
+        return _Scaled(self.num * self._power(j - k) + other.num, j, self.pows)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Scaled(-self.num, self.k, self.pows)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is _Scaled:
+            return _Scaled(self.num * other.num, self.k + other.k, self.pows)
+        if not isinstance(other, int):
+            return NotImplemented
+        # the coefficients 0 and 1 of X; every coefficient of a cleared
+        # expression still has a term with a system value, so none ends as 0
+        if not other:
+            return 0
+        return self if other == 1 else _Scaled(self.num * other, self.k, self.pows)
+
+    __rmul__ = __mul__
+
+    def fraction(self):
+        """The value as a Fraction, or an object array of Fractions."""
+        den = self._power(self.k)
+        if isinstance(self.num, np.ndarray):
+            return _FRACTIONS(self.num, den)
+        return Fraction(self.num, den)
+
+
+_FRACTIONS = np.frompyfunc(Fraction, 2, 1)
+
+
+@dataclass(frozen=True)
+class _IntegerSystem(PairSystemInput):
+    """A system of `_Scaled` values, with its pin cleared like the rest."""
+
+    pin: object = None
+
+    def pivot_pin(self):
+        return self.pin
+
+
+def _integer_image(sys: PairSystemInput) -> _IntegerSystem:
+    """The exact system `sys` as `_Scaled` values over one base D: lambda,
+    the oracle values and the pin c_full_i / (1 + lambda), each v as
+    v * D over D, with D the lcm of their denominators (on a system of
+    array fields, of each row's)."""
+    values = [sys.lam, sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j, sys.pivot_pin()]
+    if sys.c_pair_i is not None:
+        values.append(sys.c_pair_i)
+    if isinstance(sys.c_full_i, np.ndarray):
+        shape, size = sys.c_full_i.shape, sys.c_full_i.size
+        rows = zip(*(v.ravel().tolist() if isinstance(v, np.ndarray) else [v] * size for v in values))
+        nums, dens = zip(*map(integer_coefficients, rows))
+        columns = [np.array(c, object).reshape(shape) for c in zip(*nums)]
+        den = np.array(dens, object).reshape(shape)
+    else:
+        columns, den = integer_coefficients(values)
+    pows = [1, den]
+    lam, c_full_i, c_full_j, c_drop_j_i, c_drop_i_j, pin, *pair = (
+        _Scaled(v, 1, pows) for v in columns
+    )
+    return _IntegerSystem(lam, c_full_i, c_full_j, c_drop_j_i, c_drop_i_j, *pair, pin=pin)
+
+
+def _over_integers(cleared):
+    """`cleared`, evaluated at X over integers when the system is exact
+    (`_integer_image`), each coefficient made a Fraction once at the end;
+    as written otherwise. `__wrapped__` is the expression as written."""
+
+    @functools.wraps(cleared)
+    def evaluate(sys: PairSystemInput, x):
+        if x is not X or not sys.exact:
+            return cleared(sys, x)
+        return Coeffs(c.fraction() for c in cleared(_integer_image(sys), X))
+
+    return evaluate
+
+
+@_over_integers
 def cleared_pair_quartic(sys: PairSystemInput, x):
     """The drop-partner slate equation with denominators cleared, at x.
 
@@ -172,6 +299,7 @@ def pair_quartic(sys: PairSystemInput) -> RealPolynomial:
     return RealPolynomial.of(cleared_pair_quartic(sys, X))
 
 
+@_over_integers
 def cleared_pair_slate_quartic(sys: PairSystemInput, x):
     """The two-item slate {pivot, partner} equation with denominators
     cleared, at x.
@@ -249,6 +377,7 @@ def pair_system_residual(sys: PairSystemInput, ai, aj, bi, bj):
     return max(abs(e) for e in errs)
 
 
+@_over_integers
 def cleared_partner_quadratic(sys: PairSystemInput, y):
     """The drop-partner equation on the pinned branch, cleared, at y.
 

@@ -978,14 +978,92 @@ def test_gates_vanish_when_item_one_is_pinned():
     """At b_1 = c_1 / (1 + lambda) the partner map's numerator and
     denominator both vanish, so every (1, j) quartic has a double root at
     b_1, every deflated cubic keeps b_1 as a root and every gate is 0."""
-    m = MixtureModel.of(
-        [F(1, 4), F(3, 10), F(1, 10), F(7, 20)], [F(1, 4), F(1, 5), F(3, 10), F(1, 4)], F(2)
-    )
+    m = _pinned_model()
     rep = check_identifiability(m)
     assert rep.unique
     assert list(rep.gate_values.items()) == [
         (k, 0.0) for k in ("drop:2,3", "drop:2,4", "drop:3,4", "pair:2", "pair:3", "pair:4")
     ]
+
+
+def _pinned_model():
+    """Item 1 pinned: a_1 = b_1, so every gate is exactly 0."""
+    return MixtureModel.of(
+        [F(1, 4), F(3, 10), F(1, 10), F(7, 20)], [F(1, 4), F(1, 5), F(3, 10), F(1, 4)], F(2)
+    )
+
+
+def _exact_gate_reference(b1, quartic, slate) -> dict:
+    """The gates from `deflate_root` and `resultant_gate` on the rows as
+    Fraction polynomials, each value checked against a Fraction elimination
+    of the unit-scaled Sylvester matrix. A row that does not vanish at b1,
+    or that deflates to a constant, drops its gates."""
+
+    def deflated(row):
+        try:
+            cubic = deflate_root(RealPolynomial.of(list(row)), b1)
+        except (NotARootError, PolynomialShapeError):
+            return None
+        return cubic if cubic.degree >= 1 else None
+
+    cubics, slates = [deflated(r) for r in quartic], [deflated(r) for r in slate]
+    sides = {
+        f"drop:{j + 2},{k + 2}": (cubics[j], cubics[k])
+        for j, k in combinations(range(len(quartic)), 2)
+    }
+    sides.update({f"pair:{j + 2}": (cubics[j], slates[j]) for j in range(len(quartic))})
+    gates = {}
+    for key, (p, q) in sides.items():
+        if p is None or q is None:
+            continue
+        gate = resultant_gate(p, q)
+        assert isinstance(gate, F)
+        assert gate == _fraction_determinant(p.scaled_to_unit().coeffs, q.scaled_to_unit().coeffs)
+        gates[key] = gate
+    return gates
+
+
+def _lead_vanishes(model, j: int = 3) -> tuple:
+    """`model` with the (1, j) quartic row changed to keep its value at b_1
+    while its leading coefficient becomes 0, so it deflates to a quadratic."""
+
+    def change(quartic, b1):
+        quartic[j - 2, 0] += quartic[j - 2, 4] * b1**4
+        quartic[j - 2, 4] = F(0)
+
+    return model, change
+
+
+@pytest.mark.parametrize(
+    "model, change",
+    [(_rational_draw(n, i), None) for n in (4, 5, 6) for i in range(2)]
+    + [(counterexample(), None), (_pinned_model(), None)]
+    + [_lead_vanishes(_rational_draw(5, 0))],
+    ids=[f"rational-n{n}-{i}" for n in (4, 5, 6) for i in range(2)]
+    + ["exact-counterexample", "pinned", "lead-vanishes"],
+)
+def test_exact_gates_equal_fraction_reference(model, change):
+    """Exact gates, taken from integer cubics and divided once by the
+    sup-norm powers, equal `resultant_gate` on the Fraction cubics that
+    `deflate_root` gives, key for key; on a row whose leading coefficient
+    vanishes, the powers use the trimmed degree."""
+    n, b1 = model.n, model.b[0]
+    table = oracle_table(model, all_slates(n))
+    ones = [pair_system(table, 1, j, include_pair=True) for j in range(2, n + 1)]
+    quartic = np.array([cleared_pair_quartic(s, X) for s in ones])
+    slate = np.array([cleared_pair_slate_quartic(s, X) for s in ones])
+    if change is not None:
+        change(quartic, b1)
+        assert deflate_root(RealPolynomial.of(list(quartic[1])), b1).degree == 2
+    gates = identify._gate_values(b1, quartic, slate)
+    reference = _exact_gate_reference(b1, quartic, slate)
+    assert list(gates) == list(reference)
+    assert gates == {k: float(abs(v)) for k, v in reference.items()}
+    assert len(gates) == (n - 1) * n // 2
+    if model == counterexample():
+        assert gates["pair:2"] == 0.0 and reference["pair:2"] == 0
+    if model == _pinned_model():
+        assert all(v == 0 for v in reference.values())
 
 
 def _gate_key_items(key: str) -> list:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mnlmix.identify import _drop_equations, _float_system, check_identifiability, exact_model
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
+    X,
     Coeffs,
     RealPolynomial,
     cubic_discriminant,
@@ -25,6 +26,9 @@ from mnlmix.polynomials import (
 from mnlmix.systems import (
     DegenerateBranchSignal,
     back_substitute,
+    cleared_pair_quartic,
+    cleared_pair_slate_quartic,
+    cleared_partner_quadratic,
     degenerate_partner_quadratic,
     PairSystemInput,
     formal_pair_system,
@@ -265,6 +269,50 @@ def test_pair_system_residual_at_truth():
 def _rational_weights(ws) -> list:
     head = [Fraction(w / sum(ws)).limit_denominator(1000) for w in ws[:-1]]
     return head + [1 - sum(head)]
+
+
+_WEIGHTS = st.integers(3, 6).flatmap(
+    lambda n: st.tuples(*[st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)] * 2)
+)
+# lambda as a Fraction, as an int and as exactly 1
+_EXACT_LAMBDA = st.one_of(
+    st.fractions(F(1, 10), 5, max_denominator=100),
+    st.integers(2, 5),
+    st.sampled_from([1, F(1)]),
+)
+_SYSTEM_FIELDS = ("c_full_i", "c_full_j", "c_drop_j_i", "c_drop_i_j", "c_pair_i")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_WEIGHTS, _EXACT_LAMBDA)
+def test_integer_evaluation_equals_fraction_evaluation(weights, lam):
+    """On rational systems, each cleared expression evaluated at X over
+    integers gives the coefficients of the same expression evaluated in
+    Fractions (`__wrapped__`, the expression as written), coefficient for
+    coefficient: on every ordered pair's scalar system and on one system
+    whose fields are (P, 1) object arrays holding all of them."""
+    a, b = (_rational_weights(w) for w in weights)
+    assume(min(a) > 0 and min(b) > 0)
+    n = len(a)
+    table = oracle_table(MixtureModel.of(a, b, lam), all_slates(n))
+    systems = [
+        pair_system(table, i, j, include_pair=True) for i, j in permutations(range(1, n + 1), 2)
+    ]
+    batch = PairSystemInput(
+        lam,
+        *(np.array([getattr(s, f) for s in systems], object)[:, None] for f in _SYSTEM_FIELDS),
+    )
+    for cleared in (cleared_pair_quartic, cleared_pair_slate_quartic, cleared_partner_quadratic):
+        for sys in systems:
+            got, want = cleared(sys, X), cleared.__wrapped__(sys, X)
+            assert list(got) == list(want)
+            assert all(type(c) is F for c in got)
+        got, want = cleared(batch, X), cleared.__wrapped__(batch, X)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(systems), 1) and g.dtype == object
+            assert list(g.flat) == list(w.flat)
+            assert all(type(c) is F for c in g.flat)
 
 
 def _guard_trips(a_i, a_j, b_i, b_j, eps) -> list:

@@ -38,19 +38,21 @@ items of n = 6, at N = 691200 and at N = 4000 per slate);
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
-`learn_from_oracle` by n and lambda; `learn_from_samples` at eps = 0.05 on
-model seeds 1000 + t with sampling seed t, at lambda = 2 for n = 5 to 8 and
-at lambda = 1 and 0.7 for n = 6, and on the `learn-samples-n6`
-benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
+`learn_from_oracle` by n and lambda, and on rational models at n = 4, 5
+and 6, whose block solve builds exact quartics; `learn_from_samples` at
+eps = 0.05 on model seeds 1000 + t with sampling seed t, at lambda = 2 for
+n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
+`learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
 takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
 families near the pair scan's number-type edges (lambda 1 and 1/2, small
 denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
-pair-solver families about 3 s, the lambda = 1 and 0.7 sampling families
-about 3 s, the benchmark-input sampling family about 4 s, the candidate
-families about 3 s and the experiments about 2 s.
+pair-solver families about 3 s, the rational learn-oracle families under
+1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
+benchmark-input sampling family about 4 s, the candidate families about
+3 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ LAMBDAS = (2.0, 1.0, 0.7)
 # n -> number of seeds, per lambda
 IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20, 20: 10}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
+# n -> number of rational draws at lambda = 2 whose exact oracle is learned
+RATIONAL_ORACLE_DRAWS = {4: 30, 5: 30, 6: 30}
 # n -> number of rational draws at lambda = 2
 RATIONAL_DRAWS = {4: 60, 3: 100, 5: 20, 6: 20}
 # item 1 pinned (a_1 = b_1), so every gate is exactly 0
@@ -276,6 +280,10 @@ def families():
                 learn_from_oracle(random_instance(n, lam, s)).to_dict()
                 for s in range(draws)
             )
+    for n, draws in RATIONAL_ORACLE_DRAWS.items():
+        yield f"learn-oracle rational n={n} lam=2 first {draws} positive draws", (
+            learn_from_oracle(m).to_dict() for m in rational_models(n, draws)
+        )
     for n, draws in SAMPLE_DRAWS.items():
         yield f"learn-samples n={n} lam=2.0 eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
             learn_from_samples(

@@ -60,10 +60,6 @@ from .systems import (
 # default of `check_identifiability`, the sweeps and the CLI's --tol
 RESIDUAL_TOL = 1e-8
 TAU_ADM = 1e-9
-# the admissibility margin of noisy candidates: noisy estimates of small
-# weights wobble below zero, so admit them and let the learner's clamp and
-# least-squares refit pull them back inside
-NOISY_ADM_MARGIN = 0.05
 DEDUP_RTOL = 1e-6
 COLLAPSE_GAP = 1e-9
 # a pair-level extra whose residual lies within this many decades below tol
@@ -79,9 +75,6 @@ SCREEN_MARGIN = 1e3
 POLISH_STEPS = 12
 POLISH_DET_FLOOR = 1e-14
 POLISH_STOP = 1e-15
-# noisy root selection: the two roots nearest to real are ambiguous when
-# their |imag| parts differ by less than this times (1 + the smaller)
-SEL_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -132,8 +125,8 @@ class IdentifiabilityReport:
         return 0 if self.unique else 2
 
 
-def _tuple_admissible(values, tau: float) -> bool:
-    return all(-tau <= float(x) <= 1 + tau for x in values)
+def _tuple_admissible(values) -> bool:
+    return all(-TAU_ADM <= float(x) <= 1 + TAU_ADM for x in values)
 
 
 def _close(u: Sequence, v: Sequence, rtol=DEDUP_RTOL) -> bool:
@@ -416,23 +409,23 @@ def _screen_pairs(batch: PairSystemInput, quartic, tol: float) -> np.ndarray:
     return ~(sure & one_class)
 
 
-def _band_roots(poly: RealPolynomial, tau_adm: float) -> list:
+def _band_roots(poly: RealPolynomial) -> list:
     """Real roots of `poly` in the admissible band, rationalized when exact."""
     p = poly.as_float()
     if p.is_zero() or p.degree < 1:
         return []
     out = []
-    for r in solve_all_roots(p).real_roots_in(-tau_adm, 1 + tau_adm):
+    for r in solve_all_roots(p).real_roots_in(-TAU_ADM, 1 + TAU_ADM):
         fr = _rationalize_root(poly, r) if poly.exact else None
         out.append(fr if fr is not None else r)
     return out
 
 
-def _pivot_pairs(sys: PairSystemInput, pivots, polish: bool = True) -> list:
+def _pivot_pairs(sys: PairSystemInput, pivots) -> list:
     """(b_i, b_j) for each pivot value b_i through the partner map of `sys`.
 
     Pivot values on the pinned branch are skipped; float pairs are
-    Newton-polished on the two drop-slate equations unless polish is False.
+    Newton-polished on the two drop-slate equations.
     """
     pairs = []
     for bi in pivots:
@@ -440,7 +433,7 @@ def _pivot_pairs(sys: PairSystemInput, pivots, polish: bool = True) -> list:
             bj = partner_value(bi, sys)
         except DegenerateBranchSignal:
             continue
-        if polish and not is_exact(bi):
+        if not is_exact(bi):
             bi, bj = _polish_pair(sys, bi, bj)
         pairs.append((bi, bj))
     return pairs
@@ -455,14 +448,14 @@ def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     """
     lam = sys.lam
     raw = []
-    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys), TAU_ADM)):
+    for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys))):
         ai = sys.c_full_i - lam * bi
         aj = sys.c_full_j - lam * bj
         raw.append(((ai, aj, bi, bj), "root"))
     # pinned branch: pivot fixed at c_full_i/(1+lam)
     m = sys.pivot_pin()
     quad = degenerate_partner_quadratic(sys)
-    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad, TAU_ADM)
+    pinned_js = [sys.c_full_j / (1 + lam)] + _band_roots(quad)
     for bj in pinned_js:
         aj = sys.c_full_j - lam * bj
         raw.append(((m, aj, m, bj), "pinned"))
@@ -470,7 +463,7 @@ def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     cands = []
     for (ai, aj, bi, bj), branch in raw:
         res = pair_system_residual(sys, ai, aj, bi, bj)
-        adm = _tuple_admissible((ai, aj, bi, bj), TAU_ADM)
+        adm = _tuple_admissible((ai, aj, bi, bj))
         cands.append(
             CandidateSolution(
                 items=(sys.pivot, sys.partner),
@@ -567,14 +560,13 @@ def _extend_candidate(
     oracle: OracleTable,
     items: Sequence[int],
     systems: dict,
-    polish: bool,
 ) -> tuple:
     """Complete (b1, b2) on the first two items to weights over all items.
 
     Each b_j comes from the (pivot, j) partner map. Near the pin the map's
-    denominator is small and amplifies any pivot error, so with polish=True
-    a float b_j is Newton-refined on the (pivot, j) system; the pivot keeps
-    its value from the first pair.
+    denominator is small and amplifies any pivot error, so a float b_j is
+    Newton-refined on the (pivot, j) system; the pivot keeps its value from
+    the first pair.
     """
     m, lam = len(items), oracle.lam
     full = Slate.of(items)
@@ -587,7 +579,7 @@ def _extend_candidate(
     bs = {items[0]: b1, items[1]: b2}
     for j in items[2:]:
         for pivot, bp in ((items[0], b1), (items[1], b2)):
-            found = _pivot_pairs(systems[(pivot, j)], [bp], polish)
+            found = _pivot_pairs(systems[(pivot, j)], [bp])
             if found:
                 bs[j] = found[0][1]
                 break
@@ -604,22 +596,15 @@ def enumerate_candidates(
     oracle: OracleTable,
     items: Sequence[int],
     tol: float = RESIDUAL_TOL,
-    noisy: bool = False,
-) -> tuple:
+) -> list:
     """All admissible full assignments over `items` consistent with the oracle.
 
     Candidate pivot pairs come from the quartics of the (first, second) and
     (second, first) item pairs plus the doubly pinned branch, so both
-    degenerate branches are covered. With noisy=True the quartic roots are
-    selected by the perturbed-root rule instead: complex roots with real part
-    in (0, 1), nearest-to-real first; and a weight is admissible within
-    NOISY_ADM_MARGIN of [0, 1] rather than TAU_ADM.
-
-    Returns (candidates, statuses).
+    degenerate branches are covered. Returns the candidates whose weights
+    lie within TAU_ADM of [0, 1] and whose full residual is at most tol.
     """
     items = tuple(items)
-    tau_adm = NOISY_ADM_MARGIN if noisy else TAU_ADM
-    statuses: list = []
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)
     sys10 = pair_system(oracle, i1, i0, items=items)
@@ -627,56 +612,24 @@ def enumerate_candidates(
     tail = items[2:] if len(items) > 3 else ()
     systems = {(p, j): pair_system(oracle, p, j, items=items) for j in tail for p in (i0, i1)}
 
-    if noisy:
-        quartic = pair_quartic(sys01).as_float()
-        if quartic.is_zero():
-            statuses.append("degenerate-quartic")
-            return [], statuses
-        roots = solve_all_roots(quartic).roots
-        inside = sorted(
-            (r for r in roots if 0 < r.real < 1), key=lambda r: abs(r.imag)
-        )
-        if not inside:
-            statuses.append("sampling-too-noisy")
-            return [], statuses
-        if len(inside) >= 2:
-            g0, g1 = abs(inside[0].imag), abs(inside[1].imag)
-            if g1 - g0 < SEL_RTOL * (1 + g0):
-                statuses.append("root-ambiguity")
-        pivots = [r.real for r in inside]
-        pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, pivots)]
-    else:
-        roots = _band_roots(pair_quartic(sys01), tau_adm)
-        pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
-        roots = _band_roots(pair_quartic(sys10), tau_adm)
-        pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
-        pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
+    roots = _band_roots(pair_quartic(sys01))
+    pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
+    roots = _band_roots(pair_quartic(sys10))
+    pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
+    pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
 
-    # in sampling mode the caller's least-squares refit corrects b_j
-    weights = [
-        _extend_candidate(b1, b2, oracle, items, systems, polish=not noisy)
-        for b1, b2, _ in pairs
-    ]
+    weights = [_extend_candidate(b1, b2, oracle, items, systems) for b1, b2, _ in pairs]
     floats = all(isinstance(v, float) for a, b in weights for v in a + b)
     w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))
     residuals = full_residual(w[:, 0], w[:, 1], oracle, items)
     cands = [
         CandidateSolution(
             items=items, a=a, b=b, residual=float(res),
-            admissible=_tuple_admissible(a + b, tau_adm), branch=branch,
+            admissible=_tuple_admissible(a + b), branch=branch,
         )
         for (a, b), (_, _, branch), res in zip(weights, pairs, residuals)
     ]
-    good = [c for c in cands if c.admissible and c.residual <= tol]
-    if noisy and not good and cands:
-        # under sampling noise no candidate meets the exact-mode residual bar;
-        # keep the best admissible one and let the caller judge accuracy
-        adm = [c for c in cands if c.admissible]
-        if adm:
-            good = [min(adm, key=lambda c: c.residual)]
-        else:
-            statuses.append("no-admissible-candidate")
-    return _dedup(good), statuses
+    return _dedup([c for c in cands if c.admissible and c.residual <= tol])
 
 
 def _swap_equivalent(c1: CandidateSolution, c2: CandidateSolution) -> bool:
@@ -736,7 +689,7 @@ def check_identifiability(
     ]
     table = oracle_table(model, budget)
 
-    full_cands, _ = enumerate_candidates(table, tuple(range(1, n + 1)), tol=tol)
+    full_cands = enumerate_candidates(table, tuple(range(1, n + 1)), tol=tol)
 
     is_uniform = float(model.lam) == 1.0
     swap_note = False

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .identify import (
-    NOISY_ADM_MARGIN,
     CandidateSolution,
     _close,
     _coefficient_rows,
@@ -82,11 +81,8 @@ class LearnReport:
     def ok(self) -> bool:
         """An estimate exists and no failure status was raised.
 
-        Statuses outside the failure set are diagnostics. Among them is
-        `no-admissible-candidate`: in sampling mode the closed-form block
-        roots are only one source of starts for the least-squares refit,
-        beside the mixture-split starts, so an estimate made without
-        admissible roots is judged like any other. `mnlmix learn` exits 0
+        Statuses outside the failure set, such as `low-regularity` or
+        `normalization-argmin`, are diagnostics. `mnlmix learn` exits 0
         exactly when `ok` holds.
         """
         bad = {"sampling-too-noisy", "k-identifiability-violation",
@@ -190,17 +186,22 @@ C_LOW = 0.01
 BASIN_RTOL = 1e-4
 # the normalization fallback scans the block shares 1/ARGMIN_GRID, ..., 1
 ARGMIN_GRID = 2000
+# the tail-weight margin of sampling normalization roots: noisy estimates of
+# small weights wobble below zero, so admit them and let the clamp and the
+# least-squares refit pull them back inside
+NOISY_ADM_MARGIN = 0.05
 
 
-def _noisy_block_estimate(table: OracleTable, items: tuple, cands) -> list:
+def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
     """Block fits under noise: refit every initializer, keep each distinct basin.
 
-    Closed-form quartic roots degrade badly when the true pivot weight sits
-    near the spurious root cluster at the partner map's pole, so the root
-    candidates only seed a least-squares refit. Deterministic mixture-split
-    perturbations of the single-component fit join the initializer pool; the
-    split direction matters because the collapse point is a stationary ridge
-    of the least-squares landscape.
+    The initializers are 2k deterministic mixture splits of the
+    single-component fit, one per block item and sign; the split direction
+    matters because the collapse point is a stationary ridge of the
+    least-squares landscape. The block's closed-form quartic roots are not
+    among them: they degrade badly when the true pivot weight sits near the
+    spurious root cluster at the partner map's pole, and as extra starts
+    they changed no measured success count.
 
     The block's own slates often cannot tell two basins apart (their losses
     differ by a few percent while one of them is far from the truth), so
@@ -213,7 +214,7 @@ def _noisy_block_estimate(table: OracleTable, items: tuple, cands) -> list:
     total = sum(base)
     base = [v / total for v in base]
 
-    inits = [(list(c.a), list(c.b)) for c in cands]
+    inits = []
     for axis in range(k):
         for sgn in (1.0, -1.0):
             delta = [
@@ -227,8 +228,7 @@ def _noisy_block_estimate(table: OracleTable, items: tuple, cands) -> list:
             b0 = [v / sum(b0) for v in b0]
             inits.append((a0, b0))
 
-    a0, b0 = (np.clip(np.array(w, dtype=float), 1e-6, 1.0) for w in zip(*inits))
-    a0, b0 = (w / w.sum(axis=1, keepdims=True) for w in (a0, b0))
+    a0, b0 = (np.array(w) for w in zip(*inits))
     a, b, loss = _refit(a0, b0, _cell_residuals(table, items))
     basins: list = []
     # a stable sort: equal losses keep the initializer order
@@ -253,16 +253,14 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     statuses: list = []
     block_slates = all_slates(len(items), items=items)
     table = oracle.table_for(block_slates, "kblock")
-    cands, st = enumerate_candidates(table, items, noisy=oracle.noisy)
-    statuses.extend(st)
-    if not cands and not oracle.noisy:
-        raise OracleInconsistentError("no admissible block solution")
     if oracle.noisy:
-        blocks = _noisy_block_estimate(table, items, cands)
+        blocks = _noisy_block_estimate(table, items)
         if not blocks:
-            statuses.append("sampling-too-noisy")
-            return [], statuses
+            return [], ["sampling-too-noisy"]
     else:
+        cands = enumerate_candidates(table, items)
+        if not cands:
+            raise OracleInconsistentError("no admissible block solution")
         if float(table.lam) == 1.0:
             cands, _ = _swap_dedup(cands)
         if len(cands) > 1:
@@ -316,11 +314,14 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
             np.array([f[0] for f in fits]), np.array([f[1] for f in fits]),
             _cell_residuals(oracle.sampled_table(), range(1, oracle.n + 1)),
         )
-        # the fit with the lowest loss on all sampled rows wins. `argmin`
-        # keeps the earlier start, from the basin with the lower block loss,
-        # only when two losses are exactly equal; on near-ties the last
-        # digits decide
+        # the fit with the lowest loss on all sampled rows wins. Starts that
+        # refit into one basin tie up to last-digit drift, so the earliest
+        # start whose fit is close to the argmin fit is reported: the start
+        # order (block basins by block loss, then normalization roots by
+        # held-out fit) decides, not the last digits
+        fit = np.hstack((a, b))
         t = int(np.argmin(loss))
+        t = next(s for s in range(t + 1) if _close(fit[s], fit[t], BASIN_RTOL))
         a_hat, b_hat, st = a[t].tolist(), b[t].tolist(), fits[t][2]
     statuses.extend(st)
     if float(oracle.lam) == 1.0:
@@ -402,17 +403,17 @@ def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) 
     normalized = []
     for a_hat, b_hat in starts:
         st = list(statuses)
-        sum_a, sum_b = sum(a_hat), sum(b_hat)
-        if abs(sum_a - 1) > 1e-8 or abs(sum_b - 1) > 1e-8:
-            st.append("sum-mismatch" if not noisy else "sum-drift")
         if noisy:
             # sampling noise can push tiny weights over the edge; clamp before
             # the least-squares refit, which keeps iterates strictly positive
             a_hat = [max(v, 1e-9) for v in a_hat]
             b_hat = [max(v, 1e-9) for v in b_hat]
-        elif min(a_hat) <= 0 or min(b_hat) <= 0:
-            normalized.append((None, None, st + ["nonpositive-weight"]))
-            continue
+        else:
+            if abs(sum(a_hat) - 1) > 1e-8 or abs(sum(b_hat) - 1) > 1e-8:
+                st.append("sum-mismatch")
+            if min(a_hat) <= 0 or min(b_hat) <= 0:
+                normalized.append((None, None, st + ["nonpositive-weight"]))
+                continue
         sum_a, sum_b = sum(a_hat), sum(b_hat)
         normalized.append(([v / sum_a for v in a_hat], [v / sum_b for v in b_hat], st))
     return normalized
@@ -634,8 +635,9 @@ def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) ->
     8 n^3 / eps^2) with a stream derived from (cfg.seed, slate): the block's
     slates, the full slate, every drop-one slate and, for each tail item,
     its 2-slate with each block item. The oracle pipeline runs on the
-    perturbed values with nearest-to-real root selection, and a final refit
-    against every sampled row decides among the candidate fits.
+    perturbed values: the block is fitted by least squares from
+    mixture-split starts, and a final refit against every sampled row
+    decides among the candidate fits.
     """
     lam = float(model.lam)
     n = model.n

@@ -114,9 +114,10 @@ def test_learn_samples_cli(tmp_path):
     assert code in (0, 4, 5, 6)
 
 
-def test_learn_exit_code_agrees_with_ok(tmp_path):
-    # no admissible closed-form block root; the refit still makes an
-    # estimate, so the report is ok and the command exits 0
+def test_learn_samples_ok_report_exits_zero(tmp_path):
+    # the block table of this draw has no admissible closed-form root; the
+    # split-start refit makes an estimate, so the report is ok and the
+    # command exits 0
     from mnlmix.experiments import regular_instance
     from mnlmix.model import save_model
 
@@ -127,7 +128,7 @@ def test_learn_exit_code_agrees_with_ok(tmp_path):
     code = run(["learn", str(path), "--mode", "samples", "--eps", "0.05",
                 "--seed", str(seed), "--out", str(rep)])
     data = json.loads(rep.read_text())
-    assert "no-admissible-candidate" in data["status"]
+    assert data["max_rel_error"] <= 0.05
     assert code == 0
 
 

@@ -32,9 +32,7 @@ the two-solution variety;
 `enumerate_candidates` with tol = inf, so that every admissible full
 candidate's residual is hashed and not only the survivors a report shows,
 on float n = 4 and n = 14 tables (the slates `check_identifiability`
-reads), on the rational n = 4 tables and on the noisy block tables of
-`learn_from_samples` (model seeds 1000 + t, sampling seed t, block of 4
-items of n = 6, at N = 691200 and at N = 4000 per slate);
+reads) and on the rational n = 4 tables;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -52,7 +50,7 @@ denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the rational learn-oracle families under
 1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
 benchmark-input sampling family about 4 s, the candidate families about
-3 s and the experiments about 2 s.
+2 s and the experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -68,14 +66,7 @@ from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
 from mnlmix.identify import check_identifiability, enumerate_candidates, solve_pair_system
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import (
-    MixtureModel,
-    OracleTable,
-    all_slates,
-    oracle_table,
-    random_instance,
-    sample_empirical,
-)
+from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
 from mnlmix.systems import pair_system
 
 LAMBDAS = (2.0, 1.0, 0.7)
@@ -110,8 +101,6 @@ FRACTION_ONE_DRAWS = {4: 30, 6: 8}
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
 # n -> number of float draws per lambda whose candidates are all hashed
 CANDIDATE_DRAWS = {4: 200, 14: 20}
-# noisy n = 6 block tables per sample size
-CANDIDATE_SAMPLE_DRAWS = 50
 # n = 5 draws per lambda whose every pair system is solved
 PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
@@ -180,23 +169,12 @@ def identify_slates(n: int) -> list:
     return [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
 
 
-def all_candidates(table, items, **kwargs) -> dict:
+def all_candidates(table, items) -> dict:
     """Every admissible full candidate of `enumerate_candidates` with its
-    residual, whatever its size, and the statuses."""
-    cands, statuses = enumerate_candidates(table, items, tol=float("inf"), **kwargs)
-    return {"candidates": [c.to_dict() for c in cands], "statuses": list(statuses)}
-
-
-def noisy_block_candidates(t: int, size: int) -> dict:
-    """The noisy candidates of the 4-item block table that `learn_from_samples`
-    builds for `random_instance(6, 2.0, 1000 + t)` with sampling seed t."""
-    model, items = random_instance(6, 2.0, 1000 + t), (1, 2, 3, 4)
-    entries = {
-        s.items: tuple(float(v) for v in sample_empirical(model, s, size, t))
-        for s in all_slates(4, items=items)
-    }
-    table = OracleTable(6, 2.0, entries)
-    return all_candidates(table, items, noisy=True)
+    residual, whatever its size. The empty statuses list keeps the shape
+    that earlier versions, which also returned statuses, hashed."""
+    cands = enumerate_candidates(table, items, tol=float("inf"))
+    return {"candidates": [c.to_dict() for c in cands], "statuses": []}
 
 
 def candidate_families():
@@ -212,11 +190,6 @@ def candidate_families():
         all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4))
         for m in rational_models(4, RATIONAL_DRAWS[4])
     )
-    for size in (691200, 4000):
-        yield (
-            f"candidates noisy block n=6 k=4 N={size} tol=inf seeds=1000+t, "
-            f"t=0..{CANDIDATE_SAMPLE_DRAWS - 1}"
-        ), (noisy_block_candidates(t, size) for t in range(CANDIDATE_SAMPLE_DRAWS))
 
 
 def families():

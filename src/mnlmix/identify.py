@@ -1,11 +1,13 @@
 """Solution enumeration and identifiability checks for small universes.
 
-The pair-system quartic bounds the candidate pivot weights; back-substitution
-turns each root into a full weight assignment, and residual filtering against
-every available slate equation decides admissibility. Uniqueness holds when
-exactly one admissible class survives (up to component swap at lambda = 1).
-A batched numpy screen of every pair system, on the table's float image,
-sends to the scalar pair solver only the pairs that can add a second solution.
+The pair-system quartic bounds the candidate pivot weights. A root pair
+that leaves the admissible band, or that fails the two pivots' own slate,
+is dropped at once; back-substitution turns each remaining root into a full
+weight assignment, and residual filtering against every available slate
+equation decides admissibility. Uniqueness holds when exactly one admissible
+class survives (up to component swap at lambda = 1). A batched numpy screen
+of every pair system, on the table's float image, sends to the scalar pair
+solver only the pairs that can add a second solution.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ CERT_DECADES = 4
 # and the scalar path's differ by far less (about 1e-9 on the roots)
 SCREEN_MARGIN = 1e3
 # Newton polish of a pair: step count, the Jacobian determinant under which
-# it stops, and the residual at which it has converged; `_polish_batch`
-# mirrors `_polish_pair` with these same values
+# it stops, and the residual at which it has converged; `_polish_pair` and
+# `_polish_batch` share these values and agree to rounding (see the latter)
 POLISH_STEPS = 12
 POLISH_DET_FLOOR = 1e-14
 POLISH_STOP = 1e-15
@@ -240,7 +242,12 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
 def _polish_batch(c: PairSystemInput, x, y, live):
     """`_polish_pair` on arrays, for the entries where `live` is set: each
     takes the scalar loop's Newton steps and stops where that loop would
-    break."""
+    break.
+
+    The two agree to rounding, not bit for bit: `_drop_equations`' `db**2`
+    is libm `pow` on Python floats and numpy's square on arrays, which
+    differ in the last bit on about 1 in 1200 uniform draws in (0, 1).
+    """
     e1, e2, jac, ok = _drop_equations(c, x, y)
     live = live & ok
     best_err = np.where(live, abs(e1) + abs(e2), np.inf)
@@ -496,51 +503,62 @@ def full_residual(a: np.ndarray, b: np.ndarray, oracle: OracleTable, items: Sequ
     the two sum constraints for each row of the (K, m) weights, inf where a
     slate sum is not positive.
 
-    On an exact table and lambda, rows that are all Fractions run in
-    integers (`_integer_residual`). Any other row keeps its arithmetic: a
-    slate sum adds the slate's own cells in slate order, the order of
-    `items`, as Python's `sum` does.
+    The cells are `_cell_residual`'s. A sum constraint adds the row's weights
+    in the order of `items`, as Python's `sum` does, in the row's own
+    arithmetic.
     """
-    lam = oracle.lam
-    cells = slate_cells(oracle.entries.items(), items)
-    exact = np.zeros(len(a), bool)
-    if a.dtype == object and is_exact(lam, *cells[3]):
-        exact = np.array([is_exact(*u, *v) for u, v in zip(a, b)], bool)
+    worst = [abs(sum(w[:, t] for t in range(w.shape[1])) - 1).astype(float) for w in (a, b)]
+    cells = _cell_residual(a, b, oracle.lam, oracle.entries.items(), items)
+    return np.max([*worst, cells], axis=0)
+
+
+def _cell_residual(a: np.ndarray, b: np.ndarray, lam, rows, items: Sequence[int]):
+    """Max violation at `lam` over the cells of the (slate items, values)
+    `rows`, for each row of the (K, m) weights over `items`; inf where a
+    slate sum is not positive.
+
+    On an exact table and lambda, rows that are all Fractions run in
+    integers (`_integer_cells`). Any other row keeps its arithmetic
+    (`_cells`). A cell's value depends only on its own slate's weights, so
+    fewer slates give the same values on the slates they hold.
+    """
+    cells = slate_cells(rows, items)
+    if a.dtype != object or not is_exact(lam, *cells[3]):
+        return _cells(a, b, lam, cells)
+    exact = np.array([is_exact(*u, *v) for u, v in zip(a, b)], bool)
     out = np.empty(len(a))
     if exact.any():
-        out[exact] = _integer_residual(a[exact], b[exact], lam, cells)
+        out[exact] = _integer_cells(a[exact], b[exact], lam, cells)
     if not exact.all():
-        out[~exact] = _residual(a[~exact], b[~exact], lam, cells)
+        out[~exact] = _cells(a[~exact], b[~exact], lam, cells)
     return out
 
 
-def _residual(a, b, lam, cells) -> np.ndarray:
-    """`full_residual` of rows in the weights' own arithmetic."""
+def _cells(a, b, lam, cells) -> np.ndarray:
+    """`_cell_residual` of rows in the weights' own arithmetic: a slate sum
+    adds the slate's own cells in slate order, as Python's `sum` does."""
     member, row_of, col_of, values = cells
-    sa, sb = (np.zeros((len(w), len(member)), w.dtype) for w in (a, b))
-    for s, w in ((sa, a), (sb, b)):
-        np.add.at(s, (slice(None), row_of), w[:, col_of])
-    bad = ((sa <= 0) | (sb <= 0)).any(axis=1)
-    sa, sb = (np.where(s <= 0, 1, s)[:, row_of] for s in (sa, sb))
+    w = np.array((a, b))[:, :, col_of]
+    s = np.zeros((2, len(a), len(member)), w.dtype)
+    np.add.at(s, (slice(None), slice(None), row_of), w)
+    bad = (s <= 0).any(axis=(0, 2))
+    s = np.where(s <= 0, 1, s)[:, :, row_of]
     # a cell may overflow to inf, the residual such a candidate should get
     with np.errstate(all="ignore"):
-        cells = abs(a[:, col_of] / sa + lam * (b[:, col_of] / sb) - values).astype(float)
-    worst = [abs(sum(w[:, t] for t in range(w.shape[1])) - 1).astype(float) for w in (a, b)]
-    return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
+        cells = abs(w[0] / s[0] + lam * (w[1] / s[1]) - values).astype(float)
+    return np.where(bad, np.inf, cells.max(axis=1))
 
 
-def _integer_residual(a, b, lam, cells) -> np.ndarray:
-    """`_residual` of rational rows on an exact table and lambda.
+def _integer_cells(a, b, lam, cells) -> np.ndarray:
+    """`_cells` of rational rows on an exact table and lambda.
 
     With a = alpha / A and b = beta / B over integers, a_i / s_a is
     alpha_i / sum(alpha), so each cell is one integer numerator over an
-    integer denominator and a sum constraint is |sum(alpha) - A| / A. An
-    int / int division rounds correctly, as the float of the Fraction does.
+    integer denominator. An int / int division rounds correctly, as the
+    float of the Fraction does.
     """
     member, row_of, col_of, values = cells
-    (al, da), (be, db) = (
-        [np.array(x, object) for x in zip(*map(integer_coefficients, w))] for w in (a, b)
-    )
+    al, be = (np.array([integer_coefficients(row)[0] for row in w], object) for w in (a, b))
     vals, lam = [Fraction(v) for v in values], Fraction(lam)
     vn = np.array([v.numerator for v in vals], object)
     vd = np.array([v.denominator for v in vals], object)
@@ -550,8 +568,7 @@ def _integer_residual(a, b, lam, cells) -> np.ndarray:
     num = (al[:, col_of] * sb * lam.denominator + lam.numerator * be[:, col_of] * sa) * vd
     num -= vn * sa * sb * lam.denominator
     cells = (abs(num) / (sa * sb * lam.denominator * vd)).astype(float)
-    worst = [(abs(w.sum(axis=1) - d) / d).astype(float) for w, d in ((al, da), (be, db))]
-    return np.where(bad, np.inf, np.max([*worst, cells.max(axis=1)], axis=0))
+    return np.where(bad, np.inf, cells.max(axis=1))
 
 
 def _extend_candidate(
@@ -592,6 +609,30 @@ def _extend_candidate(
     return a, b
 
 
+def _viable_pairs(pairs: list, oracle: OracleTable, sys01: PairSystemInput, tol: float) -> list:
+    """The (b1, b2, branch) pivot pairs of `sys01` whose full candidates can
+    survive `enumerate_candidates`' filter.
+
+    A pair fixes a1 and a2 through the full slate, as `_extend_candidate`
+    does. It is dropped when (a1, a2, b1, b2) is not admissible, or when the
+    table holds the two pivots' slate and the pair's cells there, computed
+    as `full_residual` computes them, are not at most tol (inf where the
+    slate sum is not positive). The full candidate would fail as well: its
+    admissibility covers the four values and its residual is a max over
+    those same cells.
+    """
+    lam, i0, i1 = oracle.lam, sys01.pivot, sys01.partner
+    b = [(b1, b2) for b1, b2, _ in pairs]
+    a = [(sys01.c_full_i - lam * b1, sys01.c_full_j - lam * b2) for b1, b2 in b]
+    keep = np.array([_tuple_admissible(u + v) for u, v in zip(a, b)])
+    slate = tuple(sorted((i0, i1)))
+    if keep.any() and slate in oracle.entries:
+        floats = all(isinstance(v, float) for u in a + b for v in u)
+        a, b = (np.array(w, float if floats else object) for w in (a, b))
+        keep &= _cell_residual(a, b, lam, [(slate, oracle.entries[slate])], (i0, i1)) <= tol
+    return list(compress(pairs, keep))
+
+
 def enumerate_candidates(
     oracle: OracleTable,
     items: Sequence[int],
@@ -601,23 +642,26 @@ def enumerate_candidates(
 
     Candidate pivot pairs come from the quartics of the (first, second) and
     (second, first) item pairs plus the doubly pinned branch, so both
-    degenerate branches are covered. Returns the candidates whose weights
+    degenerate branches are covered. Pairs that cannot survive are dropped
+    before extension (`_viable_pairs`). Returns the candidates whose weights
     lie within TAU_ADM of [0, 1] and whose full residual is at most tol.
     """
     items = tuple(items)
     i0, i1 = items[0], items[1]
     sys01 = pair_system(oracle, i0, i1, items=items)
     sys10 = pair_system(oracle, i1, i0, items=items)
-    # at m = 3 `_extend_candidate` back-substitutes and reads no system
-    tail = items[2:] if len(items) > 3 else ()
-    systems = {(p, j): pair_system(oracle, p, j, items=items) for j in tail for p in (i0, i1)}
-
     roots = _band_roots(pair_quartic(sys01))
     pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
     roots = _band_roots(pair_quartic(sys10))
     pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
     pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
+    pairs = _viable_pairs(pairs, oracle, sys01, tol)
+    if not pairs:
+        return []
 
+    # at m = 3 `_extend_candidate` back-substitutes and reads no system
+    tail = items[2:] if len(items) > 3 else ()
+    systems = {(p, j): pair_system(oracle, p, j, items=items) for j in tail for p in (i0, i1)}
     weights = [_extend_candidate(b1, b2, oracle, items, systems) for b1, b2, _ in pairs]
     floats = all(isinstance(v, float) for a, b in weights for v in a + b)
     w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -208,13 +209,32 @@ class OracleTable:
 
 
 def oracle_table(model: MixtureModel, slates: Iterable[Slate]) -> OracleTable:
-    """Exact oracle on the requested slates; rows sum to 1 + lambda."""
-    scale = 1 + model.lam
-    entries = {}
-    for slate in slates:
-        dist = slate_distribution(model, slate)
-        entries[slate.items] = tuple(scale * d for d in dist)
-    return OracleTable(model.n, model.lam, entries)
+    """Exact oracle on the requested slates; rows sum to 1 + lambda.
+
+    Every cell of every slate is computed in one pass, as
+    (1 + lambda) * `slate_distribution`'s value, bit for bit: slate sums add
+    the slate's weights left to right from 0, as Python's `sum` does, and
+    each cell divides by 1 + lambda before it scales back. Float arrays hold
+    the weights only when every weight and lambda is a float or an int;
+    anything else runs elementwise on the Python numbers in object arrays.
+    """
+    keys = [slate.items for slate in slates]
+    lam, n = model.lam, model.n
+    bad = next((k for k in keys if k[-1] > n), None)
+    if bad is not None:
+        raise InvalidSlateError(f"slate {bad} exceeds universe size {n}")
+    numbers = (*model.a.w, *model.b.w, lam)
+    dtype = float if all(isinstance(v, (float, int)) for v in numbers) else object
+    a, b = (np.array(w.w, dtype) for w in (model.a, model.b))
+    row_of = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+    col_of = np.array([i - 1 for k in keys for i in k], int)
+    sa, sb = np.zeros(len(keys), dtype), np.zeros(len(keys), dtype)
+    np.add.at(sa, row_of, a[col_of])
+    np.add.at(sb, row_of, b[col_of])
+    scale = 1 + lam
+    cells = scale * ((a[col_of] / sa[row_of] + lam * (b[col_of] / sb[row_of])) / scale)
+    values = iter(cells.tolist())
+    return OracleTable(n, lam, {k: tuple(islice(values, len(k))) for k in keys})
 
 
 def random_instance(

@@ -19,7 +19,7 @@ from mnlmix.identify import (
     pair_certified_unique,
     solve_pair_system,
 )
-from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
+from mnlmix.model import MixtureModel, OracleTable, Slate, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import (
     X,
     Coeffs,
@@ -31,11 +31,14 @@ from mnlmix.polynomials import (
     sylvester_resultants,
 )
 from mnlmix.systems import (
+    DegenerateBranchSignal,
+    PairSystemInput,
     cleared_pair_quartic,
     cleared_pair_slate_quartic,
     pair_quartic,
     pair_slate_quartic,
     pair_system,
+    partner_value,
     resultant_gate,
 )
 
@@ -623,6 +626,149 @@ def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
     cands = enumerate_candidates(oracle_table(m, all_slates(3)), (1, 2, 3))
     assert cands
     assert built == [(1, 2), (2, 1)]
+
+
+def _identify_slates(n: int) -> list:
+    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads."""
+    return [Slate(c) for k in sorted({2, n - 1, n}) for c in combinations(range(1, n + 1), k)]
+
+
+@st.composite
+def _candidate_table(draw):
+    """A table `check_identifiability` builds: a float n = 4 or n = 14 draw,
+    a rational n = 4 draw at lambda 2, 1 or 1/2, or the exact counterexample
+    perturbed near the two-solution variety (exact, Fraction or float
+    lambda)."""
+    kind = draw(st.sampled_from(["float-4", "float-14", "rational-4", "near-counterexample"]))
+    if kind.startswith("float"):
+        lam = draw(st.sampled_from([2.0, 1.0, 0.7]))
+        m = random_instance(int(kind[6:]), lam, draw(st.integers(0, 2**32 - 1)))
+    elif kind == "rational-4":
+        lam = draw(st.sampled_from([F(2), F(1), F(1, 2)]))
+        m = _with_lambda(_rational_draw(4, draw(st.integers(0, 40))), lam)
+    else:
+        m = draw(st.sampled_from(list(_near_counterexamples([draw(st.integers(2, 12))]))))
+    return oracle_table(m, _identify_slates(m.n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_candidate_table(), st.sampled_from([identify.RESIDUAL_TOL, 1e-12, 1e-4]))
+def test_rejection_before_extension_keeps_every_survivor(table, tol):
+    """Dropping pivot pairs before extension loses no candidate: the result
+    at tol is the tol = inf result filtered by residual."""
+    items = tuple(range(1, table.n + 1))
+    every = enumerate_candidates(table, items, tol=math.inf)
+    want = [c.to_dict() for c in every if c.residual <= tol]
+    assert [c.to_dict() for c in enumerate_candidates(table, items, tol)] == want
+
+
+def _passes_pair_slate(b1, b2, table, items, tol) -> bool:
+    """The per-candidate loop on (a1, a2, b1, b2): admissible, and the cells
+    of the slate {1, 2} within tol (inf where a slate sum is not positive)."""
+    lam, full = table.lam, table.entries[items]
+    a, b = (full[0] - lam * b1, full[1] - lam * b2), (b1, b2)
+    if not all(-identify.TAU_ADM <= float(v) <= 1 + identify.TAU_ADM for v in a + b):
+        return False
+    sa, sb = sum(a), sum(b)
+    if float(sa) <= 0 or float(sb) <= 0:
+        return math.inf <= tol
+    row = table.entries[(1, 2)]
+    return float(max(abs(x / sa + lam * (y / sb) - c) for x, y, c in zip(a, b, row))) <= tol
+
+
+@pytest.mark.parametrize("tol", [identify.RESIDUAL_TOL, math.inf])
+def test_rejected_pairs_never_reach_extension(tol, monkeypatch):
+    """`_extend_candidate` sees exactly the pivot pairs that pass the
+    per-candidate loop on the slate {1, 2}, in order; generic draws offer
+    five pairs and keep two at the default tol. At tol = inf only
+    admissibility rejects."""
+    offered, extended = [], []
+    viable, extend = identify._viable_pairs, identify._extend_candidate
+
+    def spy_viable(pairs, *args):
+        offered.append(list(pairs))
+        return viable(pairs, *args)
+
+    def spy_extend(b1, b2, *args):
+        extended.append((b1, b2))
+        return extend(b1, b2, *args)
+
+    monkeypatch.setattr(identify, "_viable_pairs", spy_viable)
+    monkeypatch.setattr(identify, "_extend_candidate", spy_extend)
+    models = [random_instance(n, lam, s) for n in (4, 14) for lam in (2.0, 0.7) for s in range(4)]
+    models += [_rational_draw(4, i) for i in range(4)] + [counterexample()]
+    rejected = 0
+    for m in models:
+        offered.clear()
+        extended.clear()
+        table = oracle_table(m, _identify_slates(m.n))
+        items = tuple(range(1, m.n + 1))
+        enumerate_candidates(table, items, tol)
+        (pairs,) = offered
+        keep = [(b1, b2) for b1, b2, _ in pairs if _passes_pair_slate(b1, b2, table, items, tol)]
+        assert extended == keep
+        rejected += len(pairs) - len(keep)
+    assert rejected >= (2 * len(models) if tol < math.inf else 0)
+
+
+def test_no_viable_pair_builds_no_tail_systems(monkeypatch):
+    """With the slate {1, 2} moved off the model, every pivot pair fails it,
+    so the enumeration returns before it builds the tail's pair systems."""
+    m = random_instance(4, 2.0, 0)
+    table = oracle_table(m, all_slates(4))
+    c1, c2 = table.entries[(1, 2)]
+    table = OracleTable(table.n, table.lam, {**table.entries, (1, 2): (c1 + 1e-3, c2 - 1e-3)})
+    built = []
+    build = identify.pair_system
+
+    def spy(oracle, i, j, **kwargs):
+        built.append((i, j))
+        return build(oracle, i, j, **kwargs)
+
+    monkeypatch.setattr(identify, "pair_system", spy)
+    assert enumerate_candidates(table, (1, 2, 3, 4)) == []
+    assert built == [(1, 2), (2, 1)]
+
+
+def _extension_starts(m) -> list:
+    """(system, b_i, b_j) for every Newton start of `_extend_candidate` at
+    tol = inf: each pivot of each pair from the (1, 2) and (2, 1) quartics,
+    with its partner value on each (pivot, j) system."""
+    table = oracle_table(m, _identify_slates(m.n))
+    items = tuple(range(1, m.n + 1))
+    sys01, sys10 = (pair_system(table, i, j, items=items) for i, j in ((1, 2), (2, 1)))
+    pairs = identify._pivot_pairs(sys01, identify._band_roots(pair_quartic(sys01)))
+    pairs += [p[::-1] for p in identify._pivot_pairs(sys10, identify._band_roots(pair_quartic(sys10)))]
+    starts = []
+    for b1, b2 in pairs:
+        for pivot, bp in ((1, b1), (2, b2)):
+            for j in items[2:]:
+                sys = pair_system(table, pivot, j, items=items)
+                try:
+                    starts.append((sys, bp, partner_value(bp, sys)))
+                except DegenerateBranchSignal:
+                    pass
+    return starts
+
+
+@pytest.mark.parametrize(
+    "draw", [(14, 0.7, 11)] + [(n, lam, s) for n in (4, 14) for lam in (2.0, 1.0, 0.7) for s in range(5)]
+)
+def test_batched_polish_agrees_with_scalar_to_rounding(draw):
+    """`_polish_batch` and `_polish_pair` agree within 1e-12 relative from
+    the same starts, but only to rounding: `db**2` in `_drop_equations` is
+    libm `pow` on Python floats and numpy's square on arrays. On
+    `random_instance(14, 0.7, 11)` the two differ in the last bit at the
+    first Newton step of pair (1, 9)."""
+    starts = _extension_starts(random_instance(*draw))
+    floats = [identify._float_system(sys) for sys, _, _ in starts]
+    fields = zip(*((f.c_full_i, f.c_full_j, f.c_drop_j_i, f.c_drop_i_j) for f in floats))
+    batch = PairSystemInput(floats[0].lam, *(np.array(v)[:, None] for v in fields))
+    x, y = (np.array([[start[k]] for start in starts]) for k in (1, 2))
+    bx, by = identify._polish_batch(batch, x, y, np.ones(x.shape, bool))
+    for (sys, bi, bj), u, v in zip(starts, bx[:, 0].tolist(), by[:, 0].tolist()):
+        p, q = identify._polish_pair(sys, bi, bj)
+        assert abs(p - u) <= 1e-12 * abs(p) and abs(q - v) <= 1e-12 * abs(q)
 
 
 def _solve_every_pair(monkeypatch):

@@ -107,6 +107,57 @@ def test_oracle_values_exact():
     assert table.value_for(Slate.of([1, 3, 4]), 1) == F(32, 21)
 
 
+def _rational_weights(w):
+    """`w` rounded to denominators up to 1000, the last weight one minus the
+    others."""
+    head = [F(x).limit_denominator(1000) for x in w[:-1]]
+    return head + [1 - sum(head)]
+
+
+# model kind -> (float draw, seed) -> model; the mixed kinds pair Fraction
+# weights with a float lambda and float weights with an int or Fraction one
+_TABLE_MODELS = {
+    "float": lambda m: m,
+    "rational": lambda m: MixtureModel.of(_rational_weights(m.a.w), _rational_weights(m.b.w), F(2)),
+    "fraction-weights-float-lambda": lambda m: MixtureModel.of(
+        _rational_weights(m.a.w), _rational_weights(m.b.w), 0.7
+    ),
+    "float-weights-int-lambda": lambda m: MixtureModel.of(m.a.w, m.b.w, 3),
+    "float-weights-fraction-lambda": lambda m: MixtureModel.of(m.a.w, m.b.w, F(3, 2)),
+}
+
+
+def _bits(values) -> list:
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_MODELS))
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_oracle_table_equals_scaled_slate_distribution(kind, n):
+    """The one-pass table gives (1 + lambda) * `slate_distribution` on every
+    slate, value for value and type for type, float bits included."""
+    checked = 0
+    for seed in range(8):
+        m = random_instance(n, 2.0, seed)
+        if min(_rational_weights(m.a.w) + _rational_weights(m.b.w)) <= 0:
+            continue
+        m = _TABLE_MODELS[kind](m)
+        slates = all_slates(n)
+        table = oracle_table(m, slates)
+        assert list(table.entries) == [s.items for s in slates]
+        for s in slates:
+            want = tuple((1 + m.lam) * d for d in slate_distribution(m, s))
+            assert _bits(table.value(s)) == _bits(want)
+        checked += 1
+    assert checked >= 6
+
+
+def test_oracle_table_rejects_bad_index():
+    with pytest.raises(InvalidSlateError):
+        oracle_table(counterexample(), [Slate.of([1, 2]), Slate.of([1, 5])])
+    assert oracle_table(counterexample(), []).entries == {}
+
+
 def test_distribution_sums_property():
     rng_seeds = range(20)
     for seed in rng_seeds:

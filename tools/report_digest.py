@@ -32,7 +32,9 @@ the two-solution variety;
 `enumerate_candidates` with tol = inf, so that every admissible full
 candidate's residual is hashed and not only the survivors a report shows,
 on float n = 4 and n = 14 tables (the slates `check_identifiability`
-reads) and on the rational n = 4 tables;
+reads) and on the rational n = 4 tables, and at the default tol, where
+pivot pairs are also rejected on the slate {1, 2} before extension, on the
+same tables and on the `near_counterexamples` tables;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -43,14 +45,15 @@ n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 `learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 45 s on two cores; the n = 20 identify family, 10 seeds per
+takes 30 to 45 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
 families near the pair scan's number-type edges (lambda 1 and 1/2, small
 denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the rational learn-oracle families under
 1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
 benchmark-input sampling family about 4 s, the candidate families about
-2 s and the experiments about 2 s.
+11 s (6 s at tol = inf, 5 s at the default tol, 85 ms of each n = 14 draw
+in `identify_slates`) and the experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -64,7 +67,12 @@ from fractions import Fraction
 
 from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
-from mnlmix.identify import check_identifiability, enumerate_candidates, solve_pair_system
+from mnlmix.identify import (
+    RESIDUAL_TOL,
+    check_identifiability,
+    enumerate_candidates,
+    solve_pair_system,
+)
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
 from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
 from mnlmix.systems import pair_system
@@ -169,26 +177,34 @@ def identify_slates(n: int) -> list:
     return [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
 
 
-def all_candidates(table, items) -> dict:
+def all_candidates(table, items, tol) -> dict:
     """Every admissible full candidate of `enumerate_candidates` with its
-    residual, whatever its size. The empty statuses list keeps the shape
-    that earlier versions, which also returned statuses, hashed."""
-    cands = enumerate_candidates(table, items, tol=float("inf"))
+    residual at most `tol`; at tol = inf, whatever its size. The empty
+    statuses list keeps the shape that earlier versions, which also
+    returned statuses, hashed."""
+    cands = enumerate_candidates(table, items, tol=tol)
     return {"candidates": [c.to_dict() for c in cands], "statuses": []}
 
 
 def candidate_families():
-    """Yield (label, reports) for the `enumerate_candidates` families."""
-    for n, draws in CANDIDATE_DRAWS.items():
-        items = tuple(range(1, n + 1))
-        for lam in LAMBDAS:
-            yield f"candidates n={n} lam={lam} tol=inf seeds=0..{draws - 1}", (
-                all_candidates(oracle_table(m, identify_slates(n)), items)
-                for m in (random_instance(n, lam, s) for s in range(draws))
-            )
-    yield f"candidates rational n=4 lam=2 tol=inf first {RATIONAL_DRAWS[4]} positive draws", (
-        all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4))
-        for m in rational_models(4, RATIONAL_DRAWS[4])
+    """Yield (label, reports) for the `enumerate_candidates` families: at
+    tol = inf, and at the default tol, where pivot pairs are also rejected
+    on their two-item slate before extension."""
+    for tol in (float("inf"), RESIDUAL_TOL):
+        for n, draws in CANDIDATE_DRAWS.items():
+            items = tuple(range(1, n + 1))
+            for lam in LAMBDAS:
+                yield f"candidates n={n} lam={lam} tol={tol} seeds=0..{draws - 1}", (
+                    all_candidates(oracle_table(m, identify_slates(n)), items, tol)
+                    for m in (random_instance(n, lam, s) for s in range(draws))
+                )
+        yield f"candidates rational n=4 lam=2 tol={tol} first {RATIONAL_DRAWS[4]} positive draws", (
+            all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4), tol)
+            for m in rational_models(4, RATIONAL_DRAWS[4])
+        )
+    yield f"candidates near counterexample a[idx]+=e a[4]-=e lam=2,2+e,2.0 tol={RESIDUAL_TOL}", (
+        all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4), RESIDUAL_TOL)
+        for m in near_counterexamples()
     )
 
 

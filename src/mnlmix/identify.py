@@ -25,6 +25,7 @@ from .model import (
     ParameterError,
     Slate,
     format_number,
+    integer_coefficients,
     is_exact,
     oracle_table,
 )
@@ -34,10 +35,11 @@ from .polynomials import (
     DegenerateInputError,
     RealPolynomial,
     count_real_roots_sturm,
+    cubic_roots,
     deflate_root,
-    integer_coefficients,
     integer_resultant,
     poly_gcd,
+    quadratic_roots,
     solve_all_roots,
     sylvester_resultants,
 )
@@ -294,6 +296,27 @@ def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
     )
 
 
+def _pair_systems(oracle: OracleTable, items: Sequence[int], pairs: Sequence[tuple]) -> list:
+    """`pair_system(oracle, p, j, items=items)` for each (p, j) in `pairs`,
+    with every value read by position from the row of the slate `items` and
+    the rows of its drop-one slates."""
+    full = Slate.of(items).items
+    pos = {it: k for k, it in enumerate(full)}
+    row = oracle.entries[full]
+    drop = {k: oracle.entries[full[:pos[k]] + full[pos[k] + 1:]] for pair in pairs for k in pair}
+
+    def value(t, k):
+        """Item t's value on the slate without item k."""
+        return drop[k][pos[t] - (pos[t] > pos[k])]
+
+    return [
+        PairSystemInput(
+            oracle.lam, row[pos[p]], row[pos[j]], value(p, j), value(j, p), pivot=p, partner=j
+        )
+        for p, j in pairs
+    ]
+
+
 def _batch_rows(batch: PairSystemInput, rows: slice) -> PairSystemInput:
     """The systems `rows` of a batched system."""
     vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j, batch.c_pair_i)
@@ -323,29 +346,37 @@ def _leading_safe(coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of each row of ascending coefficients, by eigenvalues of the
-    stacked companion matrices."""
-    k = coeffs.shape[1] - 1
-    comp = np.zeros((len(coeffs), k, k))
-    comp[:, 1:, :-1] = np.eye(k - 1)
-    comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-    return np.linalg.eigvals(comp)
-
-
-def _screen_pairs(batch: PairSystemInput, quartic, tol: float) -> np.ndarray:
+def _screen_pairs(batch: PairSystemInput, quartic, pivots, tol: float) -> np.ndarray:
     """Which pair systems of the batch can add a solution to the report.
 
-    `quartic` holds the batch's `cleared_pair_quartic` rows; both are read as
-    floats. Follows `solve_pair_system` on every row at once: companion
-    eigenvalues of the pair quartic and of the pinned-branch quadratic stand
-    in for the closed-form roots, then the partner map, the Newton polish,
-    admissibility and the residual. Each decision is sure only outside
-    SCREEN_MARGIN of its threshold. A row needs the scalar solver when any
-    decision is unsure, when three quartic roots cluster within
-    1 / SCREEN_MARGIN, or when its surviving candidates are not all one class
-    (close, or at lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN);
-    every other row has at most one solution, which the pair scan skips.
+    `quartic` holds the batch's `cleared_pair_quartic` rows and `pivots` the
+    (P, 1) float pivot weights b_i of the model whose oracle the batch reads;
+    all are read as floats. Follows `solve_pair_system` on every row at
+    once: the row's quartic roots stand in for the closed-form ones, then
+    the partner map, the Newton polish, admissibility and the residual.
+
+    The model's b_i is a root of its own pair quartic q, so each row is
+    deflated at b_i by synthetic division, and its other three roots come
+    from the closed-form cubic (`cubic_roots`); the pinned-branch quadratic
+    is solved in closed form too (`quadratic_roots`). A root z counts only
+    when |q(z)| <= tau_lead * |q| * max(1, |z|)^4, with |q| the row's
+    sup-norm: z is then an exact root of q with one coefficient changed by
+    at most tau_lead * |q| (the constant term when |z| <= 1, the leading one
+    otherwise), a change `RealPolynomial.of` treats as rounding noise when
+    it trims a leading coefficient. The residuals measured on oracle rows
+    are about 1e-15 of that scale, for b_i and the cubic's roots alike. A
+    row with a larger one is unsure: a b_i that is not a root of the row,
+    or a cubic whose closed forms lose their small roots beside a huge one.
+    A pinned truth (a_i = b_i) passes, since its quartic vanishes doubly at
+    b_i; its row is unsure because b_i sits on the pin, where the partner
+    map's denominator vanishes.
+
+    Each decision is sure only outside SCREEN_MARGIN of its threshold. A row
+    needs the scalar solver when any decision is unsure, when three quartic
+    roots cluster within 1 / SCREEN_MARGIN, or when its surviving candidates
+    are not all one class (close, or at lambda = 1 swap-close, within
+    DEDUP_RTOL / SCREEN_MARGIN); every other row has at most one solution,
+    which the pair scan skips.
 
     Returns the (P,) mask of rows to solve.
     """
@@ -353,16 +384,24 @@ def _screen_pairs(batch: PairSystemInput, quartic, tol: float) -> np.ndarray:
     batch = _float_system(batch, pair=True)
     c, lam, quartic = _float_system(batch), batch.lam, quartic.astype(float)
     quad = _coefficient_rows(cleared_partner_quadratic(batch, X))
-    sure = _leading_safe(quartic) & _leading_safe(quad)
     with np.errstate(all="ignore"):
-        # rows that fail the leading-coefficient test get a harmless dummy
-        roots = _companion_roots(np.where(sure[:, None], quartic, 1.0))
-        ys = _companion_roots(np.where(sure[:, None], quad, 1.0))
-        # within a cluster of three roots the closed forms and the
-        # eigenvalues may differ by more than the margin covers
-        gap = abs(roots[:, :, None] - roots[:, None, :])
-        gap /= np.maximum(1.0, abs(roots))[:, :, None]
-        sure = sure & (np.sort(gap, axis=2)[:, :, 2] >= 1 / SCREEN_MARGIN).all(axis=1)
+        # synthetic division at b_i, as in `deflate_root`
+        cubic = [quartic[:, 4:]]
+        for k in (3, 2, 1):
+            cubic.append(quartic[:, k:k + 1] + cubic[-1] * pivots)
+        roots = np.concatenate([pivots, cubic_roots(np.concatenate(cubic[::-1], axis=1))], axis=1)
+        ys = quadratic_roots(quad)
+        # each root's Horner residual against its sup-norm scale
+        value, size = quartic[:, 4:], np.maximum(1.0, abs(roots))
+        for k in range(3, -1, -1):
+            value = value * roots + quartic[:, k:k + 1]
+        scale = DEFAULT_TOL.tau_lead * abs(quartic).max(axis=1, keepdims=True)
+        sure = _leading_safe(quartic) & _leading_safe(quad)
+        sure &= (abs(value) <= scale * size**4).all(axis=1)
+        # within a cluster of three roots the closed forms of the screen
+        # and of the scalar path may differ by more than the margin covers
+        gap = abs(roots[:, :, None] - roots[:, None, :]) / size[:, :, None]
+        sure &= (np.sort(gap, axis=2)[:, :, 2] >= 1 / SCREEN_MARGIN).all(axis=1)
 
         # root branch: four pivot values per row
         bi = roots.real
@@ -400,20 +439,31 @@ def _screen_pairs(batch: PairSystemInput, quartic, tol: float) -> np.ndarray:
         good, bad = good & ok, bad & ok
         survives = exists & adm & good
         fails = absent | (valid & (inadm | bad))
-        sure = sure & (survives | fails).all(axis=1)
+        sure &= (survives | fails).all(axis=1)
 
-        # one class: every two survivors are close, or swap-close at lambda = 1
-        def near(u, v):
-            scale = np.maximum(1.0, np.maximum(abs(u), abs(v)))
-            return (abs(u - v) / scale).max(axis=0) <= DEDUP_RTOL / SCREEN_MARGIN
+        # a generic row has one survivor; only rows with more take the
+        # one-class test
+        several = sure & (survives.sum(axis=1) > 1)
+        if several.any():
+            sure[several] = _one_class(vals[:, several], survives[several], uniform)
+    return ~sure
 
-        left, right = vals[:, :, :, None], vals[:, :, None, :]
-        merged = near(left, right)
-        if uniform:
-            merged |= near(left, right[[2, 3, 0, 1]])
-        both = survives[:, :, None] & survives[:, None, :]
-        one_class = (merged | ~both).all(axis=(1, 2))
-    return ~(sure & one_class)
+
+def _one_class(vals: np.ndarray, survives: np.ndarray, uniform: bool) -> np.ndarray:
+    """Whether each row's surviving candidates among the (4, R, k) values
+    (a_i, a_j, b_i, b_j) are all one class: every two are close, or at
+    lambda = 1 swap-close, within DEDUP_RTOL / SCREEN_MARGIN."""
+
+    def near(u, v):
+        scale = np.maximum(1.0, np.maximum(abs(u), abs(v)))
+        return (abs(u - v) / scale).max(axis=0) <= DEDUP_RTOL / SCREEN_MARGIN
+
+    left, right = vals[:, :, :, None], vals[:, :, None, :]
+    merged = near(left, right)
+    if uniform:
+        merged |= near(left, right[[2, 3, 0, 1]])
+    both = survives[:, :, None] & survives[:, None, :]
+    return (merged | ~both).all(axis=(1, 2))
 
 
 def _band_roots(poly: RealPolynomial) -> list:
@@ -660,8 +710,8 @@ def enumerate_candidates(
         return []
 
     # at m = 3 `_extend_candidate` back-substitutes and reads no system
-    tail = items[2:] if len(items) > 3 else ()
-    systems = {(p, j): pair_system(oracle, p, j, items=items) for j in tail for p in (i0, i1)}
+    tail = [(p, j) for j in items[2:] for p in (i0, i1)] if len(items) > 3 else []
+    systems = dict(zip(tail, _pair_systems(oracle, items, tail)))
     weights = [_extend_candidate(b1, b2, oracle, items, systems) for b1, b2, _ in pairs]
     floats = all(isinstance(v, float) for a, b in weights for v in a + b)
     w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))
@@ -766,7 +816,8 @@ def check_identifiability(
     if n >= 4:
         slate = _coefficient_rows(cleared_pair_slate_quartic(lead, X))
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
-        for i, j in compress(pairs, _screen_pairs(batch, quartic, tol)):
+        pivots = np.array([[float(model.b[i - 1])] for i, _ in pairs])
+        for i, j in compress(pairs, _screen_pairs(batch, quartic, pivots, tol)):
             sys_ij = pair_system(table, i, j, include_pair=True)
             sols = solve_pair_system(sys_ij, tol=tol)
             if is_uniform:

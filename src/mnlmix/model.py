@@ -13,6 +13,7 @@ rational instances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -62,6 +63,13 @@ def format_number(x: Number):
 
 def is_exact(*values: Number) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
+
+
+def integer_coefficients(row) -> tuple:
+    """The integer numerators of a row of rationals (Fractions or ints)
+    over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 @dataclass(frozen=True)
@@ -211,18 +219,34 @@ class OracleTable:
 def oracle_table(model: MixtureModel, slates: Iterable[Slate]) -> OracleTable:
     """Exact oracle on the requested slates; rows sum to 1 + lambda.
 
-    Every cell of every slate is computed in one pass, as
-    (1 + lambda) * `slate_distribution`'s value, bit for bit: slate sums add
-    the slate's weights left to right from 0, as Python's `sum` does, and
-    each cell divides by 1 + lambda before it scales back. Float arrays hold
-    the weights only when every weight and lambda is a float or an int;
-    anything else runs elementwise on the Python numbers in object arrays.
+    Every cell of every slate is computed in one pass. On an exact model,
+    with a = alpha / A, b = beta / B and lambda = l / m over integers, a
+    cell is (alpha_i S_beta m + l beta_i S_alpha) / (S_alpha S_beta m),
+    where S_alpha and S_beta are the slate sums of alpha and beta: one
+    Fraction per cell, the exact value of `slate_distribution`'s times
+    1 + lambda. Otherwise each cell is (1 + lambda) * `slate_distribution`'s
+    value, bit for bit: slate sums add the slate's weights left to right
+    from 0, as Python's `sum` does, and each cell divides by 1 + lambda
+    before it scales back. Float arrays hold the weights only when every
+    weight and lambda is a float or an int; anything else runs elementwise
+    on the Python numbers in object arrays.
     """
     keys = [slate.items for slate in slates]
     lam, n = model.lam, model.n
     bad = next((k for k in keys if k[-1] > n), None)
     if bad is not None:
         raise InvalidSlateError(f"slate {bad} exceeds universe size {n}")
+    if model.exact:
+        (alpha, _), (beta, _) = (integer_coefficients(w.w) for w in (model.a, model.b))
+        l, m = lam.numerator, lam.denominator
+        entries = {}
+        for k in keys:
+            s_alpha, s_beta = sum(alpha[i - 1] for i in k), sum(beta[i - 1] for i in k)
+            den = s_alpha * s_beta * m
+            entries[k] = tuple(
+                Fraction(alpha[i - 1] * s_beta * m + l * beta[i - 1] * s_alpha, den) for i in k
+            )
+        return OracleTable(n, lam, entries)
     numbers = (*model.a.w, *model.b.w, lam)
     dtype = float if all(isinstance(v, (float, int)) for v in numbers) else object
     a, b = (np.array(w.w, dtype) for w in (model.a, model.b))

@@ -9,10 +9,12 @@ arithmetic that builds coefficients from an expression evaluated at ``X``.
 Coefficients may be floats or exact ``fractions.Fraction`` values; the
 closed-form solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
-arithmetic the coefficients carry. `sylvester_resultants` is the
-resultant on stacks of coefficient rows: float rows by `np.linalg.det`,
-Fraction rows by fraction-free integer elimination (`integer_resultant`,
-which also takes integer polynomials as they are).
+arithmetic the coefficients carry. `cubic_roots` and `quadratic_roots`
+are the cubic and quadratic closed forms, unpolished, on stacks of float
+coefficient rows. `sylvester_resultants` is the resultant on stacks of
+coefficient rows: float rows by `np.linalg.det`, Fraction rows by
+fraction-free integer elimination (`integer_resultant`, which also takes
+integer polynomials as they are).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import is_exact
+from .model import integer_coefficients, is_exact
 
 Number = Union[int, float, Fraction]
 
@@ -306,6 +308,58 @@ def solve_cubic(p: RealPolynomial) -> RootSet:
     return _flag_real(tuple(roots))
 
 
+def cubic_roots(rows: np.ndarray) -> np.ndarray:
+    """All three roots of each (P, 4) row of ascending cubic coefficients,
+    as a (P, 3) complex array.
+
+    The trigonometric and Cardano branches of `solve_cubic`, without its
+    balancing scale or Newton polish: a caller must tolerate the closed
+    forms' rounding, and the monic coefficients must stay far from overflow
+    and underflow. A Cardano row gives its real root first, then the
+    conjugate pair. Both branches are computed in real arithmetic on every
+    row, and a row's unused branch may divide by zero, so call this under
+    ``np.errstate(all="ignore")``. A row with a zero leading coefficient
+    gives non-finite roots.
+    """
+    c0, c1, c2 = (rows[:, :3] / rows[:, 3:]).T
+    shift = c2 / 3
+    third_p = c1 / 3 - shift * shift
+    half_q = (shift * (shift * shift * 2 - c1) + c0) / 2
+    disc = half_q * half_q + third_p * third_p * third_p
+    # three real roots where disc <= 0, which forces third_p <= 0; a triple
+    # root has m = 0, and fmax turns its 0 / 0 into -1
+    m = np.sqrt(-third_p)
+    arg = np.fmin(np.fmax(-half_q / (m * m * m), -1.0), 1.0)
+    trig = np.cos(np.arccos(arg)[:, None] / 3 + _THIRDS) * (2 * m)[:, None]
+    # one real root: the cancellation-free cube root, the other from u v = -p/3
+    u = np.cbrt(-half_q - np.copysign(np.sqrt(disc), half_q))
+    v = -third_p / u
+    cardano = (u + v)[:, None] * _CARDANO_REAL + (u - v)[:, None] * _CARDANO_IMAG
+    return np.where((disc > 0)[:, None], cardano, trig) - shift[:, None]
+
+
+# the trigonometric branch's angle offsets, and the Cardano roots as
+# (u + v) times the first row plus (u - v) times the second
+_THIRDS = np.array([0.0, 2 * math.pi / 3, 4 * math.pi / 3])
+_CARDANO_REAL = np.array([1.0, -0.5, -0.5])
+_CARDANO_IMAG = np.array([0.0, math.sqrt(3) / 2 * 1j, -math.sqrt(3) / 2 * 1j])
+
+
+def quadratic_roots(rows: np.ndarray) -> np.ndarray:
+    """Both roots of each (P, 3) row of ascending quadratic coefficients, as
+    a (P, 2) complex array, by `_solve_quadratic`'s cancellation-free
+    formula. A row with a zero leading coefficient gives non-finite roots,
+    and one with a double root at 0 divides 0 by 0 in the branch it does not
+    take, so call this under ``np.errstate(all="ignore")``."""
+    c, b, a = rows.T
+    big = -(b + np.copysign(1.0, b) * np.sqrt((b * b - 4 * a * c).astype(complex)))
+    out = np.empty((len(rows), 2), complex)
+    out[:, 0] = big / (2 * a)
+    # a double root at 0 has big = 0, and both roots are -b / (2 a)
+    out[:, 1] = np.where(abs(big) < 1e-300, out[:, 0], 2 * c / big)
+    return out
+
+
 def solve_quartic(p: RealPolynomial) -> RootSet:
     """All four roots of a degree-4 polynomial via Ferrari's resolvent cubic."""
     if p.degree != 4:
@@ -420,13 +474,6 @@ def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
     carry Fraction coefficients and in floats otherwise."""
     dtype = object if p.exact and q.exact else float
     return sylvester_resultants(np.array([p.coeffs], dtype), np.array([q.coeffs], dtype))[0]
-
-
-def integer_coefficients(row) -> tuple:
-    """The integer numerators of a row of rationals (Fractions or ints)
-    over the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 def _integer_determinant(rows: list) -> int:

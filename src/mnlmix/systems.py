@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import OracleTable, Slate, is_exact
-from .polynomials import X, Coeffs, RealPolynomial, integer_coefficients, sylvester_resultant
+from .model import OracleTable, Slate, integer_coefficients, is_exact
+from .polynomials import X, Coeffs, RealPolynomial, sylvester_resultant
 
 
 # a slate equation of the pair system counts as undefined where one of its

@@ -1,12 +1,15 @@
 """Solution enumeration and identifiability-report tests."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
+import itertools
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mnlmix.identify as identify
@@ -622,10 +625,25 @@ def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
         return build(oracle, i, j, **kwargs)
 
     monkeypatch.setattr(identify, "pair_system", spy)
+    tails = _spy_tail_systems(monkeypatch)
     m = random_instance(3, 2.0, 0)
     cands = enumerate_candidates(oracle_table(m, all_slates(3)), (1, 2, 3))
     assert cands
     assert built == [(1, 2), (2, 1)]
+    assert tails == []
+
+
+def _spy_tail_systems(monkeypatch) -> list:
+    """Record every pair whose system `_pair_systems` builds."""
+    built = []
+    build = identify._pair_systems
+
+    def spy(oracle, items, pairs):
+        built.extend(pairs)
+        return build(oracle, items, pairs)
+
+    monkeypatch.setattr(identify, "_pair_systems", spy)
+    return built
 
 
 def _identify_slates(n: int) -> list:
@@ -726,8 +744,10 @@ def test_no_viable_pair_builds_no_tail_systems(monkeypatch):
         return build(oracle, i, j, **kwargs)
 
     monkeypatch.setattr(identify, "pair_system", spy)
+    tails = _spy_tail_systems(monkeypatch)
     assert enumerate_candidates(table, (1, 2, 3, 4)) == []
     assert built == [(1, 2), (2, 1)]
+    assert tails == []
 
 
 def _extension_starts(m) -> list:
@@ -775,8 +795,8 @@ def _solve_every_pair(monkeypatch):
     """Make the pair screen send every pair to `solve_pair_system`."""
     screen = identify._screen_pairs
 
-    def flag_all(batch, quartic, tol):
-        return np.ones_like(screen(batch, quartic, tol))
+    def flag_all(batch, quartic, pivots, tol):
+        return np.ones_like(screen(batch, quartic, pivots, tol))
 
     monkeypatch.setattr(identify, "_screen_pairs", flag_all)
 
@@ -851,9 +871,9 @@ def test_pair_screen_runs_on_every_report(case, n, monkeypatch):
     rows = []
     screen = identify._screen_pairs
 
-    def spy(batch, quartic, tol):
+    def spy(batch, quartic, pivots, tol):
         rows.append(len(quartic))
-        return screen(batch, quartic, tol)
+        return screen(batch, quartic, pivots, tol)
 
     monkeypatch.setattr(identify, "_screen_pairs", spy)
     check_identifiability(model)
@@ -893,9 +913,9 @@ def test_int_lambda_twin_is_screened_with_equal_report(n, monkeypatch):
     lams = []
     screen = identify._screen_pairs
 
-    def spy(batch, quartic, tol):
+    def spy(batch, quartic, pivots, tol):
         lams.append(type(batch.lam))
-        return screen(batch, quartic, tol)
+        return screen(batch, quartic, pivots, tol)
 
     monkeypatch.setattr(identify, "_screen_pairs", spy)
     for seed in range(10):
@@ -1351,3 +1371,111 @@ def test_stacked_sylvester_determinant_exact(cases, scales):
     assert stacked[common] == 0
     if (m, n) in _ZERO_PIVOT_PAIRS:
         assert stacked[-1] != 0
+
+
+def _fields(sys: PairSystemInput) -> list:
+    return [(f.name, type(v), v) for f in dataclasses.fields(sys) for v in [getattr(sys, f.name)]]
+
+
+@pytest.mark.parametrize("case", ["float", "rational", "fraction-lambda", "int-lambda"])
+@pytest.mark.parametrize("n, items", [(4, None), (6, None), (6, (2, 4, 5, 6))])
+def test_pair_systems_by_position_equal_pair_system(case, n, items):
+    """`_pair_systems` reads every value by position and gives
+    `pair_system`'s inputs field for field, number types included, over
+    the universe and over a block of it (as the learner's tables hold)."""
+    m = random_instance(n, 2.0, 3)
+    model = {
+        "float": lambda: m,
+        "rational": lambda: _rational_draw(n, 3),
+        "fraction-lambda": lambda: _with_lambda(m, F(3, 2)),
+        "int-lambda": lambda: _with_lambda(m, 2),
+    }[case]()
+    items = items or tuple(range(1, n + 1))
+    table = oracle_table(model, all_slates(n, items=items))
+    pairs = list(itertools.permutations(items, 2))
+    for (p, j), sys in zip(pairs, identify._pair_systems(table, items, pairs)):
+        assert _fields(sys) == _fields(pair_system(table, p, j, items=items))
+
+
+def _pinned_draw(n: int, seed: int, pinned: set, lam):
+    """The rational draw of `random_instance(n, 2.0, seed)`, denominators up
+    to 1000, with a_i = b_i for every item i in `pinned`; the last free
+    item takes up what a's sum needs. None when a weight is not positive."""
+    m = random_instance(n, 2.0, seed)
+    b = [F(x).limit_denominator(1000) for x in m.b.w[:-1]]
+    b.append(1 - sum(b))
+    a = [b[i] if i + 1 in pinned else F(x).limit_denominator(1000) for i, x in enumerate(m.a.w)]
+    last = max(i for i in range(n) if i + 1 not in pinned)
+    a[last] += 1 - sum(a)
+    if min(a) <= 0 or min(b) <= 0:
+        return None
+    return MixtureModel.of(a, b, lam)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([4, 5, 6]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+    st.sampled_from([F(2), F(1), F(1, 2)]),
+)
+def test_screened_reports_equal_unscreened_on_planted_pins(n, seed, data, lam):
+    """Rational draws with a_i = b_i on a random subset of at most n - 2
+    items, and their float twins. A pinned pivot's quartic vanishes at b_i
+    (doubly, as -lambda c num(b_i)^2 with num(b_i) = 0), so the screen's
+    residual test passes; the row still goes to the scalar solver, because
+    b_i sits on the pin, and the reports equal those with every pair
+    solved."""
+    pinned = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 2))
+    model = _pinned_draw(n, seed, pinned, lam)
+    assume(model is not None)
+    twin = MixtureModel.of(
+        [float(x) for x in model.a.w], [float(x) for x in model.b.w], float(lam)
+    )
+    for m in (model, twin):
+        solved = []
+        solve = identify.solve_pair_system
+        with pytest.MonkeyPatch.context() as patch:
+
+            def spy(sys, **kwargs):
+                solved.append((sys.pivot, sys.partner))
+                return solve(sys, **kwargs)
+
+            patch.setattr(identify, "solve_pair_system", spy)
+            screened = check_identifiability(m).to_dict()
+            patch.setattr(identify, "_screen_pairs", lambda batch, *_: np.ones(len(batch.c_full_i), bool))
+            assert check_identifiability(m).to_dict() == screened
+        if "collapse" in screened["codes"]:
+            continue
+        pairs = combinations(range(1, n + 1), 2)
+        assert {(i, j) for i, j in pairs if i in pinned} <= set(solved)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_truth_among_full_solutions_on_benchmark_stream(seed):
+    """The first 300 inputs of the `identify-n14` benchmark's stream at this
+    seed (`random_instance(14, 2.0, s)` with s drawn by
+    `random.Random(seed).getrandbits(32)`): each report is unique and holds
+    the truth among its full solutions, under the dedup closeness rule."""
+    stream = random.Random(seed)
+    for _ in range(300):
+        m = random_instance(14, 2.0, stream.getrandbits(32))
+        rep = check_identifiability(m)
+        full = [s for s in rep.solutions if s.level == "full"]
+        assert rep.unique
+        assert any(_close(s.a + s.b, m.a.w + m.b.w) for s in full)
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3])
+def test_screen_solves_rows_whose_pivot_is_not_a_root(shift):
+    """A pivot weight that misses its row's quartic root fails the screen's
+    residual test, so every row goes to the scalar solver."""
+    n = 5
+    pairs = list(combinations(range(1, n + 1), 2))
+    for seed in range(10):
+        m = random_instance(n, 2.0, seed)
+        batch = identify._pair_batch(oracle_table(m, all_slates(n)), pairs)
+        quartic = identify._coefficient_rows(cleared_pair_quartic(batch, X))
+        pivots = np.array([[m.b[i - 1] + shift] for i, _ in pairs])
+        assert not identify._screen_pairs(batch, quartic, pivots - shift, 1e-8).all()
+        assert identify._screen_pairs(batch, quartic, pivots, 1e-8).all()

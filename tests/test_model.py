@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mnlmix.identify import exact_model
 from mnlmix.model import (
     InvalidSlateError,
     MixtureModel,
@@ -124,6 +125,10 @@ _TABLE_MODELS = {
     ),
     "float-weights-int-lambda": lambda m: MixtureModel.of(m.a.w, m.b.w, 3),
     "float-weights-fraction-lambda": lambda m: MixtureModel.of(m.a.w, m.b.w, F(3, 2)),
+    "rational-int-lambda": lambda m: MixtureModel.of(_rational_weights(m.a.w), _rational_weights(m.b.w), 2),
+    # exact images of float draws, lambda 0.7 included: denominators near 2^53
+    "exact-float-draw": lambda m: exact_model(MixtureModel.of(m.a.w, m.b.w, 0.7)),
+    "exact-float-draw-int-lambda": lambda m: exact_model(MixtureModel.of(m.a.w, m.b.w, 3)),
 }
 
 

@@ -1,10 +1,13 @@
 """Solver, deflation, resultant, and Sturm-sequence tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnlmix.polynomials import (
     DEFAULT_TOL,
@@ -14,12 +17,15 @@ from mnlmix.polynomials import (
     NotARootError,
     PolynomialShapeError,
     RealPolynomial,
+    _solve_quadratic,
     count_real_roots_sturm,
     cubic_discriminant,
+    cubic_roots,
     deflate_root,
     interpolate,
     is_exact_root,
     poly_gcd,
+    quadratic_roots,
     solve_all_roots,
     solve_cubic,
     solve_quartic,
@@ -306,3 +312,158 @@ def test_int_leading_coefficient_stays_exact():
     pq = RealPolynomial.of(Coeffs(p.coeffs) * Coeffs(q.coeffs))
     assert count_real_roots_sturm(pq, F(0), F(1)) == 2
     assert count_real_roots_sturm(pq, F(-3), F(1)) == 3
+
+
+_ROOTS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# the pair screen's cut on a leading coefficient, relative to the sup-norm
+_LEAD_CUT = DEFAULT_TOL.tau_lead * 1e3
+
+
+def _companion_eigvals(row) -> list:
+    """Roots of one ascending coefficient row by companion eigenvalues."""
+    k = len(row) - 1
+    comp = np.zeros((k, k))
+    comp[1:, :-1] = np.eye(k - 1)
+    comp[:, -1] = -np.asarray(row[:-1]) / row[-1]
+    return list(np.linalg.eigvals(comp))
+
+
+def _root_errors(got, want) -> list:
+    """|z - w| / max(1, |w|) for each root z of `got`, under the matching of
+    `got` to `want` that makes the largest of them smallest."""
+    return min(
+        ([abs(z - w) / max(1.0, abs(w)) for z, w in zip(got, perm)] for perm in itertools.permutations(want)),
+        key=max,
+    )
+
+
+def _root_tolerance(row, want) -> float:
+    """1e-4 when two roots lie within 1e-2 (relative), where a double or
+    triple root costs the unpolished closed forms and the eigenvalues about
+    eps^(1/2) or eps^(1/3) on every root of the row; 1e-8 otherwise. At
+    least 1e-14 times the largest monic coefficient, the eigenvalues' own
+    error on a small root beside a huge one."""
+    cluster = any(
+        abs(w - v) <= 1e-2 * max(1.0, abs(w)) for w, v in itertools.combinations(want, 2)
+    )
+    return max(1e-4 if cluster else 1e-8, 1e-14 * max(abs(c / row[-1]) for c in row))
+
+
+def _accepted(row, z) -> bool:
+    """The pair screen's residual test: |p(z)| <= tau_lead * |p| * max(1, |z|)^deg."""
+    value = 0
+    for c in reversed(row):
+        value = value * z + c
+    return abs(value) <= DEFAULT_TOL.tau_lead * max(map(abs, row)) * max(1.0, abs(z)) ** (len(row) - 1)
+
+
+def _planted(roots, lead) -> list:
+    """Ascending coefficients of lead * prod (x - r), real for real or
+    conjugate-paired roots."""
+    p = Coeffs([lead])
+    for r in roots:
+        p = p * (X - r)
+    return [complex(c).real for c in p]
+
+
+# zero or at least 1e-6 in size: the closed forms take no balancing scale,
+# so coefficients near underflow are out of their range
+_coefficient = st.just(0.0) | st.floats(1e-6, 10) | st.floats(-10, -1e-6)
+_lead = st.floats(0.1, 10) | st.floats(-10, -0.1)
+_spot = st.floats(-3, 3)
+_split = st.floats(1e-9, 1e-3)
+
+
+@st.composite
+def _cubic_rows(draw):
+    """(kind, row): random coefficients; a planted near-double, near-triple
+    or near-double complex-pair cluster; or a leading coefficient just
+    above the screen's cut."""
+    kind = draw(st.sampled_from(["random", "double", "triple", "pair", "lead"]))
+    lead, r, s = draw(_lead), draw(_spot), draw(_spot)
+    if kind == "random":
+        row = [draw(_coefficient) for _ in range(3)] + [lead]
+    elif kind == "double":
+        row = _planted([r, r + draw(_split), s], lead)
+    elif kind == "triple":
+        row = _planted([r, r + draw(_split), r - draw(_split)], lead)
+    elif kind == "pair":
+        z = complex(r, draw(_split))
+        row = _planted([z, z.conjugate(), s], lead)
+    else:
+        row = [draw(_coefficient) for _ in range(3)]
+        scale = max(map(abs, row)) or 1.0
+        row.append(math.copysign(_LEAD_CUT * draw(st.floats(1.001, 10)) * scale, lead))
+    return kind, row
+
+
+@_ROOTS
+@given(_cubic_rows())
+def test_stacked_cubic_roots_match_solve_cubic_and_eigenvalues(case):
+    """`cubic_roots` gives every root of a well-scaled cubic as
+    `solve_cubic` and the companion eigenvalues do. Next to the
+    leading-coefficient cut the closed forms can lose the small roots
+    beside a huge one (so can `solve_cubic`); every root there either
+    matches the eigenvalues or fails the screen's residual test."""
+    kind, row = case
+    with np.errstate(all="ignore"):
+        got = cubic_roots(np.array([row]))[0].tolist()
+    eig = _companion_eigvals(row)
+    tol = _root_tolerance(row, eig)
+    if kind == "lead":
+        errs = _root_errors(got, eig)
+        assert all(err <= tol or not _accepted(row, z) for z, err in zip(got, errs))
+        return
+    assert max(_root_errors(got, eig)) <= tol
+    assert max(_root_errors(got, solve_cubic(RealPolynomial.of(row)).roots)) <= tol
+
+
+@st.composite
+def _quadratic_rows(draw):
+    """(kind, row): random coefficients, a planted near-double real or
+    complex pair, or a leading coefficient just above the screen's cut."""
+    kind = draw(st.sampled_from(["random", "double", "pair", "lead"]))
+    lead, r = draw(_lead), draw(_spot)
+    if kind == "random":
+        row = [draw(_coefficient), draw(_coefficient), lead]
+    elif kind == "double":
+        row = _planted([r, r + draw(_split)], lead)
+    elif kind == "pair":
+        z = complex(r, draw(_split))
+        row = _planted([z, z.conjugate()], lead)
+    else:
+        row = [draw(_coefficient), draw(_coefficient)]
+        scale = max(map(abs, row)) or 1.0
+        row.append(math.copysign(_LEAD_CUT * draw(st.floats(1.001, 10)) * scale, lead))
+    return kind, row
+
+
+@_ROOTS
+@given(_quadratic_rows())
+def test_stacked_quadratic_roots_match_solve_quadratic_and_eigenvalues(case):
+    """`quadratic_roots` is `_solve_quadratic`'s cancellation-free formula
+    on a stack: it keeps the small root beside a huge one, and agrees with
+    the scalar formula and the companion eigenvalues, a near-double root to
+    1e-4."""
+    kind, row = case
+    with np.errstate(all="ignore"):
+        got = quadratic_roots(np.array([row]))[0].tolist()
+    eig = _companion_eigvals(row)
+    assert max(_root_errors(got, eig)) <= _root_tolerance(row, eig)
+    scale = max(map(abs, row))
+    scalar = list(_solve_quadratic(*(c / scale for c in reversed(row))))
+    tol = _root_tolerance([1.0], scalar)
+    assert max(_root_errors(got, scalar)) <= tol
+    assert all(_accepted(row, z) for z in got)
+
+
+def test_stacked_roots_take_every_row_alone():
+    """Each row's roots do not depend on the other rows of its stack."""
+    rows = np.array([_planted([0.2, 0.5, 0.9], 2.0), _planted([1j, -1j, 0.3], -1.0), [0.0, 0.0, 0.0, 1.0]])
+    with np.errstate(all="ignore"):
+        stacked = cubic_roots(rows)
+        alone = [cubic_roots(row[None])[0] for row in rows]
+    assert np.array_equal(stacked, np.array(alone))
+    assert sorted(stacked[0].real) == pytest.approx([0.2, 0.5, 0.9], abs=1e-12)
+    assert sorted(stacked[1], key=lambda z: (z.imag, z.real)) == pytest.approx([-1j, 0.3, 1j], abs=1e-12)
+    assert stacked[2].tolist() == [0, 0, 0]

@@ -62,7 +62,7 @@ import argparse
 import hashlib
 import json
 import random
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
 from fractions import Fraction
 
 from mnlmix import experiments as xp
@@ -74,7 +74,7 @@ from mnlmix.identify import (
     solve_pair_system,
 )
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
+from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
 from mnlmix.systems import pair_system
 
 LAMBDAS = (2.0, 1.0, 0.7)
@@ -173,8 +173,9 @@ def pair_solutions(model) -> list:
 
 
 def identify_slates(n: int) -> list:
-    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads."""
-    return [s for s in all_slates(n) if len(s) in (2, n - 1, n)]
+    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads,
+    built as it builds them and in the order `all_slates` lists them."""
+    return [Slate(c) for k in sorted({2, n - 1, n}) for c in combinations(range(1, n + 1), k)]
 
 
 def all_candidates(table, items, tol) -> dict:

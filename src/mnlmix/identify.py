@@ -7,7 +7,9 @@ weight assignment, and residual filtering against every available slate
 equation decides admissibility. Uniqueness holds when exactly one admissible
 class survives (up to component swap at lambda = 1). A batched numpy screen
 of every pair system, on the table's float image, sends to the scalar pair
-solver only the pairs that can add a second solution.
+solver only the pairs that can add a second solution; it takes one root of
+each pair quartic from the model's own pivot weight and the others from
+stacked closed forms.
 """
 
 from __future__ import annotations

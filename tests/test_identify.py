@@ -4,8 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-import itertools
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -1392,7 +1391,7 @@ def test_pair_systems_by_position_equal_pair_system(case, n, items):
     }[case]()
     items = items or tuple(range(1, n + 1))
     table = oracle_table(model, all_slates(n, items=items))
-    pairs = list(itertools.permutations(items, 2))
+    pairs = list(permutations(items, 2))
     for (p, j), sys in zip(pairs, identify._pair_systems(table, items, pairs)):
         assert _fields(sys) == _fields(pair_system(table, p, j, items=items))
 

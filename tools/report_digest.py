@@ -45,15 +45,15 @@ n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 `learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
-takes 30 to 45 s on two cores; the n = 20 identify family, 10 seeds per
+takes about 26 s on two cores; the n = 20 identify family, 10 seeds per
 lambda, is about 1 s of that, the rational families about 5 s, the
 families near the pair scan's number-type edges (lambda 1 and 1/2, small
 denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the rational learn-oracle families under
 1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
 benchmark-input sampling family about 4 s, the candidate families about
-11 s (6 s at tol = inf, 5 s at the default tol, 85 ms of each n = 14 draw
-in `identify_slates`) and the experiments about 2 s.
+2 s (0.9 s at tol = inf, 1.1 s at the default tol) and the experiments
+about 2 s.
 """
 
 from __future__ import annotations

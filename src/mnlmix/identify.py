@@ -1,20 +1,25 @@
 """Solution enumeration and identifiability checks for small universes.
 
-The pair-system quartic bounds the candidate pivot weights. A root pair
-that leaves the admissible band, or that fails the two pivots' own slate,
-is dropped at once; back-substitution turns each remaining root into a full
-weight assignment, and residual filtering against every available slate
-equation decides admissibility. Uniqueness holds when exactly one admissible
-class survives (up to component swap at lambda = 1). A batched numpy screen
-of every pair system, on the table's float image, sends to the scalar pair
-solver only the pairs that can add a second solution; it takes one root of
-each pair quartic from the model's own pivot weight and the others from
-stacked closed forms.
+A report builds one batch of pair systems, whose oracle fields are arrays
+in the table's arithmetic, and evaluates each of its quartic rows once. The
+full enumeration reads the batch's (2, 1) and (1, 2) quartics for the
+candidate pivot weights: a root pair that leaves the admissible band, or
+that fails the two pivots' own slate, is dropped at once, and each
+remaining pair is extended over the other items through the batch's (1, j)
+and (2, j) systems, all pairs and items in one array partner map and one
+Newton polish. Residual filtering against every available slate equation
+decides admissibility. Uniqueness holds when exactly one admissible class
+survives (up to component swap at lambda = 1, where a report shows a fixed
+member of each class). A batched numpy screen of every pair system, on the
+table's float image, sends to the scalar pair solver only the pairs that
+can add a second solution; it takes one root of each pair quartic from the
+model's own pivot weight and the others from stacked closed forms. The
+resultant gates read the batch's (1, j) rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, compress, islice
 from typing import Sequence
@@ -60,6 +65,7 @@ from .systems import (
     partner_map,
     partner_value,
     pair_system_residual,
+    pivot_pinned,
 )
 
 # residual at or below which a candidate solves the oracle equations; the
@@ -77,7 +83,7 @@ CERT_DECADES = 4
 SCREEN_MARGIN = 1e3
 # Newton polish of a pair: step count, the Jacobian determinant under which
 # it stops, and the residual at which it has converged; `_polish_pair` and
-# `_polish_batch` share these values and agree to rounding (see the latter)
+# `_polish_batch` share these values and agree bit for bit
 POLISH_STEPS = 12
 POLISH_DET_FLOOR = 1e-14
 POLISH_STOP = 1e-15
@@ -183,31 +189,35 @@ def _float_system(sys: PairSystemInput, pair: bool = False) -> PairSystemInput:
 
 
 def _drop_equations(c: PairSystemInput, x, y):
-    """Residuals of the two drop-slate equations at (b_i, b_j) = (x, y) and
-    their closed-form Jacobian.
+    """Residuals (e1, e2) of the two drop-slate equations at
+    (b_i, b_j) = (x, y).
 
     On floats, None when a denominator is guarded. On arrays every entry is
-    computed and a fourth item masks the entries that are valid; the others
+    computed and a third item masks the entries that are valid; the others
     hold no meaningful value.
     """
     lam = c.lam
-    ai = c.c_full_i - lam * x
-    aj = c.c_full_j - lam * y
-    (e1, e2), (ok1, ok2) = pair_equations(c, ai, aj, x, y)
-    ok = ok1 & ok2
-    batched = isinstance(x, np.ndarray)
-    if not (batched or ok):
-        return None
+    (e1, e2), (ok1, ok2) = pair_equations(c, c.c_full_i - lam * x, c.c_full_j - lam * y, x, y)
+    if isinstance(x, np.ndarray):
+        return e1, e2, ok1 & ok2
+    return (e1, e2) if ok1 and ok2 else None
+
+
+def _drop_jacobian(c: PairSystemInput, x, y) -> tuple:
+    """The closed-form Jacobian of `_drop_equations` at (x, y), row by row.
+
+    Squares are written as products: Python's `**` on floats is libm `pow`,
+    which differs from numpy's square in the last bit on some inputs.
+    """
+    lam = c.lam
+    ai, aj = c.c_full_i - lam * x, c.c_full_j - lam * y
     da, db, dc, dd = 1 - aj, 1 - y, 1 - ai, 1 - x
-    jac = (
+    return (
         lam / db - lam / da,
-        lam * x / db**2 - lam * ai / da**2,
-        lam * y / dd**2 - lam * aj / dc**2,
+        lam * x / (db * db) - lam * ai / (da * da),
+        lam * y / (dd * dd) - lam * aj / (dc * dc),
         lam / dd - lam / dc,
     )
-    if batched:
-        return e1, e2, jac, ok
-    return e1, e2, jac
 
 
 def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH_STEPS):
@@ -225,7 +235,8 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
         return bi, bj
     best = (abs(cur[0]) + abs(cur[1]), x, y)
     for _ in range(steps):
-        f1, f2, (j11, j12, j21, j22) = cur
+        f1, f2 = cur
+        j11, j12, j21, j22 = _drop_jacobian(c, x, y)
         det = j11 * j22 - j12 * j21
         if abs(det) < POLISH_DET_FLOOR:
             break
@@ -245,84 +256,85 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
 
 def _polish_batch(c: PairSystemInput, x, y, live):
     """`_polish_pair` on arrays, for the entries where `live` is set: each
-    takes the scalar loop's Newton steps and stops where that loop would
-    break.
+    takes the scalar loop's Newton steps, in the same operations, and stops
+    where that loop would break, so each entry equals `_polish_pair` from
+    its start bit for bit. The other entries come back unchanged.
 
-    The two agree to rounding, not bit for bit: `_drop_equations`' `db**2`
-    is libm `pow` on Python floats and numpy's square on arrays, which
-    differ in the last bit on about 1 in 1200 uniform draws in (0, 1).
+    Every entry steps; one that has stopped holds no meaningful value after
+    that, and only the best values of live entries are kept.
     """
-    e1, e2, jac, ok = _drop_equations(c, x, y)
-    live = live & ok
-    best_err = np.where(live, abs(e1) + abs(e2), np.inf)
-    best_x, best_y = x, y
-    for _ in range(POLISH_STEPS):
-        j11, j12, j21, j22 = jac
-        det = j11 * j22 - j12 * j21
-        live = live & (abs(det) >= POLISH_DET_FLOOR)
-        if not live.any():
-            break
-        det = np.where(live, det, 1.0)
-        x = np.where(live, x + (-e1 * j22 + e2 * j12) / det, x)
-        y = np.where(live, y + (-j11 * e2 + j21 * e1) / det, y)
-        e1, e2, jac, ok = _drop_equations(c, x, y)
+    with np.errstate(all="ignore"):
+        e1, e2, ok = _drop_equations(c, x, y)
         live = live & ok
-        err = abs(e1) + abs(e2)
-        better = live & (err < best_err)
-        best_err = np.where(better, err, best_err)
-        best_x, best_y = np.where(better, x, best_x), np.where(better, y, best_y)
-        live = live & ~(err < POLISH_STOP)
+        best_err = np.where(live, abs(e1) + abs(e2), np.inf)
+        best_x, best_y = x, y
+        for _ in range(POLISH_STEPS):
+            if not live.any():
+                break
+            j11, j12, j21, j22 = _drop_jacobian(c, x, y)
+            det = j11 * j22 - j12 * j21
+            live = live & (abs(det) >= POLISH_DET_FLOOR)
+            x = x + (-e1 * j22 + e2 * j12) / det
+            y = y + (-j11 * e2 + j21 * e1) / det
+            e1, e2, ok = _drop_equations(c, x, y)
+            live = live & ok
+            err = abs(e1) + abs(e2)
+            better = live & (err < best_err)
+            best_err = np.where(better, err, best_err)
+            best_x, best_y = np.where(better, x, best_x), np.where(better, y, best_y)
+            live = live & ~(err < POLISH_STOP)
     return best_x, best_y
 
 
-def _pair_batch(table: OracleTable, pairs: Sequence[tuple]) -> PairSystemInput:
-    """`pair_system(table, i, j, include_pair=True)` for every (i, j), i < j,
-    in `pairs`, as one system whose oracle fields are (P, 1) arrays in the
+def _pair_batch(
+    table: OracleTable, pairs: Sequence[tuple], items=None, include_pair: bool = True
+) -> PairSystemInput:
+    """`pair_system(table, i, j, items, include_pair)` for every (i, j) in
+    `pairs`, as one system whose oracle fields are (P, 1) arrays in the
     table's arithmetic: float arrays of float values, object arrays of
-    Fractions. Its lambda is the table's, a float, int or Fraction."""
-    n = table.n
-    universe = tuple(range(1, n + 1))
-    full = np.array(table.entries[universe])
-    # drop[k, t]: value of item t + 1 on the slate without item k + 1
-    drop = np.zeros((n, n), full.dtype)
-    for k in range(n):
-        drop[k, np.arange(n) != k] = table.entries[universe[:k] + universe[k + 1:]]
-    i, j = (np.array(side)[:, None] - 1 for side in zip(*pairs))
+    Fractions. Every value is read by position from the row of the slate
+    `items` (default: the universe) and the rows of its drop-one slates.
+    Its lambda is the table's, a float, int or Fraction."""
+    entries = table.entries
+    full = Slate.of(items if items is not None else range(1, table.n + 1)).items
+    row = np.array(entries[full])
+    # drop[k, t]: value of item full[t] on the slate without item full[k]
+    # (the diagonal holds a 0 that no system reads)
+    drop = []
+    for k in range(len(full)):
+        values = entries[full[:k] + full[k + 1:]]
+        drop.append(values[:k] + (0,) + values[k:])
+    drop = np.array(drop, row.dtype)
+    # position of each item in the row
+    pos = np.zeros(full[-1] + 1, int)
+    pos[list(full)] = range(len(full))
+    i, j = (pos[list(side)][:, None] for side in zip(*pairs))
+    c_pair = None
+    if include_pair:
+        c_pair = np.array(
+            [entries[p][0] if p[0] < p[1] else entries[p[::-1]][1] for p in pairs]
+        )[:, None]
     return PairSystemInput(
         lam=table.lam,
-        c_full_i=full[i],
-        c_full_j=full[j],
+        c_full_i=row[i],
+        c_full_j=row[j],
         c_drop_j_i=drop[j, i],
         c_drop_i_j=drop[i, j],
-        c_pair_i=np.array([table.entries[p][0] for p in pairs])[:, None],
+        c_pair_i=c_pair,
     )
-
-
-def _pair_systems(oracle: OracleTable, items: Sequence[int], pairs: Sequence[tuple]) -> list:
-    """`pair_system(oracle, p, j, items=items)` for each (p, j) in `pairs`,
-    with every value read by position from the row of the slate `items` and
-    the rows of its drop-one slates."""
-    full = Slate.of(items).items
-    pos = {it: k for k, it in enumerate(full)}
-    row = oracle.entries[full]
-    drop = {k: oracle.entries[full[:pos[k]] + full[pos[k] + 1:]] for pair in pairs for k in pair}
-
-    def value(t, k):
-        """Item t's value on the slate without item k."""
-        return drop[k][pos[t] - (pos[t] > pos[k])]
-
-    return [
-        PairSystemInput(
-            oracle.lam, row[pos[p]], row[pos[j]], value(p, j), value(j, p), pivot=p, partner=j
-        )
-        for p, j in pairs
-    ]
 
 
 def _batch_rows(batch: PairSystemInput, rows: slice) -> PairSystemInput:
     """The systems `rows` of a batched system."""
     vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j, batch.c_pair_i)
-    return PairSystemInput(batch.lam, *(v[rows] for v in vals))
+    return PairSystemInput(batch.lam, *(None if v is None else v[rows] for v in vals))
+
+
+def _row_system(batch: PairSystemInput, row: int, pivot: int, partner: int) -> PairSystemInput:
+    """System `row` of a batched system as the scalar (pivot, partner)
+    system, without its two-item slate value."""
+    vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j)
+    return PairSystemInput(batch.lam, *(v.item(row, 0) for v in vals), pivot=pivot, partner=partner)
 
 
 def _coefficient_rows(coeffs: Sequence) -> np.ndarray:
@@ -543,8 +555,10 @@ def slate_cells(rows, items: Sequence[int]) -> tuple:
     rows over `items`, then each (row, item) value's row, item column and
     value, in row order; values are floats or the rows' own Fractions."""
     pos = {it: idx for idx, it in enumerate(items)}
-    cells = [(r, pos[i], c) for r, (slate, row) in enumerate(rows) for i, c in zip(slate, row)]
-    row_of, col_of, values = map(np.array, zip(*cells))
+    slates, rows = zip(*rows)
+    row_of = np.repeat(np.arange(len(rows)), [len(slate) for slate in slates])
+    col_of = np.array([pos[i] for slate in slates for i in slate])
+    values = np.array([c for row in rows for c in row])
     member = np.zeros((len(rows), len(pos)), bool)
     member[row_of, col_of] = True
     return member, row_of, col_of, values
@@ -623,50 +637,68 @@ def _integer_cells(a, b, lam, cells) -> np.ndarray:
     return np.where(bad, np.inf, cells.max(axis=1))
 
 
-def _extend_candidate(
-    b1,
-    b2,
-    oracle: OracleTable,
-    items: Sequence[int],
-    systems: dict,
-) -> tuple:
-    """Complete (b1, b2) on the first two items to weights over all items.
+def _tail_weights(batch: PairSystemInput, t: int, sys01, sys10, b1: list, b2: list) -> np.ndarray:
+    """The (K, t) weights b_j of the t tail items of the pivot pairs
+    (b1, b2), for a batch whose leading rows are `_enumeration_pairs`'.
 
-    Each b_j comes from the (pivot, j) partner map. Near the pin the map's
-    denominator is small and amplifies any pivot error, so a float b_j is
-    Newton-refined on the (pivot, j) system; the pivot keeps its value from
-    the first pair.
+    Each b_j comes from the first pivot's partner map on the (first, j)
+    system; where that pivot is pinned, from the second's on the (second, j)
+    system; where both are, it is c_full_j / (1 + lambda), the all-pinned
+    value, exact for fully collapsed models. A pin depends on the pivot
+    alone (`pivot_pinned`), so each pair takes one of the three for all its
+    tail items, and the mapped pairs share one array partner map. Near the
+    pin the map's denominator is small and amplifies any pivot error, so a
+    b_j from a float pivot is Newton-refined on its system (`_polish_batch`)
+    with the pivot as the other unknown; the pivot keeps its value. Every
+    entry takes the scalar operations of `partner_value` and `_polish_pair`
+    in the table's own arithmetic (object arrays on an exact table), so it
+    equals the scalar loop bit for bit.
     """
-    m, lam = len(items), oracle.lam
-    full = Slate.of(items)
-    c_full = {i: oracle.value_for(full, i) for i in items}
-    if m == 3:
-        a1, a2, a3, b3 = back_substitute(
-            b1, b2, (c_full[items[0]], c_full[items[1]], c_full[items[2]]), lam
-        )
-        return (a1, a2, a3), (b1, b2, b3)
-    bs = {items[0]: b1, items[1]: b2}
-    for j in items[2:]:
-        for pivot, bp in ((items[0], b1), (items[1], b2)):
-            found = _pivot_pairs(systems[(pivot, j)], [bp])
-            if found:
-                bs[j] = found[0][1]
-                break
-        else:
-            # both pivots pinned: fall through to the all-pinned branch,
-            # which is exact for fully collapsed models
-            bs[j] = c_full[j] / (1 + lam)
-    a = tuple(c_full[i] - lam * bs[i] for i in items)
-    b = tuple(bs[i] for i in items)
-    return a, b
+    lam = batch.lam
+    vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j)
+    fields = [v[2:2 + 2 * t, 0] for v in vals]
+    out = np.empty((len(b1), t), fields[0].dtype)
+    out[:] = fields[1][:t] / (1 + lam)
+    second = [pivot_pinned(u, sys01) for u in b1]
+    mapped = [k for k, p in enumerate(second) if not (p and pivot_pinned(b2[k], sys10))]
+    if not mapped:
+        return out
+    # the mapped pairs' pivot values, against the rows of their pivot's
+    # systems (the first pivot's rows when no pair uses the second)
+    x = np.array([[b2[k] if second[k] else b1[k]] for k in mapped], out.dtype)
+    rows = t * np.array([[second[k]] for k in mapped]) + np.arange(t) if any(second) else slice(t)
+    sys = PairSystemInput(lam, *(f[rows] for f in fields))
+    num, den = partner_map(sys)
+    y = num(x) / den(x)
+    live = np.ones(y.shape, bool)
+    if out.dtype == object:
+        live &= np.array([[not is_exact(v)] for v in x[:, 0]])
+    if live.any():
+        c = _float_system(sys)
+        _, polished = _polish_batch(c, np.asarray(x, float), np.asarray(y, float), live)
+        y = np.where(live, polished, y)
+    out[mapped] = y
+    return out
+
+
+def _enumeration_pairs(items: Sequence[int]) -> list:
+    """The pair systems that the enumeration over `items` reads, in its
+    batch order: (second, first) and (first, second), then, from four items
+    on, (first, j) and (second, j) for each later item j (three items are
+    back-substituted)."""
+    first, second, *tail = items
+    if len(tail) < 2:
+        tail = []
+    head = [(second, first), (first, second)]
+    return head + [(first, j) for j in tail] + [(second, j) for j in tail]
 
 
 def _viable_pairs(pairs: list, oracle: OracleTable, sys01: PairSystemInput, tol: float) -> list:
     """The (b1, b2, branch) pivot pairs of `sys01` whose full candidates can
     survive `enumerate_candidates`' filter.
 
-    A pair fixes a1 and a2 through the full slate, as `_extend_candidate`
-    does. It is dropped when (a1, a2, b1, b2) is not admissible, or when the
+    A pair fixes a1 and a2 through the full slate, as `_enumerate` does.
+    It is dropped when (a1, a2, b1, b2) is not admissible, or when the
     table holds the two pivots' slate and the pair's cells there, computed
     as `full_residual` computes them, are not at most tol (inf where the
     slate sum is not positive). The full candidate would fail as well: its
@@ -692,38 +724,64 @@ def enumerate_candidates(
 ) -> list:
     """All admissible full assignments over `items` consistent with the oracle.
 
-    Candidate pivot pairs come from the quartics of the (first, second) and
-    (second, first) item pairs plus the doubly pinned branch, so both
-    degenerate branches are covered. Pairs that cannot survive are dropped
-    before extension (`_viable_pairs`). Returns the candidates whose weights
-    lie within TAU_ADM of [0, 1] and whose full residual is at most tol.
+    Builds the batch of `_enumeration_pairs(items)` and its two leading
+    quartic rows, then runs `_enumerate`, as `check_identifiability` does on
+    its own batch. Returns the candidates whose weights lie within TAU_ADM
+    of [0, 1] and whose full residual is at most tol.
     """
     items = tuple(items)
-    i0, i1 = items[0], items[1]
-    sys01 = pair_system(oracle, i0, i1, items=items)
-    sys10 = pair_system(oracle, i1, i0, items=items)
-    roots = _band_roots(pair_quartic(sys01))
-    pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots)]
-    roots = _band_roots(pair_quartic(sys10))
-    pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots)]
+    batch = _pair_batch(oracle, _enumeration_pairs(items), items, include_pair=False)
+    quartic = _coefficient_rows(cleared_pair_quartic(_batch_rows(batch, slice(2)), X))
+    return _enumerate(oracle, items, batch, quartic, tol)
+
+
+def _enumerate(oracle: OracleTable, items: tuple, batch: PairSystemInput, quartic, tol: float) -> list:
+    """`enumerate_candidates` on a batch whose leading rows are the systems
+    of `_enumeration_pairs(items)`, with `quartic` the `cleared_pair_quartic`
+    rows of its first two.
+
+    Candidate pivot pairs come from the roots of the (first, second) and
+    (second, first) quartics (`_band_roots`, then `_pivot_pairs`) plus the
+    doubly pinned branch, so both degenerate branches are covered. Pairs
+    that cannot survive are dropped before extension (`_viable_pairs`).
+    Three items are back-substituted; more take their tail weights from the
+    batch's (first, j) and (second, j) systems (`_tail_weights`). Residual
+    filtering against every slate of the table (`full_residual`) decides.
+    """
+    first, second = items[:2]
+    lam = oracle.lam
+    sys10, sys01 = _row_system(batch, 0, second, first), _row_system(batch, 1, first, second)
+    roots10, roots01 = (_band_roots(RealPolynomial.of(row)) for row in quartic[:2])
+    pairs = [(b1, b2, "root") for b1, b2 in _pivot_pairs(sys01, roots01)]
+    pairs += [(b1, b2, "root") for b2, b1 in _pivot_pairs(sys10, roots10)]
     pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
     pairs = _viable_pairs(pairs, oracle, sys01, tol)
     if not pairs:
         return []
 
-    # at m = 3 `_extend_candidate` back-substitutes and reads no system
-    tail = [(p, j) for j in items[2:] for p in (i0, i1)] if len(items) > 3 else []
-    systems = dict(zip(tail, _pair_systems(oracle, items, tail)))
-    weights = [_extend_candidate(b1, b2, oracle, items, systems) for b1, b2, _ in pairs]
-    floats = all(isinstance(v, float) for a, b in weights for v in a + b)
-    w = np.array(weights, dtype=float if floats else object).reshape(len(pairs), 2, len(items))
-    residuals = full_residual(w[:, 0], w[:, 1], oracle, items)
+    b1, b2, branches = (list(v) for v in zip(*pairs))
+    full = Slate.of(items).items
+    value = dict(zip(full, oracle.entries[full]))
+    c_full = [value[i] for i in items]
+    if len(items) == 3:
+        a, b = [], []
+        for u, v in zip(b1, b2):
+            a1, a2, a3, b3 = back_substitute(u, v, c_full, lam)
+            a.append((a1, a2, a3))
+            b.append((u, v, b3))
+    else:
+        tail = _tail_weights(batch, len(items) - 2, sys01, sys10, b1, b2).tolist()
+        b = [(u, v, *rest) for u, v, rest in zip(b1, b2, tail)]
+        a = [tuple(c - lam * bj for c, bj in zip(c_full, bs)) for bs in b]
+    floats = all(isinstance(v, float) for row in a + b for v in row)
+    w = np.array([a, b], dtype=float if floats else object)
+    residuals = full_residual(w[0], w[1], oracle, items)
     cands = [
         CandidateSolution(
-            items=items, a=a, b=b, residual=float(res),
-            admissible=_tuple_admissible(a + b), branch=branch,
+            items=items, a=u, b=v, residual=float(res),
+            admissible=_tuple_admissible(u + v), branch=branch,
         )
-        for (a, b), (_, _, branch), res in zip(weights, pairs, residuals)
+        for u, v, branch, res in zip(a, b, branches, residuals)
     ]
     return _dedup([c for c in cands if c.admissible and c.residual <= tol])
 
@@ -743,20 +801,47 @@ def _swap_dedup(cands: list) -> tuple:
     return kept, merged
 
 
+def _leads(c: CandidateSolution) -> bool:
+    """Whether a_i < b_i at the first item where the two differ by more
+    than DEDUP_RTOL (True when none does): the member of a lambda = 1 swap
+    class that reports show. It is the learner's lexicographic order of
+    (a, b), made robust where a_i and b_i agree to rounding."""
+    for x, y in zip(c.a, c.b):
+        if abs(float(x) - float(y)) > DEDUP_RTOL:
+            return x < y
+    return True
+
+
+def _swap_classes(cands: list) -> tuple:
+    """`_swap_dedup` with a fixed member of each lambda = 1 swap class: the
+    class's first candidate that `_leads`, or else its first candidate with
+    a and b exchanged (the equations are symmetric at lambda = 1, so its
+    residual holds). The members are ordered as `_dedup` orders, so the
+    input order does not decide what is reported."""
+    kept, merged = _swap_dedup(cands)
+    members = []
+    for k in kept:
+        same = [c for c in cands if c is k or _swap_equivalent(c, k)]
+        members.append(next((c for c in same if _leads(c)), replace(k, a=k.b, b=k.a)))
+    return _dedup(members), merged
+
+
 def check_identifiability(
     model: MixtureModel, tol: float = RESIDUAL_TOL
 ) -> IdentifiabilityReport:
     """Decide uniqueness of the model's weights given its exact oracle.
 
-    Enumerates full-system solutions, scans every pair system (with the
-    two-item slate) for pair-level multiplicity, and computes the scaled
-    resultant gates with `_gate_values` on the (1, j) coefficient rows of one
-    batch of pair systems, in the table's arithmetic. At n >= 4 the batch
-    holds every pair, and the pair screen picks from its rows the pairs that
-    `solve_pair_system` solves; it reads them as floats, so on an exact
-    table only the (1, j) rows are evaluated exactly. Unique means a single
-    admissible class at both levels. At lambda = 1 solutions are classes up
-    to component swap.
+    Builds one batch of pair systems (with the two-item slate), in the
+    table's arithmetic: (2, 1), then every pair (i, j), i < j. The full
+    enumeration (`_enumerate`) reads its (2, 1), (1, 2), (1, j) and (2, j)
+    systems and their quartic rows; at n >= 4 the pair screen picks from
+    the rows from (1, 2) on the pairs that `solve_pair_system` solves, for
+    pair-level multiplicity; and `_gate_values` computes the scaled
+    resultant gates on the (1, j) rows. The screen reads its rows as
+    floats, so on an exact table only the (2, 1) and (1, j) rows are
+    evaluated exactly. Unique means a single admissible class at both
+    levels. At lambda = 1 solutions are classes up to component swap, and
+    each class is shown by a fixed member (`_swap_classes`).
     """
     n = model.n
     codes: list = []
@@ -785,12 +870,31 @@ def check_identifiability(
     ]
     table = oracle_table(model, budget)
 
-    full_cands = enumerate_candidates(table, tuple(range(1, n + 1)), tol=tol)
+    # one batch of pair systems: (2, 1), then every pair (i, j), i < j, in
+    # order, so that the enumeration's (2, 1), (1, 2), (1, j) and (2, j)
+    # systems lead (`_enumeration_pairs`). The gates read the (1, j) quartic
+    # rows and, at n >= 4, their pair-slate quartic rows; the pair screen
+    # reads every row from (1, 2) on. At n = 3 no pair is scanned
+    universe = tuple(range(1, n + 1))
+    pairs = list(combinations(universe, 2))
+    batch = _pair_batch(table, [(2, 1)] + (pairs if n >= 4 else pairs[: n - 1]))
+    head = _batch_rows(batch, slice(n))
+    if n >= 4 and batch.c_full_i.dtype == object:
+        # the screen reads the rows after the (1, j) ones only as floats,
+        # so they are evaluated on the batch's float image
+        rest = _float_system(_batch_rows(batch, slice(n, None)))
+        quartic = np.concatenate(
+            [_coefficient_rows(cleared_pair_quartic(sys, X)) for sys in (head, rest)]
+        )
+    else:
+        quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
+
+    full_cands = _enumerate(table, universe, batch, quartic[:2], tol)
 
     is_uniform = float(model.lam) == 1.0
     swap_note = False
     if is_uniform:
-        full_cands, swap_note = _swap_dedup(full_cands)
+        full_cands, swap_note = _swap_classes(full_cands)
 
     solutions = list(full_cands)
     if len(full_cands) > 1:
@@ -800,35 +904,24 @@ def check_identifiability(
 
     pair_extra = []
     near_tol = tol * 10.0**-CERT_DECADES
-    # the (1, j) pairs lead; the gates read their quartic rows and, at
-    # n >= 4, their pair-slate quartic rows. At n = 3 no pair is scanned
-    pairs = list(combinations(range(1, n + 1), 2))
-    batch = _pair_batch(table, pairs if n >= 4 else pairs[: n - 1])
-    lead = _batch_rows(batch, slice(n - 1))
-    if n >= 4 and batch.c_full_i.dtype == object:
-        # the screen reads the other rows only as floats, so they are
-        # evaluated on the batch's float image
-        rest = _float_system(_batch_rows(batch, slice(n - 1, None)))
-        quartic = np.concatenate(
-            [_coefficient_rows(cleared_pair_quartic(sys, X)) for sys in (lead, rest)]
-        )
-    else:
-        quartic = _coefficient_rows(cleared_pair_quartic(batch, X))
     slate = None
     if n >= 4:
-        slate = _coefficient_rows(cleared_pair_slate_quartic(lead, X))
+        scanned = _batch_rows(batch, slice(1, None))
+        slate = _coefficient_rows(cleared_pair_slate_quartic(_batch_rows(batch, slice(1, n)), X))
         truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         pivots = np.array([[float(model.b[i - 1])] for i, _ in pairs])
-        for i, j in compress(pairs, _screen_pairs(batch, quartic, pivots, tol)):
+        for i, j in compress(pairs, _screen_pairs(scanned, quartic[1:], pivots, tol)):
             sys_ij = pair_system(table, i, j, include_pair=True)
             sols = solve_pair_system(sys_ij, tol=tol)
             if is_uniform:
-                sols, _ = _swap_dedup(sols)
+                sols, _ = _swap_classes(sols)
             if len(sols) <= 1:
                 continue
             ta = (truth_by_item[i][0], truth_by_item[j][0])
             tb = (truth_by_item[i][1], truth_by_item[j][1])
-            extra = [s for s in sols if not _close(s.a + s.b, ta + tb)]
+            # at lambda = 1 the truth's class may be shown by its swap
+            truths = [ta + tb, tb + ta] if is_uniform else [ta + tb]
+            extra = [s for s in sols if not any(_close(s.a + s.b, t) for t in truths)]
             if (
                 extra
                 and min(s.residual for s in extra) > near_tol
@@ -841,7 +934,7 @@ def check_identifiability(
             codes.append("pair-multiplicity")
             solutions.extend(_dedup(pair_extra))
 
-    gates = _gate_values(model.b[0], quartic[: n - 1], slate)
+    gates = _gate_values(model.b[0], quartic[1:n], slate)
     unique = (
         len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
     )

@@ -120,22 +120,30 @@ def partner_map(sys: PairSystemInput):
     return num, den
 
 
+def pivot_pinned(bi, sys: PairSystemInput) -> bool:
+    """Whether the partner map's denominator at b_i falls under the guard,
+    i.e. b_i is (numerically) the pinned value c_full_i / (1 + lam): zero
+    on an exact system and pivot, at most tau_den in magnitude otherwise.
+
+    The denominator reads only the pivot's own full-slate value, so the
+    answer is the same on every system with that pivot.
+    """
+    d = partner_map(sys)[1](bi)
+    if sys.exact and is_exact(bi):
+        return d == 0
+    return abs(float(d)) <= sys.tau_den()
+
+
 def partner_value(bi, sys: PairSystemInput):
     """Partner weight b_j as a rational function of the pivot weight b_i.
 
-    Raises DegenerateBranchSignal when the denominator falls under the guard,
-    i.e. b_i is (numerically) the pinned value c_full_i / (1 + lam); callers
-    switch to the degenerate branch.
+    Raises DegenerateBranchSignal when b_i is pinned (`pivot_pinned`);
+    callers switch to the degenerate branch.
     """
-    num, den = partner_map(sys)
-    d = den(bi)
-    if sys.exact and is_exact(bi):
-        if d == 0:
-            raise DegenerateBranchSignal("pivot weight pinned, partner map undefined")
-        return num(bi) / d
-    if abs(float(d)) <= sys.tau_den():
+    if pivot_pinned(bi, sys):
         raise DegenerateBranchSignal("pivot weight pinned, partner map undefined")
-    return num(bi) / d
+    num, den = partner_map(sys)
+    return num(bi) / den(bi)
 
 
 def back_substitute(b1, b2, c_full_row: Sequence, lam):

@@ -4,7 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from mnlmix.polynomials import (
 from mnlmix.systems import (
     DegenerateBranchSignal,
     PairSystemInput,
+    back_substitute,
     cleared_pair_quartic,
     cleared_pair_slate_quartic,
     pair_quartic,
@@ -588,19 +589,20 @@ def test_rationalize_root_matches_twelve_tries(case):
 @pytest.mark.parametrize(
     "model, rows",
     [
-        (random_instance(6, 2.0, 0), [(15, False)]),
-        (random_instance(3, 2.0, 0), [(2, False)]),
-        (counterexample(), [(3, True), (3, False)]),
-        (exact_model(random_instance(3, 2.0, 0)), [(2, True)]),
+        (random_instance(6, 2.0, 0), [(16, False)]),
+        (random_instance(3, 2.0, 0), [(3, False)]),
+        (counterexample(), [(4, True), (3, False)]),
+        (exact_model(random_instance(3, 2.0, 0)), [(3, True)]),
     ],
     ids=["float-n6", "float-n3", "exact-n4", "exact-n3"],
 )
 def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
-    """`check_identifiability` evaluates each pair quartic row once: on a
-    float table every pair at n >= 4 in one call, and the (1, j) pairs of
-    the gates at n = 3; on an exact table the (1, j) rows, which the gates
-    read, in Fractions and the other rows, which only the screen reads, on
-    the batch's float image."""
+    """`check_identifiability` evaluates each pair quartic row once, the
+    full enumeration's (2, 1) and (1, 2) rows included: on a float table
+    (2, 1) and every pair at n >= 4 in one call, and (2, 1) and the (1, j)
+    pairs of the gates at n = 3; on an exact table (2, 1) and the (1, j)
+    rows, which the enumeration and the gates read, in Fractions and the
+    other rows, which only the screen reads, on the batch's float image."""
     seen = []
     cleared = identify.cleared_pair_quartic
 
@@ -614,35 +616,36 @@ def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
 
 
 def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
-    """At m = 3 the candidates are back-substituted, so only the two leading
-    pair systems are built."""
+    """At m = 3 the candidates are back-substituted, so the enumeration's
+    batch holds only the two leading pair systems and no tail is extended."""
     built = []
-    build = identify.pair_system
+    batch = identify._pair_batch
 
-    def spy(oracle, i, j, **kwargs):
-        built.append((i, j))
-        return build(oracle, i, j, **kwargs)
+    def spy(oracle, pairs, *args, **kwargs):
+        built.append(list(pairs))
+        return batch(oracle, pairs, *args, **kwargs)
 
-    monkeypatch.setattr(identify, "pair_system", spy)
-    tails = _spy_tail_systems(monkeypatch)
+    monkeypatch.setattr(identify, "_pair_batch", spy)
+    monkeypatch.setattr(identify, "pair_system", None)
+    tails = _spy_tail_weights(monkeypatch)
     m = random_instance(3, 2.0, 0)
     cands = enumerate_candidates(oracle_table(m, all_slates(3)), (1, 2, 3))
     assert cands
-    assert built == [(1, 2), (2, 1)]
+    assert built == [[(2, 1), (1, 2)]]
     assert tails == []
 
 
-def _spy_tail_systems(monkeypatch) -> list:
-    """Record every pair whose system `_pair_systems` builds."""
-    built = []
-    build = identify._pair_systems
+def _spy_tail_weights(monkeypatch) -> list:
+    """Record every pivot pair (b1, b2) that `_tail_weights` extends."""
+    extended = []
+    tail_weights = identify._tail_weights
 
-    def spy(oracle, items, pairs):
-        built.extend(pairs)
-        return build(oracle, items, pairs)
+    def spy(batch, t, sys01, sys10, b1, b2):
+        extended.extend(zip(b1, b2))
+        return tail_weights(batch, t, sys01, sys10, b1, b2)
 
-    monkeypatch.setattr(identify, "_pair_systems", spy)
-    return built
+    monkeypatch.setattr(identify, "_tail_weights", spy)
+    return extended
 
 
 def _identify_slates(n: int) -> list:
@@ -695,23 +698,19 @@ def _passes_pair_slate(b1, b2, table, items, tol) -> bool:
 
 @pytest.mark.parametrize("tol", [identify.RESIDUAL_TOL, math.inf])
 def test_rejected_pairs_never_reach_extension(tol, monkeypatch):
-    """`_extend_candidate` sees exactly the pivot pairs that pass the
+    """`_tail_weights` extends exactly the pivot pairs that pass the
     per-candidate loop on the slate {1, 2}, in order; generic draws offer
     five pairs and keep two at the default tol. At tol = inf only
     admissibility rejects."""
-    offered, extended = [], []
-    viable, extend = identify._viable_pairs, identify._extend_candidate
+    offered = []
+    viable = identify._viable_pairs
 
     def spy_viable(pairs, *args):
         offered.append(list(pairs))
         return viable(pairs, *args)
 
-    def spy_extend(b1, b2, *args):
-        extended.append((b1, b2))
-        return extend(b1, b2, *args)
-
     monkeypatch.setattr(identify, "_viable_pairs", spy_viable)
-    monkeypatch.setattr(identify, "_extend_candidate", spy_extend)
+    extended = _spy_tail_weights(monkeypatch)
     models = [random_instance(n, lam, s) for n in (4, 14) for lam in (2.0, 0.7) for s in range(4)]
     models += [_rational_draw(4, i) for i in range(4)] + [counterexample()]
     rejected = 0
@@ -728,31 +727,194 @@ def test_rejected_pairs_never_reach_extension(tol, monkeypatch):
     assert rejected >= (2 * len(models) if tol < math.inf else 0)
 
 
-def test_no_viable_pair_builds_no_tail_systems(monkeypatch):
+def test_no_viable_pair_extends_no_tail(monkeypatch):
     """With the slate {1, 2} moved off the model, every pivot pair fails it,
-    so the enumeration returns before it builds the tail's pair systems."""
+    so the enumeration returns before it extends a pair over the tail or
+    computes a full residual."""
     m = random_instance(4, 2.0, 0)
     table = oracle_table(m, all_slates(4))
     c1, c2 = table.entries[(1, 2)]
     table = OracleTable(table.n, table.lam, {**table.entries, (1, 2): (c1 + 1e-3, c2 - 1e-3)})
-    built = []
-    build = identify.pair_system
-
-    def spy(oracle, i, j, **kwargs):
-        built.append((i, j))
-        return build(oracle, i, j, **kwargs)
-
-    monkeypatch.setattr(identify, "pair_system", spy)
-    tails = _spy_tail_systems(monkeypatch)
+    monkeypatch.setattr(identify, "pair_system", None)
+    monkeypatch.setattr(identify, "full_residual", None)
+    tails = _spy_tail_weights(monkeypatch)
     assert enumerate_candidates(table, (1, 2, 3, 4)) == []
-    assert built == [(1, 2), (2, 1)]
     assert tails == []
 
 
+def _scalar_enumeration(table, items, tol) -> list:
+    """The full enumeration as one scalar loop over public pieces: each
+    pivot pair from the (first, second) and (second, first) quartics plus
+    the doubly pinned one, each tail weight from the first pivot's
+    `pair_system` (Newton-polished by `_pivot_pairs`), else the second's,
+    else c_full_j / (1 + lambda); one `full_residual` per candidate."""
+    first, second = items[:2]
+    lam, full = table.lam, Slate.of(items)
+    c_full = {i: table.value_for(full, i) for i in items}
+    sys01, sys10 = (pair_system(table, p, q, items=items) for p, q in ((first, second), (second, first)))
+    roots01, roots10 = (identify._band_roots(pair_quartic(sys)) for sys in (sys01, sys10))
+    pairs = [(b1, b2, "root") for b1, b2 in identify._pivot_pairs(sys01, roots01)]
+    pairs += [(b1, b2, "root") for b2, b1 in identify._pivot_pairs(sys10, roots10)]
+    pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
+    cands = []
+    for b1, b2, branch in pairs:
+        bs = {first: b1, second: b2}
+        if len(items) == 3:
+            *_, bs[items[2]] = back_substitute(b1, b2, [c_full[i] for i in items], lam)
+        for j in items[2:] if len(items) > 3 else ():
+            for pivot, bp in ((first, b1), (second, b2)):
+                found = identify._pivot_pairs(pair_system(table, pivot, j, items=items), [bp])
+                if found:
+                    bs[j] = found[0][1]
+                    break
+            else:
+                bs[j] = c_full[j] / (1 + lam)
+        a = tuple(c_full[i] - lam * bs[i] for i in items)
+        b = tuple(bs[i] for i in items)
+        if len(items) == 3:
+            a = back_substitute(b1, b2, [c_full[i] for i in items], lam)[:3]
+        floats = all(isinstance(v, float) for v in a + b)
+        w = np.array([[a], [b]], dtype=float if floats else object)
+        (res,) = identify.full_residual(w[0], w[1], table, items)
+        cands.append(CandidateSolution(items, a, b, float(res), identify._tuple_admissible(a + b), branch=branch))
+    return identify._dedup([c for c in cands if c.admissible and c.residual <= tol])
+
+
+def _pinned_float_draw(n: int, seed: int, pinned: tuple, lam: float):
+    """`random_instance(n, 2.0, seed)` with a_i = b_i on the items of
+    `pinned` and a_n taking up what a's sum needs; None when a_n <= 0."""
+    m = random_instance(n, 2.0, seed)
+    a = [m.b.w[i] if i + 1 in pinned else m.a.w[i] for i in range(n - 1)]
+    a.append(1.0 - sum(a))
+    return MixtureModel.of(a, m.b.w, lam) if a[-1] > 0 else None
+
+
+_ENUMERATION_TABLES = (
+    [("block", n, lam, s, items) for n, items in ((6, (1, 2, 3, 4)), (7, (2, 4, 5, 6)), (8, (1, 2, 3)))
+     for lam in (2.0, 1.0) for s in range(3)]
+    + [("rational-block", 6, i, (1, 2, 3, 4)) for i in range(3)]
+    + [("edge", case) for case in ("exact-counterexample", "float-counterexample", "near-pin", "root-cluster",
+                                   "int-lambda", "fraction-lambda-6")]
+    + [("pinned", 5, s, pins, lam) for s, pins in enumerate([(1,), (2,), (1, 2), (1, 3), (2, 3)])
+       for lam in (2.0, 1.0, 0.5)]
+)
+
+
+def _enumeration_table(case):
+    """(table, items) for one `_ENUMERATION_TABLES` case: a learner's
+    sub-block table, the identify budget of an edge draw, or all slates of
+    a float draw with pinned pivots (reaching the second pivot's and the
+    all-pinned extensions)."""
+    kind = case[0]
+    if kind in ("block", "rational-block"):
+        m = random_instance(*case[1:4]) if kind == "block" else _rational_draw(case[1], case[2])
+        items = case[-1]
+        return oracle_table(m, all_slates(len(items), items=items)), items
+    if kind == "edge":
+        m = _edge_draw(case[1])
+        return oracle_table(m, _identify_slates(m.n)), tuple(range(1, m.n + 1))
+    m = None
+    seed = case[2]
+    while m is None:
+        m = _pinned_float_draw(case[1], seed, case[3], case[4])
+        seed += 100
+    return oracle_table(m, all_slates(m.n)), tuple(range(1, m.n + 1))
+
+
+@pytest.mark.parametrize("case", _ENUMERATION_TABLES, ids=str)
+@pytest.mark.parametrize("tol", [identify.RESIDUAL_TOL, math.inf])
+def test_enumeration_equals_scalar_loop(case, tol):
+    """`enumerate_candidates` (batched tail, one `_polish_batch`) gives the
+    scalar loop's candidates bit for bit: on the learner's sub-blocks, on
+    the counterexample, the near-pin and root-cluster draws, and with
+    pinned pivots."""
+    table, items = _enumeration_table(case)
+    want = [c.to_dict() for c in _scalar_enumeration(table, items, tol)]
+    assert [c.to_dict() for c in enumerate_candidates(table, items, tol)] == want
+
+
+@pytest.mark.parametrize(
+    "case", ["exact-counterexample", "float-counterexample", "near-pin", "root-cluster", "fraction-lambda-6"]
+)
+def test_report_full_solutions_equal_enumeration(case):
+    """The full solutions of a report, read from the report's own pair
+    batch, are `enumerate_candidates` on its table; the near-pin and
+    root-cluster draws stay unique with the truth among them."""
+    m = _edge_draw(case)
+    rep = check_identifiability(m)
+    table = oracle_table(m, _identify_slates(m.n))
+    cands = enumerate_candidates(table, tuple(range(1, m.n + 1)))
+    assert [s.to_dict() for s in rep.solutions if s.level == "full"] == [c.to_dict() for c in cands]
+    if case in ("near-pin", "root-cluster"):
+        assert rep.unique and _truth_among_full(rep, m)
+
+
+@pytest.mark.parametrize("n, lam", [(4, 2.0), (6, 0.7), (14, 2.0)])
+def test_report_solves_only_screened_pairs(n, lam, monkeypatch):
+    """On a float table `check_identifiability` builds pair systems and pair
+    quartics only for the pairs that the screen sends to the scalar solver
+    (the root-cluster draw sends one); the full enumeration reads its rows
+    from the report's batch."""
+    screened, built, quartics = [], [], []
+    screen, build, quartic = identify._screen_pairs, identify.pair_system, identify.pair_quartic
+
+    def spy_screen(batch, *args):
+        mask = screen(batch, *args)
+        screened.extend(compress(combinations(range(1, n + 1), 2), mask))
+        return mask
+
+    def spy_build(oracle, i, j, **kwargs):
+        built.append((i, j))
+        return build(oracle, i, j, **kwargs)
+
+    def spy_quartic(sys):
+        quartics.append((sys.pivot, sys.partner))
+        return quartic(sys)
+
+    monkeypatch.setattr(identify, "_screen_pairs", spy_screen)
+    monkeypatch.setattr(identify, "pair_system", spy_build)
+    monkeypatch.setattr(identify, "pair_quartic", spy_quartic)
+    models = [random_instance(n, lam, s) for s in range(6)]
+    if n == 4:
+        models.append(_edge_draw("root-cluster"))
+    for m in models:
+        check_identifiability(m)
+    # a screened pair may also be certified, which builds it once more
+    assert set(built) == set(quartics) == set(screened)
+    assert screened or n != 4
+
+
+def _swap_class_draws():
+    """Float and rational draws at lambda = 1 (n = 3, 4 and 5), and float
+    draws with a pinned item, whose reports merge swap classes."""
+    yield from (random_instance(n, 1.0, s) for n in (3, 4, 5) for s in range(12))
+    yield from (_with_lambda(_rational_draw(4, i), F(1)) for i in range(6))
+    yield from (m for s in range(6) for m in [_pinned_float_draw(4, s, (1 + s % 3,), 1.0)] if m)
+
+
+def test_reversed_candidate_order_keeps_swap_class_reports(monkeypatch):
+    """At lambda = 1 a report shows one fixed member of each swap class, so
+    reversing the order of the full candidates and of every pair solver's
+    solutions changes no report; the member shown has a_i < b_i at the
+    first item where the two differ by more than DEDUP_RTOL."""
+    models = list(_swap_class_draws())
+    reports = [check_identifiability(m).to_dict() for m in models]
+    enumerate_, solve = identify._enumerate, identify.solve_pair_system
+    monkeypatch.setattr(identify, "_enumerate", lambda *args: enumerate_(*args)[::-1])
+    monkeypatch.setattr(identify, "solve_pair_system", lambda *args, **kw: solve(*args, **kw)[::-1])
+    assert [check_identifiability(m).to_dict() for m in models] == reports
+    assert sum(rep["swap_note"] for rep in reports) >= len(models) // 2
+    for rep in reports:
+        for s in rep["solutions"]:
+            diffs = [float(F(x)) - float(F(y)) for x, y in zip(s["a"], s["b"])]
+            assert next((d < 0 for d in diffs if abs(d) > identify.DEDUP_RTOL), True)
+
+
 def _extension_starts(m) -> list:
-    """(system, b_i, b_j) for every Newton start of `_extend_candidate` at
-    tol = inf: each pivot of each pair from the (1, 2) and (2, 1) quartics,
-    with its partner value on each (pivot, j) system."""
+    """(system, b_i, b_j) for every Newton start that the full enumeration's
+    tail extension can take at tol = inf: each pivot of each pair from the
+    (1, 2) and (2, 1) quartics, with its partner value on each (pivot, j)
+    system."""
     table = oracle_table(m, _identify_slates(m.n))
     items = tuple(range(1, m.n + 1))
     sys01, sys10 = (pair_system(table, i, j, items=items) for i, j in ((1, 2), (2, 1)))
@@ -774,11 +936,11 @@ def _extension_starts(m) -> list:
     "draw", [(14, 0.7, 11)] + [(n, lam, s) for n in (4, 14) for lam in (2.0, 1.0, 0.7) for s in range(5)]
 )
 def test_batched_polish_agrees_with_scalar_to_rounding(draw):
-    """`_polish_batch` and `_polish_pair` agree within 1e-12 relative from
-    the same starts, but only to rounding: `db**2` in `_drop_equations` is
-    libm `pow` on Python floats and numpy's square on arrays. On
-    `random_instance(14, 0.7, 11)` the two differ in the last bit at the
-    first Newton step of pair (1, 9)."""
+    """`_polish_batch` and `_polish_pair` agree bit for bit from the same
+    starts: `_drop_equations` squares by products, which Python floats and
+    numpy arrays round alike (Python's `**` is libm `pow`, which did not:
+    on `random_instance(14, 0.7, 11)` the two differed in the last bit at
+    the first Newton step of pair (1, 9))."""
     starts = _extension_starts(random_instance(*draw))
     floats = [identify._float_system(sys) for sys, _, _ in starts]
     fields = zip(*((f.c_full_i, f.c_full_j, f.c_drop_j_i, f.c_drop_i_j) for f in floats))
@@ -787,7 +949,74 @@ def test_batched_polish_agrees_with_scalar_to_rounding(draw):
     bx, by = identify._polish_batch(batch, x, y, np.ones(x.shape, bool))
     for (sys, bi, bj), u, v in zip(starts, bx[:, 0].tolist(), by[:, 0].tolist()):
         p, q = identify._polish_pair(sys, bi, bj)
-        assert abs(p - u) <= 1e-12 * abs(p) and abs(q - v) <= 1e-12 * abs(q)
+        assert (p.hex(), q.hex()) == (u.hex(), v.hex())
+
+
+def _polish_steps(sys, bi, bj) -> int:
+    """Newton steps `_polish_pair` takes from (b_i, b_j)."""
+    calls = []
+    drop = identify._drop_equations
+
+    def spy(*args):
+        calls.append(1)
+        return drop(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identify, "_drop_equations", spy)
+        identify._polish_pair(sys, bi, bj)
+    return len(calls) - 1
+
+
+@st.composite
+def _polish_starts(draw):
+    """A float pair system of a random draw and starts on it: near its
+    truth, near its pin c_full_i / (1 + lambda), where the partner map's
+    denominator is small, and anywhere in the band."""
+    n = draw(st.sampled_from([4, 6]))
+    m = random_instance(n, draw(st.sampled_from([2.0, 1.0, 0.7])), draw(st.integers(0, 2**32 - 1)))
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    sys = pair_system(oracle_table(m, all_slates(n)), i, j)
+    unit = st.floats(0.01, 0.99)
+    starts = []
+    for kind in draw(st.lists(st.sampled_from(["truth", "pin", "band"]), min_size=1, max_size=8)):
+        if kind == "truth":
+            e = draw(st.floats(-1e-6, 1e-6))
+            starts.append((m.b[i - 1] + e, m.b[j - 1] - e))
+        elif kind == "pin":
+            bi = sys.pivot_pin() * (1 + draw(st.sampled_from([-1, 1])) * 10.0 ** -draw(st.integers(4, 8)))
+            try:
+                starts.append((bi, partner_value(bi, sys)))
+            except DegenerateBranchSignal:
+                starts.append((bi, m.b[j - 1]))
+        else:
+            starts.append((draw(unit), draw(unit)))
+    return sys, starts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_polish_starts())
+def test_batched_polish_equals_scalar_bit_for_bit(case):
+    """`_polish_batch` equals `_polish_pair` bit for bit on every entry of
+    one batch, near the pin and off the truth included, where starts run
+    all twelve steps or stop on a guarded equation."""
+    sys, starts = case
+    fields = (sys.c_full_i, sys.c_full_j, sys.c_drop_j_i, sys.c_drop_i_j)
+    c = identify._float_system(PairSystemInput(sys.lam, *(np.array([[v]]) for v in fields)))
+    x, y = (np.array([[float(s[k])] for s in starts]) for k in (0, 1))
+    bx, by = identify._polish_batch(c, x, y, np.ones(x.shape, bool))
+    for (bi, bj), u, v in zip(starts, bx[:, 0].tolist(), by[:, 0].tolist()):
+        p, q = identify._polish_pair(sys, bi, bj)
+        assert (float(p).hex(), float(q).hex()) == (u.hex(), v.hex())
+
+
+def test_band_starts_run_every_polish_step():
+    """Starts anywhere in the band, as `_polish_starts` draws them, include
+    ones that run all twelve Newton steps."""
+    m = random_instance(4, 2.0, 3)
+    sys = pair_system(oracle_table(m, all_slates(4)), 1, 2)
+    grid = np.linspace(0.05, 0.95, 7).tolist()
+    steps = [_polish_steps(sys, u, v) for u in grid for v in grid]
+    assert max(steps) == identify.POLISH_STEPS
 
 
 def _solve_every_pair(monkeypatch):
@@ -1379,9 +1608,10 @@ def _fields(sys: PairSystemInput) -> list:
 @pytest.mark.parametrize("case", ["float", "rational", "fraction-lambda", "int-lambda"])
 @pytest.mark.parametrize("n, items", [(4, None), (6, None), (6, (2, 4, 5, 6))])
 def test_pair_systems_by_position_equal_pair_system(case, n, items):
-    """`_pair_systems` reads every value by position and gives
+    """`_pair_batch` reads every value by position, and each of its rows is
     `pair_system`'s inputs field for field, number types included, over
-    the universe and over a block of it (as the learner's tables hold)."""
+    the universe and over a block of it (as the learner's tables hold);
+    its two-item slate values too, for either order of the pair."""
     m = random_instance(n, 2.0, 3)
     model = {
         "float": lambda: m,
@@ -1392,8 +1622,14 @@ def test_pair_systems_by_position_equal_pair_system(case, n, items):
     items = items or tuple(range(1, n + 1))
     table = oracle_table(model, all_slates(n, items=items))
     pairs = list(permutations(items, 2))
-    for (p, j), sys in zip(pairs, identify._pair_systems(table, items, pairs)):
-        assert _fields(sys) == _fields(pair_system(table, p, j, items=items))
+    batch = identify._pair_batch(table, pairs, items)
+    for k, (p, j) in enumerate(pairs):
+        sys = pair_system(table, p, j, items=items, include_pair=True)
+        assert _fields(identify._row_system(batch, k, p, j)) == _fields(
+            dataclasses.replace(sys, c_pair_i=None)
+        )
+        (c_pair,) = batch.c_pair_i[k].tolist()
+        assert (type(c_pair), c_pair) == (type(sys.c_pair_i), sys.c_pair_i)
 
 
 def _pinned_draw(n: int, seed: int, pinned: set, lam):

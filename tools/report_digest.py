@@ -26,15 +26,19 @@ sends pairs to the scalar solver; on rational draws at lambda = 1, where
 exact solutions merge up to component swap, and at lambda = 1/2
 (`RATIONAL_LAMBDA_DRAWS`), on rational draws with small denominators
 (`SMALL_DENOMINATOR_DRAWS`), on float weights with the Fraction lambda 1,
+on float draws with a_i = b_i on one or two of items 1 to 3 at lambda 2,
+1 and 1/2 (`pinned_pivot_models`), which reach the full enumeration's
+second-pivot and all-pinned extensions,
 and on the exact counterexample perturbed along a[idx] += e, a[4] -= e
 (`near_counterexamples`), whose exact and Fraction-lambda tables lie near
 the two-solution variety;
 `enumerate_candidates` with tol = inf, so that every admissible full
 candidate's residual is hashed and not only the survivors a report shows,
 on float n = 4 and n = 14 tables (the slates `check_identifiability`
-reads) and on the rational n = 4 tables, and at the default tol, where
-pivot pairs are also rejected on the slate {1, 2} before extension, on the
-same tables and on the `near_counterexamples` tables;
+reads), on the rational n = 4 tables and on the pinned-pivot tables, and
+at the default tol, where pivot pairs are also rejected on the slate
+{1, 2} before extension, on the float and rational tables and on the
+`near_counterexamples` tables;
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -52,8 +56,9 @@ denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the rational learn-oracle families under
 1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
 benchmark-input sampling family about 4 s, the candidate families about
-2 s (0.9 s at tol = inf, 1.1 s at the default tol) and the experiments
-about 2 s.
+2 s (0.9 s at tol = inf, 1.1 s at the default tol), the pinned-pivot
+families about 2 s (1.3 s of reports, 0.5 s of candidates) and the
+experiments about 2 s.
 """
 
 from __future__ import annotations
@@ -109,6 +114,11 @@ FRACTION_ONE_DRAWS = {4: 30, 6: 8}
 EDGE_DRAWS = ((14, 2.0, 73186270), (4, 2.0, 496))
 # n -> number of float draws per lambda whose candidates are all hashed
 CANDIDATE_DRAWS = {4: 200, 14: 20}
+# n -> number of float draws per lambda with a_i = b_i on one or two of
+# items 1 to 3 (`pinned_pivot_models`)
+PINNED_PIVOT_DRAWS = {4: 60, 6: 20}
+PINNED_PIVOT_LAMBDAS = (2.0, 1.0, 0.5)
+PINNED_PIVOT_SETS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
 # n = 5 draws per lambda whose every pair system is solved
 PAIR_DRAWS = 100
 # n -> number of sampling draws at lambda = 2
@@ -162,6 +172,25 @@ def near_counterexamples():
                     yield MixtureModel.of(a, base.b.w, lam)
 
 
+def pinned_pivot_models(n: int, lam: float, count: int):
+    """`count` float n-item models with mixing parameter `lam`: the weights
+    of `random_instance(n, 2.0, s)`, s = 0, 1, ..., with a_i = b_i on the
+    items of `PINNED_PIVOT_SETS[s % 6]` and a_n taking up what a's sum
+    needs; draws with a non-positive a_n are skipped. A pinned first or
+    second item sends the full enumeration's tail to its other pivot or,
+    with both pinned, to the all-pinned value."""
+    seed = 0
+    while count:
+        m = random_instance(n, 2.0, seed)
+        pinned = PINNED_PIVOT_SETS[seed % len(PINNED_PIVOT_SETS)]
+        seed += 1
+        a = [m.b.w[i] if i + 1 in pinned else m.a.w[i] for i in range(n - 1)]
+        a.append(1.0 - sum(a))
+        if a[-1] > 0:
+            count -= 1
+            yield MixtureModel.of(a, m.b.w, lam)
+
+
 def pair_solutions(model) -> list:
     """`solve_pair_system` reports for every ordered pair of `model`, with
     the two-item slate value included."""
@@ -203,6 +232,13 @@ def candidate_families():
             all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4), tol)
             for m in rational_models(4, RATIONAL_DRAWS[4])
         )
+    for n, draws in PINNED_PIVOT_DRAWS.items():
+        items = tuple(range(1, n + 1))
+        for lam in PINNED_PIVOT_LAMBDAS:
+            yield f"candidates pinned pivots n={n} lam={lam} tol=inf first {draws} draws", (
+                all_candidates(oracle_table(m, identify_slates(n)), items, float("inf"))
+                for m in pinned_pivot_models(n, lam, draws)
+            )
     yield f"candidates near counterexample a[idx]+=e a[4]-=e lam=2,2+e,2.0 tol={RESIDUAL_TOL}", (
         all_candidates(oracle_table(m, all_slates(4)), (1, 2, 3, 4), RESIDUAL_TOL)
         for m in near_counterexamples()
@@ -253,6 +289,11 @@ def families():
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),
         )
+    for n, draws in PINNED_PIVOT_DRAWS.items():
+        for lam in PINNED_PIVOT_LAMBDAS:
+            yield f"identify pinned pivots n={n} lam={lam} first {draws} draws", (
+                check_identifiability(m).to_dict() for m in pinned_pivot_models(n, lam, draws)
+            )
     yield "identify edge draws " + " ".join(
         f"n={n},lam={lam},seed={s}" for n, lam, s in EDGE_DRAWS
     ), (check_identifiability(random_instance(*d)).to_dict() for d in EDGE_DRAWS)

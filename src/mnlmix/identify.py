@@ -1,20 +1,14 @@
 """Solution enumeration and identifiability checks for small universes.
 
-A report builds one batch of pair systems, whose oracle fields are arrays
-in the table's arithmetic, and evaluates each of its quartic rows once. The
-full enumeration reads the batch's (2, 1) and (1, 2) quartics for the
-candidate pivot weights: a root pair that leaves the admissible band, or
-that fails the two pivots' own slate, is dropped at once, and each
-remaining pair is extended over the other items through the batch's (1, j)
-and (2, j) systems, all pairs and items in one array partner map and one
-Newton polish. Residual filtering against every available slate equation
-decides admissibility. Uniqueness holds when exactly one admissible class
-survives (up to component swap at lambda = 1, where a report shows a fixed
-member of each class). A batched numpy screen of every pair system, on the
-table's float image, sends to the scalar pair solver only the pairs that
-can add a second solution; it takes one root of each pair quartic from the
-model's own pivot weight and the others from stacked closed forms. The
-resultant gates read the batch's (1, j) rows.
+A report builds one batch of pair systems in the table's arithmetic. The
+full enumeration takes candidate pivot weights from the batch's (2, 1) and
+(1, 2) quartics, drops a root pair that leaves the admissible band or fails
+the two pivots' own slate, and extends the rest through the batch's (1, j)
+and (2, j) systems; residual filtering against every available slate
+equation decides admissibility. Uniqueness holds when exactly one
+admissible class survives (up to component swap at lambda = 1). A batched
+numpy screen of every pair system, on the table's float image, sends to
+the scalar pair solver only the pairs that can add a second solution.
 """
 
 from __future__ import annotations
@@ -204,11 +198,8 @@ def _drop_equations(c: PairSystemInput, x, y):
 
 
 def _drop_jacobian(c: PairSystemInput, x, y) -> tuple:
-    """The closed-form Jacobian of `_drop_equations` at (x, y), row by row.
-
-    Squares are written as products: Python's `**` on floats is libm `pow`,
-    which differs from numpy's square in the last bit on some inputs.
-    """
+    """The closed-form Jacobian of `_drop_equations` at (x, y), row by row;
+    squares are products, which floats and arrays round alike (`**` does not)."""
     lam = c.lam
     ai, aj = c.c_full_i - lam * x, c.c_full_j - lam * y
     da, db, dc, dd = 1 - aj, 1 - y, 1 - ai, 1 - x
@@ -256,13 +247,9 @@ def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH
 
 def _polish_batch(c: PairSystemInput, x, y, live):
     """`_polish_pair` on arrays, for the entries where `live` is set: each
-    takes the scalar loop's Newton steps, in the same operations, and stops
-    where that loop would break, so each entry equals `_polish_pair` from
-    its start bit for bit. The other entries come back unchanged.
-
-    Every entry steps; one that has stopped holds no meaningful value after
-    that, and only the best values of live entries are kept.
-    """
+    takes the scalar loop's steps, in the same operations, and stops where
+    it would, so it equals `_polish_pair` bit for bit. The other entries
+    come back unchanged (every entry steps, but only live ones are kept)."""
     with np.errstate(all="ignore"):
         e1, e2, ok = _drop_equations(c, x, y)
         live = live & ok
@@ -292,20 +279,17 @@ def _pair_batch(
     """`pair_system(table, i, j, items, include_pair)` for every (i, j) in
     `pairs`, as one system whose oracle fields are (P, 1) arrays in the
     table's arithmetic: float arrays of float values, object arrays of
-    Fractions. Every value is read by position from the row of the slate
-    `items` (default: the universe) and the rows of its drop-one slates.
-    Its lambda is the table's, a float, int or Fraction."""
+    Fractions, read by position from the row of the slate `items` (default:
+    the universe) and its drop-one rows. Its lambda is the table's."""
     entries = table.entries
     full = Slate.of(items if items is not None else range(1, table.n + 1)).items
     row = np.array(entries[full])
     # drop[k, t]: value of item full[t] on the slate without item full[k]
-    # (the diagonal holds a 0 that no system reads)
     drop = []
     for k in range(len(full)):
         values = entries[full[:k] + full[k + 1:]]
         drop.append(values[:k] + (0,) + values[k:])
     drop = np.array(drop, row.dtype)
-    # position of each item in the row
     pos = np.zeros(full[-1] + 1, int)
     pos[list(full)] = range(len(full))
     i, j = (pos[list(side)][:, None] for side in zip(*pairs))
@@ -639,20 +623,15 @@ def _integer_cells(a, b, lam, cells) -> np.ndarray:
 
 def _tail_weights(batch: PairSystemInput, t: int, sys01, sys10, b1: list, b2: list) -> np.ndarray:
     """The (K, t) weights b_j of the t tail items of the pivot pairs
-    (b1, b2), for a batch whose leading rows are `_enumeration_pairs`'.
+    (b1, b2), from a batch whose leading rows are `_enumeration_pairs`'.
 
-    Each b_j comes from the first pivot's partner map on the (first, j)
-    system; where that pivot is pinned, from the second's on the (second, j)
-    system; where both are, it is c_full_j / (1 + lambda), the all-pinned
-    value, exact for fully collapsed models. A pin depends on the pivot
-    alone (`pivot_pinned`), so each pair takes one of the three for all its
-    tail items, and the mapped pairs share one array partner map. Near the
-    pin the map's denominator is small and amplifies any pivot error, so a
-    b_j from a float pivot is Newton-refined on its system (`_polish_batch`)
-    with the pivot as the other unknown; the pivot keeps its value. Every
-    entry takes the scalar operations of `partner_value` and `_polish_pair`
-    in the table's own arithmetic (object arrays on an exact table), so it
-    equals the scalar loop bit for bit.
+    Each b_j comes from the first pivot's partner map, from the second's
+    where the first is pinned (a pin depends on the pivot alone), and is
+    c_full_j / (1 + lambda), exact for collapsed models, where both are.
+    Near the pin the map amplifies any pivot error, so a b_j from a float
+    pivot is Newton-refined on its system. Entries take the operations of
+    `partner_value` and `_polish_pair` in the table's arithmetic, so they
+    equal the scalar loop bit for bit.
     """
     lam = batch.lam
     vals = (batch.c_full_i, batch.c_full_j, batch.c_drop_j_i, batch.c_drop_i_j)
@@ -663,8 +642,6 @@ def _tail_weights(batch: PairSystemInput, t: int, sys01, sys10, b1: list, b2: li
     mapped = [k for k, p in enumerate(second) if not (p and pivot_pinned(b2[k], sys10))]
     if not mapped:
         return out
-    # the mapped pairs' pivot values, against the rows of their pivot's
-    # systems (the first pivot's rows when no pair uses the second)
     x = np.array([[b2[k] if second[k] else b1[k]] for k in mapped], out.dtype)
     rows = t * np.array([[second[k]] for k in mapped]) + np.arange(t) if any(second) else slice(t)
     sys = PairSystemInput(lam, *(f[rows] for f in fields))
@@ -722,13 +699,9 @@ def enumerate_candidates(
     items: Sequence[int],
     tol: float = RESIDUAL_TOL,
 ) -> list:
-    """All admissible full assignments over `items` consistent with the oracle.
-
-    Builds the batch of `_enumeration_pairs(items)` and its two leading
-    quartic rows, then runs `_enumerate`, as `check_identifiability` does on
-    its own batch. Returns the candidates whose weights lie within TAU_ADM
-    of [0, 1] and whose full residual is at most tol.
-    """
+    """All admissible full assignments over `items` consistent with the oracle:
+    the candidates whose weights lie within TAU_ADM of [0, 1] and whose full
+    residual is at most tol (`_enumerate`, on a batch of its own)."""
     items = tuple(items)
     batch = _pair_batch(oracle, _enumeration_pairs(items), items, include_pair=False)
     quartic = _coefficient_rows(cleared_pair_quartic(_batch_rows(batch, slice(2)), X))
@@ -737,16 +710,12 @@ def enumerate_candidates(
 
 def _enumerate(oracle: OracleTable, items: tuple, batch: PairSystemInput, quartic, tol: float) -> list:
     """`enumerate_candidates` on a batch whose leading rows are the systems
-    of `_enumeration_pairs(items)`, with `quartic` the `cleared_pair_quartic`
-    rows of its first two.
+    of `_enumeration_pairs(items)`, with `quartic` the quartic rows of its
+    first two.
 
-    Candidate pivot pairs come from the roots of the (first, second) and
-    (second, first) quartics (`_band_roots`, then `_pivot_pairs`) plus the
-    doubly pinned branch, so both degenerate branches are covered. Pairs
-    that cannot survive are dropped before extension (`_viable_pairs`).
-    Three items are back-substituted; more take their tail weights from the
-    batch's (first, j) and (second, j) systems (`_tail_weights`). Residual
-    filtering against every slate of the table (`full_residual`) decides.
+    Pivot pairs come from both quartics' roots plus the doubly pinned
+    branch, so both degenerate branches are covered; pairs that cannot
+    survive are dropped (`_viable_pairs`), and the rest extended.
     """
     first, second = items[:2]
     lam = oracle.lam
@@ -802,10 +771,8 @@ def _swap_dedup(cands: list) -> tuple:
 
 
 def _leads(c: CandidateSolution) -> bool:
-    """Whether a_i < b_i at the first item where the two differ by more
-    than DEDUP_RTOL (True when none does): the member of a lambda = 1 swap
-    class that reports show. It is the learner's lexicographic order of
-    (a, b), made robust where a_i and b_i agree to rounding."""
+    """Whether a_i < b_i at the first item where they differ by more than
+    DEDUP_RTOL (True when none does), as the learner orders (a, b)."""
     for x, y in zip(c.a, c.b):
         if abs(float(x) - float(y)) > DEDUP_RTOL:
             return x < y
@@ -813,11 +780,9 @@ def _leads(c: CandidateSolution) -> bool:
 
 
 def _swap_classes(cands: list) -> tuple:
-    """`_swap_dedup` with a fixed member of each lambda = 1 swap class: the
-    class's first candidate that `_leads`, or else its first candidate with
-    a and b exchanged (the equations are symmetric at lambda = 1, so its
-    residual holds). The members are ordered as `_dedup` orders, so the
-    input order does not decide what is reported."""
+    """`_swap_dedup` showing one fixed member of each lambda = 1 swap class,
+    in `_dedup`'s order: its first candidate that `_leads`, else its first
+    with a and b exchanged (the residual is symmetric at lambda = 1)."""
     kept, merged = _swap_dedup(cands)
     members = []
     for k in kept:
@@ -831,17 +796,11 @@ def check_identifiability(
 ) -> IdentifiabilityReport:
     """Decide uniqueness of the model's weights given its exact oracle.
 
-    Builds one batch of pair systems (with the two-item slate), in the
-    table's arithmetic: (2, 1), then every pair (i, j), i < j. The full
-    enumeration (`_enumerate`) reads its (2, 1), (1, 2), (1, j) and (2, j)
-    systems and their quartic rows; at n >= 4 the pair screen picks from
-    the rows from (1, 2) on the pairs that `solve_pair_system` solves, for
-    pair-level multiplicity; and `_gate_values` computes the scaled
-    resultant gates on the (1, j) rows. The screen reads its rows as
-    floats, so on an exact table only the (2, 1) and (1, j) rows are
-    evaluated exactly. Unique means a single admissible class at both
-    levels. At lambda = 1 solutions are classes up to component swap, and
-    each class is shown by a fixed member (`_swap_classes`).
+    Enumerates full-system solutions, scans every pair system (with the
+    two-item slate) for pair-level multiplicity, and computes the scaled
+    resultant gates, all from one batch of pair systems. Unique means a
+    single admissible class at both levels. At lambda = 1 solutions are
+    classes up to component swap (`_swap_classes`).
     """
     n = model.n
     codes: list = []
@@ -870,18 +829,15 @@ def check_identifiability(
     ]
     table = oracle_table(model, budget)
 
-    # one batch of pair systems: (2, 1), then every pair (i, j), i < j, in
-    # order, so that the enumeration's (2, 1), (1, 2), (1, j) and (2, j)
-    # systems lead (`_enumeration_pairs`). The gates read the (1, j) quartic
-    # rows and, at n >= 4, their pair-slate quartic rows; the pair screen
-    # reads every row from (1, 2) on. At n = 3 no pair is scanned
+    # (2, 1), then every pair i < j, so the enumeration's systems lead; the
+    # gates read the (1, j) rows, the screen every row from (1, 2) on. At
+    # n = 3 no pair is scanned
     universe = tuple(range(1, n + 1))
     pairs = list(combinations(universe, 2))
     batch = _pair_batch(table, [(2, 1)] + (pairs if n >= 4 else pairs[: n - 1]))
     head = _batch_rows(batch, slice(n))
     if n >= 4 and batch.c_full_i.dtype == object:
-        # the screen reads the rows after the (1, j) ones only as floats,
-        # so they are evaluated on the batch's float image
+        # the screen reads the later rows only as floats
         rest = _float_system(_batch_rows(batch, slice(n, None)))
         quartic = np.concatenate(
             [_coefficient_rows(cleared_pair_quartic(sys, X)) for sys in (head, rest)]

@@ -758,21 +758,21 @@ def _scalar_enumeration(table, items, tol) -> list:
     pairs.append((sys01.pivot_pin(), sys10.pivot_pin(), "pinned"))
     cands = []
     for b1, b2, branch in pairs:
-        bs = {first: b1, second: b2}
         if len(items) == 3:
-            *_, bs[items[2]] = back_substitute(b1, b2, [c_full[i] for i in items], lam)
-        for j in items[2:] if len(items) > 3 else ():
-            for pivot, bp in ((first, b1), (second, b2)):
-                found = identify._pivot_pairs(pair_system(table, pivot, j, items=items), [bp])
-                if found:
-                    bs[j] = found[0][1]
-                    break
-            else:
-                bs[j] = c_full[j] / (1 + lam)
-        a = tuple(c_full[i] - lam * bs[i] for i in items)
-        b = tuple(bs[i] for i in items)
-        if len(items) == 3:
-            a = back_substitute(b1, b2, [c_full[i] for i in items], lam)[:3]
+            a1, a2, a3, b3 = back_substitute(b1, b2, [c_full[i] for i in items], lam)
+            a, b = (a1, a2, a3), (b1, b2, b3)
+        else:
+            bs = {first: b1, second: b2}
+            for j in items[2:]:
+                for pivot, bp in ((first, b1), (second, b2)):
+                    found = identify._pivot_pairs(pair_system(table, pivot, j, items=items), [bp])
+                    if found:
+                        bs[j] = found[0][1]
+                        break
+                else:
+                    bs[j] = c_full[j] / (1 + lam)
+            a = tuple(c_full[i] - lam * bs[i] for i in items)
+            b = tuple(bs[i] for i in items)
         floats = all(isinstance(v, float) for v in a + b)
         w = np.array([[a], [b]], dtype=float if floats else object)
         (res,) = identify.full_residual(w[0], w[1], table, items)

@@ -24,8 +24,6 @@ from .polynomials import (
     deflate_root,
     is_exact_root,
     solve_all_roots,
-    solve_cubic,
-    solve_quartic,
     sylvester_resultant,
 )
 from .systems import (

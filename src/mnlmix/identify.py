@@ -152,7 +152,18 @@ def _dedup(cands: list) -> list:
 
 
 def _rationalize_root(poly: RealPolynomial, r: float):
-    """Nearest small-denominator rational that is an exact root, else None.
+    """The small-denominator rational root that the float root r stands
+    for, else None.
+
+    The float image of an exact polynomial rounds its roots by about 1e-14,
+    more than `limit_denominator` can undo for a denominator near 1e7, so r
+    first takes one Newton step on the exact polynomial (`_newton_step`),
+    and the candidates are the best approximations of the step's result
+    with denominators up to 10, 100, ..., 10^12. An exact root counts only
+    within d times the step of r, d the degree: from near a root of
+    multiplicity m <= d the step moves about 1/m of the way there, so a root
+    farther off is another root of the polynomial (0, or a small denominator
+    near r).
 
     A candidate p/q in lowest terms can be a nonzero root of the cleared
     integer polynomial only if q divides its leading coefficient and p its
@@ -161,10 +172,13 @@ def _rationalize_root(poly: RealPolynomial, r: float):
     """
     ints, _ = integer_coefficients(poly.coeffs)
     lead, low = ints[-1], next((c for c in ints if c), 0)
+    x = Fraction(r)
+    target = _newton_step(ints, x)
+    radius = (len(ints) - 1) * abs(target - x)
     for digits in range(1, 13):
-        cand = Fraction(r).limit_denominator(10**digits)
+        cand = target.limit_denominator(10**digits)
         p, q = cand.numerator, cand.denominator
-        if lead % q or (p and low % p):
+        if lead % q or (p and low % p) or abs(cand - x) > radius:
             continue
         acc, qk = 0, 1
         for c in reversed(ints):
@@ -172,6 +186,24 @@ def _rationalize_root(poly: RealPolynomial, r: float):
         if acc == 0:
             return cand
     return None
+
+
+def _newton_step(ints: list, x: Fraction) -> Fraction:
+    """One exact Newton step from x on the integer polynomial `ints`
+    (ascending coefficients). With x = num/den, P = p(x) den^d and
+    D = p'(x) den^(d-1), the step is (num D - P) / (den D); x itself where
+    D = 0."""
+    num, den = x.numerator, x.denominator
+
+    def homogeneous(coeffs):
+        acc, power = 0, 1
+        for c in reversed(coeffs):
+            acc, power = acc * num + c * power, power * den
+        return acc
+
+    big_p = homogeneous(ints)
+    big_d = homogeneous([k * c for k, c in enumerate(ints)][1:])
+    return Fraction(num * big_d - big_p, den * big_d) if big_d else x
 
 
 def _float_system(sys: PairSystemInput, pair: bool = False) -> PairSystemInput:
@@ -396,8 +428,9 @@ def _screen_pairs(batch: PairSystemInput, quartic, pivots, tol: float) -> np.nda
         scale = DEFAULT_TOL.tau_lead * abs(quartic).max(axis=1, keepdims=True)
         sure = _leading_safe(quartic) & _leading_safe(quad)
         sure &= (abs(value) <= scale * size**4).all(axis=1)
-        # within a cluster of three roots the closed forms of the screen
-        # and of the scalar path may differ by more than the margin covers
+        # within a cluster of three roots the screen's closed forms and the
+        # scalar path's companion eigenvalues may differ by more than the
+        # margin covers
         gap = abs(roots[:, :, None] - roots[:, None, :]) / size[:, :, None]
         sure &= (np.sort(gap, axis=2)[:, :, 2] >= 1 / SCREEN_MARGIN).all(axis=1)
 

@@ -21,7 +21,7 @@ from .identify import (
     CandidateSolution,
     _close,
     _coefficient_rows,
-    _swap_dedup,
+    _swap_classes,
     enumerate_candidates,
     slate_cells,
 )
@@ -262,7 +262,7 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
         if not cands:
             raise OracleInconsistentError("no admissible block solution")
         if float(table.lam) == 1.0:
-            cands, _ = _swap_dedup(cands)
+            cands, _ = _swap_classes(cands)
         if len(cands) > 1:
             statuses.append("k-identifiability-violation")
         blocks = cands[:1]

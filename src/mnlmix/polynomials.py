@@ -1,13 +1,13 @@
 """Univariate real-polynomial toolkit.
 
-Dense ascending-coefficient polynomials with closed-form cubic/quartic
-solvers (Newton-polished), discriminants, synthetic deflation, Sylvester
+Dense ascending-coefficient polynomials with a companion-eigenvalue root
+solver (`solve_all_roots`), discriminants, synthetic deflation, Sylvester
 resultants, and a Sturm-sequence real-root counter used as an independent
-cross-check on the closed forms. ``Coeffs`` carries the polynomial
+cross-check on the root solver. ``Coeffs`` carries the polynomial
 arithmetic that builds coefficients from an expression evaluated at ``X``.
 
 Coefficients may be floats or exact ``fractions.Fraction`` values; the
-closed-form solvers work in IEEE doubles, everything else (evaluation,
+root solvers work in IEEE doubles, everything else (evaluation,
 deflation, resultants, discriminants, Sturm counting) runs in whichever
 arithmetic the coefficients carry. `cubic_roots` and `quadratic_roots`
 are the cubic and quadratic closed forms, unpolished, on stacks of float
@@ -19,7 +19,6 @@ integer polynomials as they are).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -208,118 +207,23 @@ def interpolate(xs: Sequence[Number], ys: Sequence[Number]) -> RealPolynomial:
     return RealPolynomial.of(acc)
 
 
-def _newton_polish(p: RealPolynomial, dp: RealPolynomial, r: complex) -> complex:
-    """Up to five Newton steps on p from r, with dp = p' built once per
-    polynomial by the caller; keeps the iterate of smallest |p|."""
-    best, best_res = r, abs(p(r))
-    x = r
-    for _ in range(5):
-        d = dp(x)
-        if abs(d) < 1e-300:
-            break
-        x = x - p(x) / d
-        res = abs(p(x))
-        if res < best_res:
-            best, best_res = x, res
-        else:
-            break
-    return best
-
-
 def _flag_real(roots) -> RootSet:
     flags = tuple(abs(r.imag) <= DEFAULT_TOL.tau_imag for r in roots)
     roots = tuple(complex(r.real, 0.0) if f else r for r, f in zip(roots, flags))
     return RootSet(roots, flags)
 
 
-def _solve_quadratic(a: float, b: float, c: float) -> tuple:
-    if a == 0:
-        if b == 0:
-            raise PolynomialShapeError("constant polynomial has no roots")
-        return (complex(-c / b),)
-    sq = cmath.sqrt(complex(b * b - 4 * a * c))
-    big = -b - sq if b >= 0 else -b + sq
-    if abs(big) < 1e-300:
-        r = complex(-b / (2 * a))
-        return (r, r)
-    return (big / (2 * a), (2 * c) / big)
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _balance_scale(coeffs_desc_monic: Sequence[float]) -> float:
-    """Variable scale making a monic depressed polynomial's coefficients O(1)."""
-    n = len(coeffs_desc_monic)
-    s = 0.0
-    for k, c in enumerate(coeffs_desc_monic, start=1):
-        if c != 0:
-            s = max(s, abs(c) ** (1.0 / k))
-    return s if s > 0 else 1.0
-
-
-def solve_cubic(p: RealPolynomial) -> RootSet:
-    """All three roots of a degree-3 polynomial via Cardano, Newton-polished."""
-    if p.degree != 3:
-        raise PolynomialShapeError(f"solve_cubic needs degree 3, got {p.degree}")
-    q = p.as_float().scaled_to_unit()
-    d0, c1, b2, a3 = q.coeffs
-    shift = b2 / (3 * a3)
-    pp0 = c1 / a3 - 3 * shift * shift
-    qq0 = 2 * shift**3 - shift * c1 / a3 + d0 / a3
-    # balance the depressed cubic t^3 + pp t + qq so huge coefficient ratios
-    # (tiny leading coefficients upstream) cannot wreck the closed form
-    s = _balance_scale([0.0, pp0, qq0])
-    pp = pp0 / (s * s)
-    qq = qq0 / (s * s * s)
-    half_q = qq / 2
-    third_p = pp / 3
-    disc = half_q * half_q + third_p**3
-    if disc <= 0:
-        # three real roots (trigonometric branch); disc <= 0 forces third_p <= 0
-        m = math.sqrt(-third_p) if third_p < 0 else 0.0
-        if m == 0.0:
-            roots = [complex(-shift)] * 3  # triple root
-        else:
-            arg = max(-1.0, min(1.0, -half_q / (m**3)))
-            theta = math.acos(arg)
-            roots = [
-                complex(2 * m * math.cos((theta + 2 * math.pi * k) / 3) * s - shift)
-                for k in range(3)
-            ]
-    else:
-        sq = math.sqrt(disc)
-        # evaluate the cancellation-free cube root, recover the other via u*v = -third_p
-        if half_q >= 0:
-            cv = _cbrt(-half_q - sq)
-            cu = -third_p / cv if cv != 0 else 0.0
-        else:
-            cu = _cbrt(-half_q + sq)
-            cv = -third_p / cu if cu != 0 else 0.0
-        w = complex(-0.5, math.sqrt(3) / 2)
-        roots = [
-            complex((cu + cv) * s - shift),
-            (cu * w + cv * w.conjugate()) * s - shift,
-            (cu * w.conjugate() + cv * w) * s - shift,
-        ]
-    dq = q.derivative()
-    roots = [_newton_polish(q, dq, r) for r in roots]
-    return _flag_real(tuple(roots))
-
-
 def cubic_roots(rows: np.ndarray) -> np.ndarray:
     """All three roots of each (P, 4) row of ascending cubic coefficients,
     as a (P, 3) complex array.
 
-    The trigonometric and Cardano branches of `solve_cubic`, without its
-    balancing scale or Newton polish: a caller must tolerate the closed
-    forms' rounding, and the monic coefficients must stay far from overflow
-    and underflow. A Cardano row gives its real root first, then the
-    conjugate pair. Both branches are computed in real arithmetic on every
-    row, and a row's unused branch may divide by zero, so call this under
-    ``np.errstate(all="ignore")``. A row with a zero leading coefficient
-    gives non-finite roots.
+    The trigonometric and Cardano closed forms, without a balancing scale
+    or Newton polish: a caller must tolerate their rounding, and the monic
+    coefficients must stay far from overflow and underflow. A Cardano row
+    gives its real root first, then the conjugate pair. Both branches are
+    computed in real arithmetic on every row, and a row's unused branch may
+    divide by zero, so call this under ``np.errstate(all="ignore")``. A row
+    with a zero leading coefficient gives non-finite roots.
     """
     c0, c1, c2 = (rows[:, :3] / rows[:, 3:]).T
     shift = c2 / 3
@@ -347,10 +251,11 @@ _CARDANO_IMAG = np.array([0.0, math.sqrt(3) / 2 * 1j, -math.sqrt(3) / 2 * 1j])
 
 def quadratic_roots(rows: np.ndarray) -> np.ndarray:
     """Both roots of each (P, 3) row of ascending quadratic coefficients, as
-    a (P, 2) complex array, by `_solve_quadratic`'s cancellation-free
-    formula. A row with a zero leading coefficient gives non-finite roots,
-    and one with a double root at 0 divides 0 by 0 in the branch it does not
-    take, so call this under ``np.errstate(all="ignore")``."""
+    a (P, 2) complex array, by the cancellation-free formula: the root
+    x1 = -(b + sign(b) sqrt(b^2 - 4ac)) / (2a), then c / (a x1). A row with
+    a zero leading coefficient gives non-finite roots, and one with a double
+    root at 0 divides 0 by 0 in the branch it does not take, so call this
+    under ``np.errstate(all="ignore")``."""
     c, b, a = rows.T
     big = -(b + np.copysign(1.0, b) * np.sqrt((b * b - 4 * a * c).astype(complex)))
     out = np.empty((len(rows), 2), complex)
@@ -360,70 +265,28 @@ def quadratic_roots(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_quartic(p: RealPolynomial) -> RootSet:
-    """All four roots of a degree-4 polynomial via Ferrari's resolvent cubic."""
-    if p.degree != 4:
-        raise PolynomialShapeError(f"solve_quartic needs degree 4, got {p.degree}")
-    q = p.as_float().scaled_to_unit()
-    e0, d1, c2, b3, a4 = q.coeffs
-    b, c, d, e = b3 / a4, c2 / a4, d1 / a4, e0 / a4
-    shift = b / 4
-    pp0 = c - 3 * b * b / 8
-    qq0 = b**3 / 8 - b * c / 2 + d
-    rr0 = -3 * b**4 / 256 + b * b * c / 16 - b * d / 4 + e
-    # balance the depressed quartic: y = scale * t keeps the resolvent sane
-    scale = _balance_scale([0.0, pp0, qq0, rr0])
-    pp = pp0 / scale**2
-    qq = qq0 / scale**3
-    rr = rr0 / scale**4
-
-    def biquadratic() -> list:
-        ys = []
-        for z in _solve_quadratic(1.0, pp, rr):
-            sz = cmath.sqrt(z)
-            ys.extend([sz, -sz])
-        return ys
-
-    if abs(qq) <= 1e-13 * (1 + abs(pp) + abs(rr)):
-        ys = biquadratic()
-    else:
-        # factor t^4+pp t^2+qq t+rr = (t^2+s t+u)(t^2-s t+v) with S=s^2 solving
-        # S^3 + 2 pp S^2 + (pp^2-4 rr) S - qq^2 = 0 (always has a root S >= 0)
-        resolvent = RealPolynomial((-qq * qq, pp * pp - 4 * rr, 2 * pp, 1.0), False)
-        zs = solve_cubic(resolvent)
-        real_s = [r.real for r, f in zip(zs.roots, zs.real_flags) if f and r.real > 0]
-        if not real_s:
-            ys = biquadratic()
-        else:
-            big_s = max(real_s)
-            s = math.sqrt(big_s)
-            t = qq / s
-            u = (pp + big_s - t) / 2
-            v = (pp + big_s + t) / 2
-            ys = list(_solve_quadratic(1.0, s, u)) + list(_solve_quadratic(1.0, -s, v))
-    dq = q.derivative()
-    roots = [_newton_polish(q, dq, y * scale - shift) for y in ys]
-    return _flag_real(tuple(roots))
-
-
 def solve_all_roots(p: RealPolynomial) -> RootSet:
-    """Roots of a polynomial of degree 1..4, degrading gracefully.
+    """All roots of a polynomial of degree 1..4: the eigenvalues of the
+    companion matrix of its unit-scaled float image, from one
+    `np.linalg.eigvals` call, unpolished.
 
     Construction-time trimming may drop an underflowing leading coefficient,
     so callers that build quartics from data silently get cubic or quadratic
-    solving when the top coefficient degenerates.
+    solving when the top coefficient degenerates. A non-finite coefficient
+    gives NaN roots.
     """
     q = p.as_float()
-    if q.degree == 4:
-        return solve_quartic(q)
-    if q.degree == 3:
-        return solve_cubic(q)
-    if q.degree == 2:
-        a, b, c = q.scaled_to_unit().coeffs[::-1]
-        return _flag_real(tuple(_solve_quadratic(a, b, c)))
-    if q.degree == 1:
-        return _flag_real((complex(-q.coeffs[0] / q.coeffs[1]),))
-    raise PolynomialShapeError("no roots for a constant polynomial")
+    if q.degree < 1:
+        raise PolynomialShapeError("no roots for a constant polynomial")
+    c = np.array(q.coeffs)
+    c /= abs(c).max()
+    comp = np.eye(q.degree, k=-1)
+    comp[:, -1] = -c[:-1] / c[-1]
+    if np.isfinite(comp).all():
+        roots = np.linalg.eigvals(comp).astype(complex).tolist()
+    else:
+        roots = [complex(math.nan, math.nan)] * q.degree
+    return _flag_real(roots)
 
 
 def cubic_discriminant(p: RealPolynomial):

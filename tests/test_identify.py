@@ -522,11 +522,16 @@ def test_full_residual_on_mixed_stacks():
 
 
 def _twelve_try_rationalize(poly, r):
-    """The rationalization loop `_rationalize_root` shortens: every
-    `limit_denominator` candidate takes an exact evaluation."""
+    """The rationalization loop `_rationalize_root` shortens: one exact
+    Newton step from r, then every `limit_denominator` candidate of its
+    result takes an exact evaluation, and a root counts within d times the
+    step of r."""
+    x = Fraction(r)
+    slope = poly.derivative()(x)
+    target = x - poly(x) / slope if slope else x
     for digits in range(1, 13):
-        cand = Fraction(r).limit_denominator(10**digits)
-        if poly(cand) == 0:
+        cand = target.limit_denominator(10**digits)
+        if poly(cand) == 0 and abs(cand - x) <= poly.degree * abs(target - x):
             return cand
     return None
 
@@ -584,6 +589,50 @@ def test_rationalize_root_matches_twelve_tries(case):
     got = identify._rationalize_root(poly, r)
     assert got == _twelve_try_rationalize(poly, r)
     assert got is None or poly(got) == 0
+
+
+@st.composite
+def _rational_root_quartic(draw):
+    """(p/q, quartic): the exact (X - p/q)(X - s)(X^2 + b X + c) with p/q in
+    [0, 1], q up to 1e9, a rational s other than p/q, and b^2 < 4c, so the
+    quadratic is irreducible; the product is scaled by a nonzero Fraction.
+    A double root is left out: the float eigenvalues split it into a pair
+    about sqrt(eps) apart, often complex, and `_band_roots` then misses it
+    (CHANGES.md, FOUND)."""
+    q = draw(st.integers(1, 10**9))
+    root = F(draw(st.integers(0, q)), q)
+    other = draw(st.fractions(-3, 3, max_denominator=10**6).filter(lambda s: s != root))
+    b = draw(st.fractions(-2, 2, max_denominator=1000))
+    c = b * b / 4 + draw(st.fractions(F(1, 1000), 2, max_denominator=1000))
+    scale = draw(st.fractions(-5, 5, max_denominator=10**6).filter(bool))
+    return root, RealPolynomial.of(list((X - root) * (X - other) * (X * X + b * X + c) * scale))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rational_root_quartic())
+def test_band_roots_recover_large_denominator_roots(case):
+    """A rational root with a denominator up to 1e9 comes back exactly: the
+    float root is rounded by about 1e-14, and the exact Newton step brings
+    it within `limit_denominator`'s reach."""
+    root, quartic = case
+    assert root in identify._band_roots(quartic)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_near_counterexample_pair_solutions_stay_exact(k):
+    """a[3] -= 10^-k and a[4] += 10^-k under lambda 2 - 10^-k (the report
+    digest's near-counterexample reports 76 and 94): the pair quartic's
+    float roots miss its rational roots by more than `limit_denominator`
+    can round back, yet every solution, the pair extra included, is
+    exact."""
+    e = F(1, 10**k)
+    base = counterexample()
+    a = list(base.a.w)
+    a[2] -= e
+    a[3] += e
+    rep = check_identifiability(MixtureModel.of(a, base.b.w, 2 - e)).to_dict()
+    assert [s["level"] for s in rep["solutions"]] == ["full", "pair"]
+    assert all(isinstance(v, str) for s in rep["solutions"] for v in s["a"] + s["b"])
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Solver, deflation, resultant, and Sturm-sequence tests."""
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mnlmix.polynomials import (
@@ -17,7 +18,6 @@ from mnlmix.polynomials import (
     NotARootError,
     PolynomialShapeError,
     RealPolynomial,
-    _solve_quadratic,
     count_real_roots_sturm,
     cubic_discriminant,
     cubic_roots,
@@ -27,8 +27,6 @@ from mnlmix.polynomials import (
     poly_gcd,
     quadratic_roots,
     solve_all_roots,
-    solve_cubic,
-    solve_quartic,
     sylvester_resultant,
 )
 
@@ -42,8 +40,8 @@ def expand_roots(roots):
 
 
 def test_cubic_roots_of_unity():
-    rs = solve_cubic(RealPolynomial.of([-1.0, 0.0, 0.0, 1.0]))
-    assert sorted(rs.real_roots) == [1.0]
+    rs = solve_all_roots(RealPolynomial.of([-1.0, 0.0, 0.0, 1.0]))
+    assert sorted(rs.real_roots) == pytest.approx([1.0], abs=1e-15)
     complex_roots = sorted(
         (r for r, f in zip(rs.roots, rs.real_flags) if not f), key=lambda z: z.imag
     )
@@ -53,12 +51,12 @@ def test_cubic_roots_of_unity():
 
 def test_cubic_planted_factors():
     p = expand_roots([0.2, 0.5, 0.9])
-    got = sorted(solve_cubic(p).real_roots)
+    got = sorted(solve_all_roots(p).real_roots)
     assert got == pytest.approx([0.2, 0.5, 0.9], abs=1e-12)
 
 
 def test_quartic_roots_of_unity():
-    rs = solve_quartic(RealPolynomial.of([-1.0, 0.0, 0.0, 0.0, 1.0]))
+    rs = solve_all_roots(RealPolynomial.of([-1.0, 0.0, 0.0, 0.0, 1.0]))
     assert sorted(rs.real_roots) == pytest.approx([-1.0, 1.0], abs=1e-12)
     imag = sorted(r.imag for r, f in zip(rs.roots, rs.real_flags) if not f)
     assert imag == pytest.approx([-1.0, 1.0], abs=1e-12)
@@ -66,15 +64,51 @@ def test_quartic_roots_of_unity():
 
 def test_quartic_planted_factors():
     roots = [0.3, 7 / 19, 1.2, -0.4]
-    got = sorted(solve_quartic(expand_roots(roots)).real_roots)
+    got = sorted(solve_all_roots(expand_roots(roots)).real_roots)
     assert got == pytest.approx(sorted(roots), abs=1e-12)
 
 
 def test_solver_shape_errors():
+    """A constant has no roots, also when trimming leaves only a constant."""
     with pytest.raises(PolynomialShapeError):
-        solve_cubic(RealPolynomial.of([1.0, 2.0]))
+        solve_all_roots(RealPolynomial.of([2.0]))
     with pytest.raises(PolynomialShapeError):
-        solve_quartic(RealPolynomial.of([1.0, 0.0, 1.0]))
+        solve_all_roots(RealPolynomial.of([1.0, 1e-16, 0.0]))
+
+
+def test_linear_and_quadratic_roots():
+    assert solve_all_roots(RealPolynomial.of([-0.5, 2.0])).roots == (0.25,)
+    rs = solve_all_roots(RealPolynomial.of([1.0, 0.0, 1.0]))
+    assert rs.real_flags == (False, False)
+    assert sorted(r.imag for r in rs.roots) == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
+def test_non_finite_row_gives_nan_roots():
+    """A NaN coefficient gives NaN roots, flagged complex, and raises nothing."""
+    for row in ([1.0, math.nan, 0.0, 0.0, 1.0], [math.nan] * 4, [1.0, 2.0, math.nan]):
+        rs = solve_all_roots(RealPolynomial.of(row))
+        assert len(rs.roots) == len(row) - 1
+        assert all(cmath.isnan(r) for r in rs.roots)
+        assert not any(rs.real_flags)
+
+
+def test_tiny_middle_coefficient_matches_np_roots():
+    """x^3 + 2.4e-288 x: the closed forms divided by zero here."""
+    row = [0.0, 2.3668360709099062e-288, 0.0, 1.0]
+    got = solve_all_roots(RealPolynomial.of(row)).roots
+    assert max(_root_errors(got, np.roots(row[::-1]))) <= 1e-15
+
+
+def test_small_leading_coefficient_matches_np_roots():
+    """Cubics whose leading coefficient is 1e-10 of the sup-norm keep their
+    small roots beside the huge one; Cardano with five Newton steps lost
+    them by up to 4.7 (relative to max(1, |root|))."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        row = rng.normal(size=4)
+        row[3] = math.copysign(1e-10 * abs(row[:3]).max(), row[3])
+        got = solve_all_roots(RealPolynomial.of(row.tolist())).roots
+        assert max(_root_errors(got, np.roots(row[::-1]))) <= 1e-10
 
 
 def test_degenerate_leading_coefficient_degrades():
@@ -98,7 +132,7 @@ def test_deflate_simple():
 def test_deflate_planted_quartic():
     p = expand_roots([0.1, 0.2, 0.3, 0.4])
     q = deflate_root(p, 0.1)
-    assert sorted(solve_cubic(q).real_roots) == pytest.approx([0.2, 0.3, 0.4], abs=1e-10)
+    assert sorted(solve_all_roots(q).real_roots) == pytest.approx([0.2, 0.3, 0.4], abs=1e-10)
     # residual postcondition: p == (x - r) * q within 1e-9 scaled
     recon = RealPolynomial.of((X - 0.1) * Coeffs(q.coeffs))
     err = max(abs(a - b) for a, b in zip(recon.coeffs, p.coeffs))
@@ -232,7 +266,7 @@ def test_root_count_matches_sturm_ensemble(degree):
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_residuals_ensemble(degree):
-    """|p(r)| <= 1e-10 * sup-norm * max(1, |r|)^deg after polishing.
+    """|p(r)| <= 1e-10 * sup-norm * max(1, |r|)^deg, unpolished.
 
     The root-magnitude factor is forced by double precision: evaluating a
     unit-coefficient quartic at a root of size 500 already carries rounding
@@ -399,12 +433,12 @@ def _cubic_rows(draw):
 
 @_ROOTS
 @given(_cubic_rows())
-def test_stacked_cubic_roots_match_solve_cubic_and_eigenvalues(case):
-    """`cubic_roots` gives every root of a well-scaled cubic as
-    `solve_cubic` and the companion eigenvalues do. Next to the
-    leading-coefficient cut the closed forms can lose the small roots
-    beside a huge one (so can `solve_cubic`); every root there either
-    matches the eigenvalues or fails the screen's residual test."""
+def test_stacked_cubic_roots_match_eigenvalues(case):
+    """`cubic_roots` gives every root of a well-scaled cubic as the
+    companion eigenvalues do. Next to the leading-coefficient cut the
+    closed forms can lose the small roots beside a huge one; every root
+    there either matches the eigenvalues or fails the screen's residual
+    test."""
     kind, row = case
     with np.errstate(all="ignore"):
         got = cubic_roots(np.array([row]))[0].tolist()
@@ -415,7 +449,6 @@ def test_stacked_cubic_roots_match_solve_cubic_and_eigenvalues(case):
         assert all(err <= tol or not _accepted(row, z) for z, err in zip(got, errs))
         return
     assert max(_root_errors(got, eig)) <= tol
-    assert max(_root_errors(got, solve_cubic(RealPolynomial.of(row)).roots)) <= tol
 
 
 @st.composite
@@ -440,21 +473,48 @@ def _quadratic_rows(draw):
 
 @_ROOTS
 @given(_quadratic_rows())
-def test_stacked_quadratic_roots_match_solve_quadratic_and_eigenvalues(case):
-    """`quadratic_roots` is `_solve_quadratic`'s cancellation-free formula
-    on a stack: it keeps the small root beside a huge one, and agrees with
-    the scalar formula and the companion eigenvalues, a near-double root to
-    1e-4."""
+def test_stacked_quadratic_roots_match_eigenvalues(case):
+    """`quadratic_roots` is the cancellation-free formula on a stack: it
+    keeps the small root beside a huge one, and agrees with the companion
+    eigenvalues, a near-double root to 1e-4."""
     kind, row = case
     with np.errstate(all="ignore"):
         got = quadratic_roots(np.array([row]))[0].tolist()
     eig = _companion_eigvals(row)
     assert max(_root_errors(got, eig)) <= _root_tolerance(row, eig)
-    scale = max(map(abs, row))
-    scalar = list(_solve_quadratic(*(c / scale for c in reversed(row))))
-    tol = _root_tolerance([1.0], scalar)
-    assert max(_root_errors(got, scalar)) <= tol
     assert all(_accepted(row, z) for z in got)
+
+
+@st.composite
+def _clustered_rows(draw):
+    """(m, roots, row): a cubic or quartic lead * prod (x - r) with a
+    planted cluster of m = 2, 3 or 4 roots split by at most 1e-3 (real, or
+    for m = 2 also a complex pair), the cluster and any other roots at
+    least 1/2 apart."""
+    degree = draw(st.sampled_from([3, 4]))
+    m = draw(st.integers(2, degree))
+    r, split = draw(_spot), draw(st.just(0.0) | st.floats(0, 1e-3))
+    if m == 2 and draw(st.booleans()):
+        z = complex(r, split)
+        cluster = [z, z.conjugate()]
+    else:
+        cluster = [r + k * split for k in range(m)]
+    rest = [draw(_spot) for _ in range(degree - m)]
+    assume(all(abs(u - v) >= 0.5 for u, v in itertools.combinations([r] + rest, 2)))
+    roots = cluster + rest
+    return m, roots, _planted(roots, draw(_lead))
+
+
+@_ROOTS
+@given(_clustered_rows())
+def test_solve_all_roots_near_multiple_roots(case):
+    """A cluster of m roots costs the companion eigenvalues about eps^(1/m)
+    on each root of the row: every root lies within 100 eps^(1/m) of its
+    planted root, relative to max(1, |root|). The largest measured factor
+    is about 15, at a complex pair in a quartic."""
+    m, roots, row = case
+    got = solve_all_roots(RealPolynomial.of(row)).roots
+    assert max(_root_errors(got, roots)) <= 100 * np.finfo(float).eps ** (1 / m)
 
 
 def test_stacked_roots_take_every_row_alone():

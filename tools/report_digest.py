@@ -39,6 +39,10 @@ reads), on the rational n = 4 tables and on the pinned-pivot tables, and
 at the default tol, where pivot pairs are also rejected on the slate
 {1, 2} before extension, on the float and rational tables and on the
 `near_counterexamples` tables;
+`solve_all_roots` on seeded cubics and quartics, with leading
+coefficients as drawn, near the trim cut and at 1e-10 of the rest, and on
+the two inputs the earlier Cardano solver failed on (`root_rows`; an
+exception is recorded by its type name, so that every version runs);
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
@@ -49,8 +53,8 @@ n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 `learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 26 s on two cores; the n = 20 identify family, 10 seeds per
-lambda, is about 1 s of that, the rational families about 5 s, the
+takes about 36 s on two cores; the `solve_all_roots` families are about
+0.1 s of that, the n = 20 identify family, 10 seeds per lambda, about 1 s, the rational families about 5 s, the
 families near the pair scan's number-type edges (lambda 1 and 1/2, small
 denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
 pair-solver families about 3 s, the rational learn-oracle families under
@@ -70,6 +74,8 @@ import random
 from itertools import chain, combinations, permutations
 from fractions import Fraction
 
+import numpy as np
+
 from mnlmix import experiments as xp
 from mnlmix.experiments import counterexample_model
 from mnlmix.identify import (
@@ -80,6 +86,7 @@ from mnlmix.identify import (
 )
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
 from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
+from mnlmix.polynomials import DEFAULT_TOL, RealPolynomial, solve_all_roots
 from mnlmix.systems import pair_system
 
 LAMBDAS = (2.0, 1.0, 0.7)
@@ -127,6 +134,12 @@ SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
 SAMPLE_LAMBDA_DRAWS = {1.0: 40, 0.7: 40}
 # learn-samples-n6 benchmark inputs drawn from random.Random(1)
 BENCH_SAMPLE_DRAWS = 100
+# seeded normal rows per degree given to `solve_all_roots`, and their
+# leading coefficients relative to the row's other coefficients: as drawn,
+# near the trim cut tau_lead (above it, and below it, where the row is
+# trimmed to a lower degree) and at 1e-10
+ROOT_DRAWS = 200
+ROOT_LEADS = (None, 2 * DEFAULT_TOL.tau_lead, DEFAULT_TOL.tau_lead / 2, 1e-10)
 
 
 def digest(reports) -> str:
@@ -199,6 +212,35 @@ def pair_solutions(model) -> list:
         [s.to_dict() for s in solve_pair_system(pair_system(table, i, j, include_pair=True))]
         for i, j in permutations(range(1, model.n + 1), 2)
     ]
+
+
+def root_rows():
+    """(label, rows) for the `solve_all_roots` families: seeded normal cubics
+    and quartics at each of `ROOT_LEADS`, then x^3 + 2.4e-288 x and 300
+    normal cubics with a leading coefficient 1e-10 of the sup-norm, the
+    two inputs that the earlier Cardano solver failed on."""
+    for degree in (3, 4):
+        for lead in ROOT_LEADS:
+            rng = np.random.default_rng(degree)
+            rows = rng.normal(size=(ROOT_DRAWS, degree + 1))
+            if lead is not None:
+                rows[:, -1] = np.copysign(lead * abs(rows[:, :-1]).max(axis=1), rows[:, -1])
+            yield f"solve_all_roots degree={degree} lead={lead} seed={degree} rows={ROOT_DRAWS}", rows
+    rng = np.random.default_rng(0)
+    small = rng.normal(size=(300, 4))
+    small[:, 3] = np.copysign(1e-10 * abs(small[:, :3]).max(axis=1), small[:, 3])
+    found = [[0.0, 2.3668360709099062e-288, 0.0, 1.0], *small.tolist()]
+    yield "solve_all_roots x^3+2.4e-288x and lead=1e-10 cubics seed=0", np.array(found)
+
+
+def root_report(row) -> dict:
+    """`solve_all_roots` on one row: its roots as [real, imag] pairs with
+    their realness flags, or the name of the exception it raises."""
+    try:
+        rs = solve_all_roots(RealPolynomial.of(row.tolist()))
+    except Exception as err:  # every version's failure is part of the record
+        return {"error": type(err).__name__}
+    return {"roots": [[r.real, r.imag] for r in rs.roots], "real": list(rs.real_flags)}
 
 
 def identify_slates(n: int) -> list:
@@ -298,6 +340,8 @@ def families():
         f"n={n},lam={lam},seed={s}" for n, lam, s in EDGE_DRAWS
     ), (check_identifiability(random_instance(*d)).to_dict() for d in EDGE_DRAWS)
     yield from candidate_families()
+    for label, rows in root_rows():
+        yield label, (root_report(row) for row in rows)
     for lam in LAMBDAS:
         yield f"pair-solver n=5 lam={lam} seeds=0..{PAIR_DRAWS - 1}", (
             pair_solutions(random_instance(5, lam, s)) for s in range(PAIR_DRAWS)

@@ -54,10 +54,10 @@ n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
 and one small run of each experiment driver (`experiment_families`). A run
 takes about 36 s on two cores; the `solve_all_roots` families are about
-0.1 s of that, the n = 20 identify family, 10 seeds per lambda, about 1 s, the rational families about 5 s, the
-families near the pair scan's number-type edges (lambda 1 and 1/2, small
-denominators, Fraction lambda 1, perturbed counterexample) 7 to 9 s, the
-pair-solver families about 3 s, the rational learn-oracle families under
+0.1 s of that, the n = 20 identify family, 10 seeds per lambda, about 1 s,
+the rational families about 5 s, the families near the pair scan's
+number-type edges (lambda 1 and 1/2, small denominators, Fraction lambda
+1, perturbed counterexample) 7 to 9 s, the pair-solver families about 3 s, the rational learn-oracle families under
 1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
 benchmark-input sampling family about 4 s, the candidate families about
 2 s (0.9 s at tol = inf, 1.1 s at the default tol), the pinned-pivot

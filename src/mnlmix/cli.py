@@ -5,10 +5,9 @@ Every command is deterministic given --seed; reports are JSON (schema under a
 the JSON. No timestamps are written, so re-runs are byte-identical.
 
 Exit codes: identify returns 0 (unique), 2 (non-unique), 3 (collapse); learn
-returns 0 on success, 4 on a block-identifiability violation, 5 when sampling
-was too noisy, 6 on a degenerate instance, so it returns 0 exactly when the
-report's `ok` holds; other validation or I/O failures exit nonzero with a
-message on stderr.
+returns 0 on success, 4 on a block-identifiability violation, 6 on a
+degenerate instance, so it returns 0 exactly when the report's `ok` holds;
+other validation or I/O failures exit nonzero with a message on stderr.
 """
 
 from __future__ import annotations

@@ -792,36 +792,38 @@ def _swap_equivalent(c1: CandidateSolution, c2: CandidateSolution) -> bool:
     return _close(c1.a + c1.b, c2.b + c2.a)
 
 
-def _swap_dedup(cands: list) -> tuple:
-    kept: list = []
-    merged = False
-    for c in cands:
-        if any(_swap_equivalent(c, k) for k in kept):
-            merged = True
-            continue
-        kept.append(c)
-    return kept, merged
-
-
-def _leads(c: CandidateSolution) -> bool:
+def _leads(a: Sequence, b: Sequence) -> bool:
     """Whether a_i < b_i at the first item where they differ by more than
-    DEDUP_RTOL (True when none does), as the learner orders (a, b)."""
-    for x, y in zip(c.a, c.b):
+    DEDUP_RTOL (True when none does): the order in which lambda = 1 reports
+    and the learner show a swap class's (a, b)."""
+    for x, y in zip(a, b):
         if abs(float(x) - float(y)) > DEDUP_RTOL:
             return x < y
     return True
 
 
 def _swap_classes(cands: list) -> tuple:
-    """`_swap_dedup` showing one fixed member of each lambda = 1 swap class,
-    in `_dedup`'s order: its first candidate that `_leads`, else its first
-    with a and b exchanged (the residual is symmetric at lambda = 1)."""
-    kept, merged = _swap_dedup(cands)
+    """The lambda = 1 swap classes of `cands` and whether any two merged.
+
+    Each class shows one fixed member, in `_dedup`'s order: its first
+    candidate that `_leads`, else its first with a and b exchanged (the
+    residual is symmetric at lambda = 1)."""
+    kept: list = []
+    for c in cands:
+        if not any(_swap_equivalent(c, k) for k in kept):
+            kept.append(c)
     members = []
     for k in kept:
         same = [c for c in cands if c is k or _swap_equivalent(c, k)]
-        members.append(next((c for c in same if _leads(c)), replace(k, a=k.b, b=k.a)))
-    return _dedup(members), merged
+        members.append(next((c for c in same if _leads(c.a, c.b)), replace(k, a=k.b, b=k.a)))
+    return _dedup(members), len(kept) < len(cands)
+
+
+def identify_slates(n: int) -> list:
+    """The slates `check_identifiability` reads, in `all_slates`' order: at
+    n = 3 and n = 4 every slate, at larger n the 2-, (n-1)- and n-slates,
+    the sizes the reduction and its filters consume."""
+    return [Slate(c) for k in sorted({2, n - 1, n}) for c in combinations(range(1, n + 1), k)]
 
 
 def check_identifiability(
@@ -853,14 +855,7 @@ def check_identifiability(
             codes=("collapse",),
         )
 
-    # n = 3 and n = 4 get every slate; larger universes keep the 2-, (n-1)-
-    # and n-slates, the sizes the reduction and its filters consume
-    budget = [
-        Slate(c)
-        for k in sorted({2, n - 1, n})
-        for c in combinations(range(1, n + 1), k)
-    ]
-    table = oracle_table(model, budget)
+    table = oracle_table(model, identify_slates(n))
 
     # (2, 1), then every pair i < j, so the enumeration's systems lead; the
     # gates read the (1, j) rows, the screen every row from (1, 2) on. At

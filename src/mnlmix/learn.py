@@ -21,6 +21,7 @@ from .identify import (
     CandidateSolution,
     _close,
     _coefficient_rows,
+    _leads,
     _swap_classes,
     enumerate_candidates,
     slate_cells,
@@ -85,19 +86,16 @@ class LearnReport:
         `normalization-argmin`, are diagnostics. `mnlmix learn` exits 0
         exactly when `ok` holds.
         """
-        bad = {"sampling-too-noisy", "k-identifiability-violation",
-               "degenerate-normalization"}
+        bad = {"k-identifiability-violation", "degenerate-normalization"}
         return self.a_hat is not None and not bad & set(self.status)
 
     @property
     def exit_code(self) -> int:
         """`mnlmix learn`'s exit code: 4 on a block-identifiability
-        violation, 5 when sampling was too noisy, 6 on any other failure
-        (degenerate normalization, no positive estimate), else 0."""
+        violation, 6 on any other failure (degenerate normalization, no
+        positive estimate), else 0."""
         if "k-identifiability-violation" in self.status:
             return 4
-        if "sampling-too-noisy" in self.status:
-            return 5
         return 0 if self.ok else 6
 
     def to_dict(self) -> dict:
@@ -206,7 +204,9 @@ def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
     The block's own slates often cannot tell two basins apart (their losses
     differ by a few percent while one of them is far from the truth), so
     every distinct basin is returned, lowest block loss first, and the
-    caller decides on all sampled rows.
+    caller decides on all sampled rows. Every initializer lies inside the
+    simplex, so every refit has a finite loss and at least one basin
+    comes back.
     """
     k, lam = len(items), float(table.lam)
     full_row = table.entries[tuple(sorted(items))]
@@ -233,8 +233,6 @@ def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
     basins: list = []
     # a stable sort: equal losses keep the initializer order
     for t in np.argsort(loss, kind="stable"):
-        if not math.isfinite(loss[t]):
-            break
         fit = a[t].tolist() + b[t].tolist()
         if not any(_close(fit, c.a + c.b, BASIN_RTOL) for c in basins):
             basins.append(CandidateSolution(
@@ -255,8 +253,6 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     table = oracle.table_for(block_slates, "kblock")
     if oracle.noisy:
         blocks = _noisy_block_estimate(table, items)
-        if not blocks:
-            return [], ["sampling-too-noisy"]
     else:
         cands = enumerate_candidates(table, items)
         if not cands:
@@ -324,11 +320,11 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
         t = next(s for s in range(t + 1) if _close(fit[s], fit[t], BASIN_RTOL))
         a_hat, b_hat, st = a[t].tolist(), b[t].tolist(), fits[t][2]
     statuses.extend(st)
-    if float(oracle.lam) == 1.0:
+    if float(oracle.lam) == 1.0 and not _leads(a_hat, b_hat):
         # (a, b) and (b, a) are one model at lambda = 1, with equal losses:
-        # report them in lexicographic order, not in the order that
+        # report them in identify's swap-class order, not in the order that
         # last-digit luck gives
-        a_hat, b_hat = sorted((tuple(a_hat), tuple(b_hat)))
+        a_hat, b_hat = b_hat, a_hat
     err = _rel_error(a_hat, b_hat, truth) if truth is not None else None
     return report(tuple(a_hat), tuple(b_hat), err)
 
@@ -589,43 +585,30 @@ def _normalization_scales(r: float, tail: PairSystemInput, margin: float) -> tup
 
 
 def learn_from_oracle(
-    source,
-    lam=None,
+    source: MixtureModel | OracleTable,
     cfg: LearnConfig = LearnConfig(),
     truth: Optional[MixtureModel] = None,
-    n: Optional[int] = None,
 ) -> LearnReport:
     """Recover the weights from exact oracle access.
 
-    `source` may be a MixtureModel (its exact oracle is queried and it doubles
-    as ground truth for the error metric), an OracleTable covering the needed
-    slates, or a callable mapping a Slate to its scaled value row (then both
-    `lam` and `n` are required).
+    `source` is a MixtureModel, whose exact oracle is queried and which
+    doubles as ground truth for the error metric, or an OracleTable covering
+    the needed slates.
     """
     if isinstance(source, MixtureModel):
-        model = source
-        lam = model.lam
-        n = model.n
-        scale = 1 + model.lam
+        scale = 1 + source.lam
 
         def rows(slate: Slate) -> tuple:
-            return tuple(scale * d for d in slate_distribution(model, slate))
+            return tuple(scale * d for d in slate_distribution(source, slate))
 
-        oracle = _ValueOracle(rows, lam, n)
+        oracle = _ValueOracle(rows, source.lam, source.n)
         if truth is None:
-            truth = model
+            truth = source
     elif isinstance(source, OracleTable):
-        if lam is None:
-            lam = source.lam
-        n = source.n
-        oracle = _ValueOracle(source.value, lam, n)
-    elif callable(source):
-        if lam is None or n is None:
-            raise ValueError("callable oracle access needs explicit lambda and n")
-        oracle = _ValueOracle(source, lam, n)
+        oracle = _ValueOracle(source.value, source.lam, source.n)
     else:
         raise TypeError(f"unsupported oracle source {type(source)!r}")
-    return _learn(oracle, cfg.block_size(n), truth)
+    return _learn(oracle, cfg.block_size(oracle.n), truth)
 
 
 def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) -> LearnReport:

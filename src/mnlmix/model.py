@@ -212,9 +212,6 @@ class OracleTable:
     def value_for(self, slate: Slate, item: int):
         return self.entries[slate.items][slate.items.index(item)]
 
-    def slates(self) -> list:
-        return [Slate.of(items) for items in self.entries]
-
 
 def oracle_table(model: MixtureModel, slates: Iterable[Slate]) -> OracleTable:
     """Exact oracle on the requested slates; rows sum to 1 + lambda.
@@ -281,10 +278,14 @@ def random_instance(
     def draw() -> list:
         e = rng.exponential(size=n)
         w = (e / e.sum()).tolist()
+        low: list = []
         for _ in range(n):
-            low = [i for i, v in enumerate(w) if v < floor]
-            if not low:
+            # an entry clamped in an earlier round stays clamped: rescaling
+            # it with the free entries would take it under the floor again
+            under = [i for i, v in enumerate(w) if v < floor and i not in low]
+            if not under:
                 break
+            low += under
             free = [i for i in range(n) if i not in low]
             mass = 1.0 - floor * len(low)
             scale = mass / sum(w[i] for i in free)

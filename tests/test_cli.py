@@ -163,6 +163,19 @@ def test_experiment_sweep_cli(tmp_path):
     assert json.loads(rep.read_text())["counts"]["unique"] == 5
 
 
+def test_experiment_sweep_jobs_write_one_report(tmp_path):
+    """Two worker processes write the one-process report byte for byte."""
+    reports = []
+    for jobs in ("1", "2"):
+        rep = tmp_path / f"sweep{jobs}.json"
+        assert run([
+            "experiment", "identifiability-sweep", "--n", "4", "--lambda", "2",
+            "--trials", "6", "--seed", "3", "--jobs", jobs, "--out", str(rep),
+        ]) == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_experiment_sample_complexity_writes_csv(tmp_path):
     rep = tmp_path / "curve.json"
     assert run([

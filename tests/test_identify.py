@@ -18,6 +18,7 @@ from mnlmix.identify import (
     check_identifiability,
     enumerate_candidates,
     exact_model,
+    identify_slates,
     pair_certified_unique,
     solve_pair_system,
 )
@@ -697,11 +698,6 @@ def _spy_tail_weights(monkeypatch) -> list:
     return extended
 
 
-def _identify_slates(n: int) -> list:
-    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads."""
-    return [Slate(c) for k in sorted({2, n - 1, n}) for c in combinations(range(1, n + 1), k)]
-
-
 @st.composite
 def _candidate_table(draw):
     """A table `check_identifiability` builds: a float n = 4 or n = 14 draw,
@@ -717,7 +713,7 @@ def _candidate_table(draw):
         m = _with_lambda(_rational_draw(4, draw(st.integers(0, 40))), lam)
     else:
         m = draw(st.sampled_from(list(_near_counterexamples([draw(st.integers(2, 12))]))))
-    return oracle_table(m, _identify_slates(m.n))
+    return oracle_table(m, identify_slates(m.n))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -766,7 +762,7 @@ def test_rejected_pairs_never_reach_extension(tol, monkeypatch):
     for m in models:
         offered.clear()
         extended.clear()
-        table = oracle_table(m, _identify_slates(m.n))
+        table = oracle_table(m, identify_slates(m.n))
         items = tuple(range(1, m.n + 1))
         enumerate_candidates(table, items, tol)
         (pairs,) = offered
@@ -861,7 +857,7 @@ def _enumeration_table(case):
         return oracle_table(m, all_slates(len(items), items=items)), items
     if kind == "edge":
         m = _edge_draw(case[1])
-        return oracle_table(m, _identify_slates(m.n)), tuple(range(1, m.n + 1))
+        return oracle_table(m, identify_slates(m.n)), tuple(range(1, m.n + 1))
     m = None
     seed = case[2]
     while m is None:
@@ -891,7 +887,7 @@ def test_report_full_solutions_equal_enumeration(case):
     root-cluster draws stay unique with the truth among them."""
     m = _edge_draw(case)
     rep = check_identifiability(m)
-    table = oracle_table(m, _identify_slates(m.n))
+    table = oracle_table(m, identify_slates(m.n))
     cands = enumerate_candidates(table, tuple(range(1, m.n + 1)))
     assert [s.to_dict() for s in rep.solutions if s.level == "full"] == [c.to_dict() for c in cands]
     if case in ("near-pin", "root-cluster"):
@@ -964,7 +960,7 @@ def _extension_starts(m) -> list:
     tail extension can take at tol = inf: each pivot of each pair from the
     (1, 2) and (2, 1) quartics, with its partner value on each (pivot, j)
     system."""
-    table = oracle_table(m, _identify_slates(m.n))
+    table = oracle_table(m, identify_slates(m.n))
     items = tuple(range(1, m.n + 1))
     sys01, sys10 = (pair_system(table, i, j, items=items) for i, j in ((1, 2), (2, 1)))
     pairs = identify._pivot_pairs(sys01, identify._band_roots(pair_quartic(sys01)))

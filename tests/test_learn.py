@@ -19,7 +19,7 @@ from mnlmix.learn import (
     learn_from_samples,
 )
 from mnlmix.experiments import regular_instance
-from mnlmix.identify import _close
+from mnlmix.identify import _close, _leads
 from mnlmix.model import (
     MixtureModel,
     OracleTable,
@@ -43,17 +43,36 @@ def test_oracle_round_trip(n, lam):
         assert abs(sum(rep.a_hat) - 1) <= 1e-10 and abs(sum(rep.b_hat) - 1) <= 1e-10
         assert min(rep.a_hat) > 0 and min(rep.b_hat) > 0
         if lam == 1.0:
-            # (a, b) and (b, a) are one model: one canonical order
-            assert rep.a_hat <= rep.b_hat
+            # (a, b) and (b, a) are one model: identify's swap-class order
+            assert _leads(rep.a_hat, rep.b_hat)
 
 
 def test_samples_at_lambda_one_report_components_in_order():
     """At lambda = 1 the two orders of a fit tie in loss exactly, so the
-    learner reports the lexicographically smaller weight vector as a_hat."""
+    learner reports them in identify's swap-class order (`_leads`)."""
     for t in range(40):
         m = random_instance(6, 1.0, 1000 + t)
         rep = learn_from_samples(m, cfg=LearnConfig(eps=0.05, seed=t))
-        assert rep.a_hat <= rep.b_hat
+        assert _leads(rep.a_hat, rep.b_hat)
+
+
+def _pinned_item_one(seed: int) -> MixtureModel:
+    """`random_instance(5, 1.0, seed)` with b_1 set to a_1 and b's other
+    items rescaled to sum to one."""
+    m = random_instance(5, 1.0, seed)
+    a1, b1 = m.a.w[0], m.b.w[0]
+    return MixtureModel.of(m.a.w, [a1] + [v * (1 - a1) / (1 - b1) for v in m.b.w[1:]], 1.0)
+
+
+def test_lambda_one_pinned_item_one_reports_in_swap_class_order():
+    """With a_1 = b_1 the learned a_1 and b_1 differ only by rounding, so
+    an order read off item 1 is luck. Every successful report orders its
+    vectors by `_leads`, which skips item 1 and decides on item 2."""
+    reports = [learn_from_oracle(_pinned_item_one(s)) for s in range(60)]
+    ok = [rep for rep in reports if rep.ok]
+    assert len(ok) >= 50
+    assert all(abs(rep.a_hat[0] - rep.b_hat[0]) <= 1e-12 for rep in ok)
+    assert all(_leads(rep.a_hat, rep.b_hat) for rep in ok)
 
 
 def test_query_constant_across_n():
@@ -106,19 +125,6 @@ def test_oracle_table_source():
     ] + [Slate.of([i for i in range(1, 6) if i != j]) for j in range(1, 6)]
     table = oracle_table(m, needed)
     rep = learn_from_oracle(table, truth=m)
-    assert rep.max_rel_error <= 1e-8
-
-
-def test_callable_source_requires_params():
-    m = random_instance(5, 2.0, 9)
-
-    def rows(slate):
-        scale = 1 + m.lam
-        return tuple(scale * d for d in slate_distribution(m, slate))
-
-    with pytest.raises(ValueError):
-        learn_from_oracle(rows)
-    rep = learn_from_oracle(rows, lam=m.lam, n=m.n, truth=m)
     assert rep.max_rel_error <= 1e-8
 
 
@@ -324,8 +330,8 @@ def test_error_scaling_with_sample_size():
 def test_sampling_too_noisy_status():
     m = regular_instance(6, 2.0, 8)
     rep = learn_from_samples(m, cfg=LearnConfig(samples_per_slate=40, seed=8))
-    # at 40 samples per slate the pipeline must not crash; it either flags a
-    # status or returns a (poor) estimate
+    # at 40 samples per slate the pipeline must not crash; it either fails
+    # with a status or returns a (poor) estimate
     assert rep.a_hat is None or rep.max_rel_error is not None
 
 

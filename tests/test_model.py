@@ -207,6 +207,16 @@ def test_random_instance_floor():
         assert abs(sum(w) - 1.0) <= 1e-12
 
 
+def test_random_instance_floor_holds_after_rebalancing():
+    """A floor that clamps several entries, some only after an earlier
+    round's rebalance took them under it, still holds for every entry."""
+    for seed in range(200):
+        m = random_instance(4, 2.0, seed, floor=0.2)
+        for w in (m.a.w, m.b.w):
+            assert min(w) >= 0.2
+            assert abs(sum(w) - 1.0) <= 1e-12
+
+
 def test_random_instance_bad_floor():
     with pytest.raises(ParameterError):
         random_instance(5, 2.0, 0, floor=0.5)

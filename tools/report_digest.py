@@ -46,8 +46,10 @@ exception is recorded by its type name, so that every version runs);
 `solve_pair_system` on every ordered pair of float n = 5 draws and of the
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
-`learn_from_oracle` by n and lambda, and on rational models at n = 4, 5
-and 6, whose block solve builds exact quartics; `learn_from_samples` at
+`learn_from_oracle` by n and lambda, on rational models at n = 4, 5
+and 6, whose block solve builds exact quartics, and on n = 5 draws at
+lambda = 1 with a_1 = b_1 (`pinned_item_one_models`), whose (a, b) order
+the swap-class rule decides; `learn_from_samples` at
 eps = 0.05 on model seeds 1000 + t with sampling seed t, at lambda = 2 for
 n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 `learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
@@ -71,7 +73,7 @@ import argparse
 import hashlib
 import json
 import random
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from fractions import Fraction
 
 import numpy as np
@@ -82,10 +84,11 @@ from mnlmix.identify import (
     RESIDUAL_TOL,
     check_identifiability,
     enumerate_candidates,
+    identify_slates,
     solve_pair_system,
 )
 from mnlmix.learn import LearnConfig, learn_from_oracle, learn_from_samples
-from mnlmix.model import MixtureModel, Slate, all_slates, oracle_table, random_instance
+from mnlmix.model import MixtureModel, all_slates, oracle_table, random_instance
 from mnlmix.polynomials import DEFAULT_TOL, RealPolynomial, solve_all_roots
 from mnlmix.systems import pair_system
 
@@ -95,6 +98,9 @@ IDENTIFY_DRAWS = {3: 300, 4: 600, 5: 150, 6: 100, 8: 40, 14: 20, 20: 10}
 ORACLE_DRAWS = {4: 40, 5: 40, 6: 40, 8: 20, 12: 10}
 # n -> number of rational draws at lambda = 2 whose exact oracle is learned
 RATIONAL_ORACLE_DRAWS = {4: 30, 5: 30, 6: 30}
+# seeds of the n = 5 lambda = 1 draws with b_1 set to a_1 whose exact oracle
+# is learned (`pinned_item_one_models`)
+PINNED_ORACLE_DRAWS = 60
 # n -> number of rational draws at lambda = 2
 RATIONAL_DRAWS = {4: 60, 3: 100, 5: 20, 6: 20}
 # item 1 pinned (a_1 = b_1), so every gate is exactly 0
@@ -204,6 +210,17 @@ def pinned_pivot_models(n: int, lam: float, count: int):
             yield MixtureModel.of(a, m.b.w, lam)
 
 
+def pinned_item_one_models():
+    """`random_instance(5, 1.0, s)`, s < PINNED_ORACLE_DRAWS, with b_1 set
+    to a_1 and b's other items rescaled to sum to one: a learned a_1 and b_1
+    then differ only by rounding, so the learner's lambda = 1 order of
+    (a, b) rests on later items."""
+    for s in range(PINNED_ORACLE_DRAWS):
+        m = random_instance(5, 1.0, s)
+        a1, b1 = m.a.w[0], m.b.w[0]
+        yield MixtureModel.of(m.a.w, [a1] + [v * (1 - a1) / (1 - b1) for v in m.b.w[1:]], 1.0)
+
+
 def pair_solutions(model) -> list:
     """`solve_pair_system` reports for every ordered pair of `model`, with
     the two-item slate value included."""
@@ -241,12 +258,6 @@ def root_report(row) -> dict:
     except Exception as err:  # every version's failure is part of the record
         return {"error": type(err).__name__}
     return {"roots": [[r.real, r.imag] for r in rs.roots], "real": list(rs.real_flags)}
-
-
-def identify_slates(n: int) -> list:
-    """The 2-, (n-1)- and n-slates, the budget `check_identifiability` reads,
-    built as it builds them and in the order `all_slates` lists them."""
-    return [Slate(c) for k in sorted({2, n - 1, n}) for c in combinations(range(1, n + 1), k)]
 
 
 def all_candidates(table, items, tol) -> dict:
@@ -359,6 +370,9 @@ def families():
         yield f"learn-oracle rational n={n} lam=2 first {draws} positive draws", (
             learn_from_oracle(m).to_dict() for m in rational_models(n, draws)
         )
+    yield f"learn-oracle pinned item 1 n=5 lam=1.0 seeds=0..{PINNED_ORACLE_DRAWS - 1}", (
+        learn_from_oracle(m).to_dict() for m in pinned_item_one_models()
+    )
     for n, draws in SAMPLE_DRAWS.items():
         yield f"learn-samples n={n} lam=2.0 eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
             learn_from_samples(

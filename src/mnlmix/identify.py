@@ -246,7 +246,7 @@ def _drop_jacobian(c: PairSystemInput, x, y) -> tuple:
 def _polish_pair(sys: PairSystemInput, bi: float, bj: float, steps: int = POLISH_STEPS):
     """Newton-refine (b_i, b_j) on the two drop-slate equations.
 
-    Closed-form quartic roots lose accuracy when solutions cluster (near the
+    Float quartic roots lose accuracy when solutions cluster (near the
     collapse set the quartic has a near-multiple root, costing ~eps^(1/4));
     the candidate itself still separates, so a couple of Newton steps on the
     residual system restore full precision.
@@ -382,8 +382,9 @@ def _screen_pairs(batch: PairSystemInput, quartic, pivots, tol: float) -> np.nda
     `quartic` holds the batch's `cleared_pair_quartic` rows and `pivots` the
     (P, 1) float pivot weights b_i of the model whose oracle the batch reads;
     all are read as floats. Follows `solve_pair_system` on every row at
-    once: the row's quartic roots stand in for the closed-form ones, then
-    the partner map, the Newton polish, admissibility and the residual.
+    once: the screen's roots of each row stand in for `solve_all_roots`'
+    companion eigenvalues, then the partner map, the Newton polish,
+    admissibility and the residual.
 
     The model's b_i is a root of its own pair quartic q, so each row is
     deflated at b_i by synthetic division, and its other three roots come

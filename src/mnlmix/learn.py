@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .identify import (
 from .model import (
     MixtureModel,
     OracleTable,
+    ParameterError,
     Slate,
     all_slates,
+    oracle_table,
     sample_empirical,
-    slate_distribution,
 )
 from .polynomials import X, Coeffs, RealPolynomial, solve_all_roots
 from .systems import PairSystemInput, pair_equations, partner_map
@@ -60,6 +61,9 @@ class LearnConfig:
     seed: int = 0
 
     def auto_samples(self, n: int) -> int:
+        """The default per-slate budget 8 n^3 / eps^2, rounded up."""
+        if not self.eps > 0:
+            raise ParameterError(f"eps must be positive for the default budget, got {self.eps}")
         return math.ceil(8 * n**3 / self.eps**2)
 
     def block_size(self, n: int) -> int:
@@ -112,54 +116,39 @@ class LearnReport:
 
 
 class _ValueOracle:
-    """Caches slate rows and counts distinct (slate, item) value queries.
+    """Counts distinct (slate, item) value queries to one oracle table.
 
     `noise_size` is the number of samples behind each row of a sampled
-    oracle (None for exact values); a sampled oracle runs the learner in
+    table (None for exact values); a sampled oracle runs the learner in
     sampling mode, which ends in the multinomial refit.
     """
 
-    def __init__(
-        self, row_source: Callable[[Slate], tuple], lam, n: int,
-        noise_size: Optional[int] = None,
-    ):
-        self._source = row_source
-        self._rows: dict = {}
-        self.lam = lam
-        self.n = n
+    def __init__(self, table: OracleTable, noise_size: Optional[int] = None):
+        self.table = table
         self.noise_size = noise_size
         self.counts = {"kblock": 0, "extension": 0}
         self._seen: set = set()
 
-    def row(self, slate: Slate) -> tuple:
-        if slate.items not in self._rows:
-            self._rows[slate.items] = self._source(slate)
-        return self._rows[slate.items]
-
     def value(self, slate: Slate, item: int, bucket: str):
         # one query per distinct (slate, item) ask within each phase; a value
         # the extension re-requests after the block phase is a fresh oracle
-        # call even though the row is cached
+        # call even though the table already holds it
         key = (slate.items, item, bucket)
         if key not in self._seen:
             self._seen.add(key)
             self.counts[bucket] += 1
-        return self.row(slate)[slate.items.index(item)]
+        return self.table.value_for(slate, item)
 
     @property
     def noisy(self) -> bool:
         return self.noise_size is not None
-
-    def sampled_table(self) -> OracleTable:
-        """Every cached row, as one table."""
-        return OracleTable(self.n, self.lam, dict(self._rows))
 
     def table_for(self, slates: Sequence[Slate], bucket: str) -> OracleTable:
         entries = {}
         for s in slates:
             values = tuple(self.value(s, i, bucket) for i in s.items)
             entries[s.items] = values
-        return OracleTable(self.n, self.lam, entries)
+        return OracleTable(self.table.n, self.table.lam, entries)
 
 
 def _rel_error(est_a, est_b, truth: MixtureModel) -> float:
@@ -196,7 +185,7 @@ def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
     The initializers are 2k deterministic mixture splits of the
     single-component fit, one per block item and sign; the split direction
     matters because the collapse point is a stationary ridge of the
-    least-squares landscape. The block's closed-form quartic roots are not
+    least-squares landscape. The roots of the block's quartic are not
     among them: they degrade badly when the true pivot weight sits near the
     spurious root cluster at the partner map's pole, and as extra starts
     they changed no measured success count.
@@ -290,8 +279,8 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
             queries_used=oracle.counts["kblock"] + oracle.counts["extension"],
             queries_kblock=oracle.counts["kblock"],
             queries_extension=oracle.counts["extension"],
-            # the source runs once per distinct slate
-            samples_used=(oracle.noise_size or 0) * len(oracle.sampled_table().entries),
+            # every row of a sampled table is one slate's sample
+            samples_used=(oracle.noise_size or 0) * len(oracle.table.entries),
             max_rel_error=err,
             status=tuple(dict.fromkeys(statuses)),
         )
@@ -308,7 +297,7 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
         # the queries are all made, so one residual map serves every start
         a, b, loss = _refit(
             np.array([f[0] for f in fits]), np.array([f[1] for f in fits]),
-            _cell_residuals(oracle.sampled_table(), range(1, oracle.n + 1)),
+            _cell_residuals(oracle.table, range(1, oracle.table.n + 1)),
         )
         # the fit with the lowest loss on all sampled rows wins. Starts that
         # refit into one basin tie up to last-digit drift, so the earliest
@@ -320,7 +309,7 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
         t = next(s for s in range(t + 1) if _close(fit[s], fit[t], BASIN_RTOL))
         a_hat, b_hat, st = a[t].tolist(), b[t].tolist(), fits[t][2]
     statuses.extend(st)
-    if float(oracle.lam) == 1.0 and not _leads(a_hat, b_hat):
+    if float(oracle.table.lam) == 1.0 and not _leads(a_hat, b_hat):
         # (a, b) and (b, a) are one model at lambda = 1, with equal losses:
         # report them in identify's swap-class order, not in the order that
         # last-digit luck gives
@@ -336,7 +325,7 @@ def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) 
     per admissible normalization root in sampling mode, the best one in
     exact mode. A failed extension yields one start whose a and b are None.
     """
-    lam, n, noisy = oracle.lam, oracle.n, oracle.noisy
+    lam, n, noisy = oracle.table.lam, oracle.table.n, oracle.noisy
     k = len(items)
     statuses: list = []
     # pivot: block item with the widest |b - a| gap keeps the partner-map
@@ -584,6 +573,18 @@ def _normalization_scales(r: float, tail: PairSystemInput, margin: float) -> tup
     return [(float(grid[t]), bj[:, t])], True
 
 
+def learner_slates(n: int, k: int) -> list:
+    """The slates both learners read, without repeats: the block slates
+    `all_slates(k)`, the full slate, every drop-one slate and each tail
+    item's 2-slate with every block item (read only by the sampling refit).
+    `identify.identify_slates` is its counterpart for identify."""
+    universe = range(1, n + 1)
+    slates = all_slates(k) + [Slate.of(universe)]
+    slates += [Slate.of(i for i in universe if i != j) for j in universe]
+    slates += [Slate.of((i, j)) for j in range(k + 1, n + 1) for i in range(1, k + 1)]
+    return list(dict.fromkeys(slates))
+
+
 def learn_from_oracle(
     source: MixtureModel | OracleTable,
     cfg: LearnConfig = LearnConfig(),
@@ -591,58 +592,39 @@ def learn_from_oracle(
 ) -> LearnReport:
     """Recover the weights from exact oracle access.
 
-    `source` is a MixtureModel, whose exact oracle is queried and which
-    doubles as ground truth for the error metric, or an OracleTable covering
-    the needed slates.
+    `source` is a MixtureModel, whose exact oracle on `learner_slates` is
+    read and which doubles as ground truth for the error metric, or an
+    OracleTable covering the needed slates.
     """
     if isinstance(source, MixtureModel):
-        scale = 1 + source.lam
-
-        def rows(slate: Slate) -> tuple:
-            return tuple(scale * d for d in slate_distribution(source, slate))
-
-        oracle = _ValueOracle(rows, source.lam, source.n)
+        table = oracle_table(source, learner_slates(source.n, cfg.block_size(source.n)))
         if truth is None:
             truth = source
     elif isinstance(source, OracleTable):
-        oracle = _ValueOracle(source.value, source.lam, source.n)
+        table = source
     else:
         raise TypeError(f"unsupported oracle source {type(source)!r}")
-    return _learn(oracle, cfg.block_size(oracle.n), truth)
+    return _learn(_ValueOracle(table), cfg.block_size(table.n), truth)
 
 
 def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) -> LearnReport:
     """Recover the weights from per-slate empirical estimates.
 
-    Every sampled slate is sampled cfg.samples_per_slate times (default
-    8 n^3 / eps^2) with a stream derived from (cfg.seed, slate): the block's
-    slates, the full slate, every drop-one slate and, for each tail item,
-    its 2-slate with each block item. The oracle pipeline runs on the
-    perturbed values: the block is fitted by least squares from
-    mixture-split starts, and a final refit against every sampled row
-    decides among the candidate fits.
+    Every slate of `learner_slates` is sampled cfg.samples_per_slate times
+    (8 n^3 / eps^2 when it is None; ParameterError under one sample) with
+    a stream derived from (cfg.seed, slate). The final refit uses every
+    sampled row: at a fixed per-slate budget the drop-one slates buy a
+    sizable accuracy margin for the tail items, and the tail items'
+    2-slates pin down what the large slates alone leave loose. The oracle
+    pipeline runs on the perturbed values: the block is fitted by least
+    squares from mixture-split starts, and the final refit decides among
+    the candidate fits.
     """
-    lam = float(model.lam)
-    n = model.n
-    size = cfg.samples_per_slate or cfg.auto_samples(n)
-
-    def rows(slate: Slate) -> tuple:
-        return tuple(
-            float(v) for v in sample_empirical(model, slate, size, cfg.seed)
-        )
-
-    oracle = _ValueOracle(rows, lam, n, noise_size=size)
-    # sample the whole large-slate family up front: the final refit uses
-    # every sampled row, and at a fixed per-slate budget the extra drop-one
-    # slates buy a sizable accuracy margin for the tail items
-    oracle.row(Slate.of(range(1, n + 1)))
-    for j in range(1, n + 1):
-        oracle.row(Slate.of(i for i in range(1, n + 1) if i != j))
-    # the large slates alone leave the tail items poorly determined (a block
-    # item also sits in the block's small slates), so each tail item is also
-    # sampled in a 2-slate with every block item: k (n - k) more slates
-    k = cfg.block_size(n)
-    for j in range(k + 1, n + 1):
-        for i in range(1, k + 1):
-            oracle.row(Slate.of((i, j)))
-    return _learn(oracle, k, model)
+    n, k = model.n, cfg.block_size(model.n)
+    size = cfg.auto_samples(n) if cfg.samples_per_slate is None else cfg.samples_per_slate
+    entries = {
+        s.items: tuple(float(v) for v in sample_empirical(model, s, size, cfg.seed))
+        for s in learner_slates(n, k)
+    }
+    table = OracleTable(n, float(model.lam), entries)
+    return _learn(_ValueOracle(table, noise_size=size), k, model)

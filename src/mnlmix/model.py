@@ -330,12 +330,23 @@ def model_to_dict(model: MixtureModel) -> dict:
     }
 
 
+def _field(data, key: str, kind: type = object):
+    """`data[key]` of a parsed JSON object, checked to be a `kind`."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ParameterError(f"missing key {key!r}")
+    if not isinstance(data[key], kind):
+        raise ParameterError(f"{key!r} must be a {kind.__name__}, got {type(data[key]).__name__}")
+    return data[key]
+
+
 def model_from_dict(data: dict) -> MixtureModel:
-    lam = parse_number(data["lambda"])
-    a = [parse_number(x) for x in data["a"]]
-    b = [parse_number(x) for x in data["b"]]
+    lam = parse_number(_field(data, "lambda"))
+    a = [parse_number(x) for x in _field(data, "a", list)]
+    b = [parse_number(x) for x in _field(data, "b", list)]
     model = MixtureModel.of(a, b, lam)
-    if model.n != int(data["n"]):
+    if model.n != int(parse_number(_field(data, "n"))):
         raise ParameterError("declared n does not match weight length")
     return model
 
@@ -363,12 +374,12 @@ def oracle_to_dict(table: OracleTable) -> dict:
 
 
 def oracle_from_dict(data: dict) -> OracleTable:
-    lam = parse_number(data["lambda"])
+    lam = parse_number(_field(data, "lambda"))
     entries = {}
-    for row in data["slates"]:
-        items = tuple(sorted(int(i) for i in row["items"]))
-        entries[items] = tuple(parse_number(v) for v in row["C"])
-    return OracleTable(int(data["n"]), lam, entries)
+    for row in _field(data, "slates", list):
+        items = tuple(sorted(int(parse_number(i)) for i in _field(row, "items", list)))
+        entries[items] = tuple(parse_number(v) for v in _field(row, "C", list))
+    return OracleTable(int(parse_number(_field(data, "n"))), lam, entries)
 
 
 def save_oracle(table: OracleTable, path: str) -> None:

@@ -189,8 +189,8 @@ def test_criterion_5_sample_complexity():
 
 
 def test_criterion_6_solver_validity_suite():
-    """10^4 random cubics and quartics: closed-form real-root counts match
-    Sturm counts (skip rate < 1% for near-multiple roots), and residuals stay
+    """10^4 random cubics and quartics: `solve_all_roots`' real-root counts
+    (companion-matrix eigenvalues) match Sturm counts (skip rate < 1% for near-multiple roots), and residuals stay
     within 1e-10 scaled; runtime < 1 min."""
     t0 = time.time()
     rng = np.random.default_rng(2024)

@@ -229,3 +229,26 @@ def test_default_seed_env(tmp_path, monkeypatch):
 def test_bad_model_file(tmp_path):
     missing = tmp_path / "nope.json"
     assert run(["identify", str(missing)]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "a": [0.2, 0.3, 0.5], "b": [0.5, 0.3, 0.2]}',
+    '[0.2, 0.3, 0.5]',
+    '{"n": 3, "lambda": 2, "a": [0.2, 0.3, 0.5], "b": 0.5}',
+])
+def test_malformed_model_file_reports_error(tmp_path, capsys, text):
+    """A missing key, a top-level list and a scalar weight vector each give
+    exit 1 and an `error:` line, not a traceback."""
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(["identify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--eps", "0"]])
+def test_learn_samples_unusable_budget_reports_error(tmp_path, capsys, flags):
+    path = tmp_path / "m.json"
+    run(["simulate", "--n", "4", "--lambda", "2", "--seed", "2", "--out", str(path)])
+    assert run(["learn", str(path), "--mode", "samples", *flags]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -17,17 +17,18 @@ from mnlmix.learn import (
     _ValueOracle,
     learn_from_oracle,
     learn_from_samples,
+    learner_slates,
 )
 from mnlmix.experiments import regular_instance
 from mnlmix.identify import _close, _leads
 from mnlmix.model import (
     MixtureModel,
     OracleTable,
+    ParameterError,
     Slate,
     all_slates,
     oracle_table,
     random_instance,
-    slate_distribution,
 )
 from mnlmix.systems import PairSystemInput, pair_system
 
@@ -264,13 +265,9 @@ def test_samples_zero_noise_injection_matches_oracle():
     """Running the sampling pipeline on exact oracle rows reproduces the
     oracle-mode output (the infinite-sample limit)."""
     m = random_instance(6, 2.0, 11)
-    scale = 1 + m.lam
-
-    def rows(slate):
-        return tuple(float(scale * d) for d in slate_distribution(m, slate))
-
     cfg = LearnConfig()
-    oracle = _ValueOracle(rows, float(m.lam), m.n, noise_size=cfg.auto_samples(m.n))
+    table = oracle_table(m, learner_slates(m.n, cfg.block_size(m.n)))
+    oracle = _ValueOracle(table, noise_size=cfg.auto_samples(m.n))
     noisy_path = _learn(oracle, cfg.block_size(m.n), m)
     ref = learn_from_oracle(m)
     assert noisy_path.a_hat is not None
@@ -300,6 +297,38 @@ def test_samples_reporting_fields():
     # 2-slates {i, 5} of the tail item with each of the 4 block items
     expected_slates = len(all_slates(4)) + 1 + 5 - 1 + 4
     assert rep.samples_used == expected_slates * LearnConfig(eps=0.1).auto_samples(5)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_samples_read_each_learner_slate_once(monkeypatch, n):
+    """`learn_from_samples` samples every slate of `learner_slates` once and
+    no other; at n = k + 1 the drop-last slate is also the block's full
+    slate, and it is still sampled once."""
+    calls = []
+    real = learn.sample_empirical
+
+    def spy(model, slate, size, seed):
+        calls.append(slate)
+        return real(model, slate, size, seed)
+
+    monkeypatch.setattr(learn, "sample_empirical", spy)
+    size = 2000
+    rep = learn_from_samples(regular_instance(n, 2.0, 3), cfg=LearnConfig(samples_per_slate=size, seed=3))
+    slates = set(learner_slates(n, 4))
+    assert sorted(calls, key=lambda s: s.items) == sorted(slates, key=lambda s: s.items)
+    assert rep.samples_used == size * len(slates)
+
+
+def test_samples_budget_rejects_unusable_values():
+    """A zero budget is not the default budget, and the default budget
+    needs a positive eps."""
+    m = regular_instance(5, 2.0, 3)
+    with pytest.raises(ParameterError):
+        learn_from_samples(m, cfg=LearnConfig(samples_per_slate=0))
+    with pytest.raises(ParameterError):
+        learn_from_samples(m, cfg=LearnConfig(eps=0.0))
+    # eps does not enter an explicit budget
+    assert learn_from_samples(m, cfg=LearnConfig(eps=0.0, samples_per_slate=100)).samples_used > 0
 
 
 def test_samples_determinism():

@@ -312,3 +312,15 @@ def test_oracle_json_roundtrip(tmp_path):
     back = load_oracle(str(path))
     assert back.entries == table.entries
     assert oracle_from_dict(oracle_to_dict(table)).entries == table.entries
+
+
+@pytest.mark.parametrize("data", [
+    [{"items": [1, 2], "C": [1.5, 1.5]}],
+    {"n": 3, "slates": []},
+    {"n": 3, "lambda": 2, "slates": 0.5},
+    {"n": 3, "lambda": 2, "slates": [{"items": [1, 2]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": None, "C": [1.5, 1.5]}]},
+])
+def test_malformed_oracle_dict_raises_parameter_error(data):
+    with pytest.raises(ParameterError):
+        oracle_from_dict(data)

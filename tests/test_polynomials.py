@@ -241,7 +241,7 @@ def _random_poly(rng, degree):
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_root_count_matches_sturm_ensemble(degree):
-    """Closed-form real-root counts agree with the Sturm oracle.
+    """`solve_all_roots`' real-root counts agree with the Sturm oracle.
 
     Near-multiple-root draws (min pairwise separation under 10 * tau_imag)
     are skipped; the skip rate stays under 1%.

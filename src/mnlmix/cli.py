@@ -5,8 +5,9 @@ Every command is deterministic given --seed; reports are JSON (schema under a
 the JSON. No timestamps are written, so re-runs are byte-identical.
 
 Exit codes: identify returns 0 (unique), 2 (non-unique), 3 (collapse); learn
-returns 0 on success, 4 on a block-identifiability violation, 6 on a
-degenerate instance, so it returns 0 exactly when the report's `ok` holds;
+returns 0 on success, 4 on a block-identifiability violation, 6 when no
+positive estimate came back or the oracle values are not a 2-MNL on the
+block, so it returns 0 exactly when the report's `ok` holds;
 other validation or I/O failures exit nonzero with a message on stderr.
 """
 
@@ -22,7 +23,6 @@ from fractions import Fraction
 from . import experiments as xp
 from .identify import RESIDUAL_TOL, check_identifiability
 from .learn import (
-    DegenerateInstanceError,
     LearnConfig,
     OracleInconsistentError,
     learn_from_oracle,
@@ -142,7 +142,7 @@ def cmd_learn(args) -> int:
             report = learn_from_oracle(model, cfg=cfg)
         else:
             report = learn_from_samples(model, cfg=cfg)
-    except (OracleInconsistentError, DegenerateInstanceError) as exc:
+    except OracleInconsistentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 6
     _write_json(report.to_dict(), args.out)

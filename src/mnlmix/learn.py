@@ -4,9 +4,11 @@ The learner solves a constant-size block of the first k items outright, then
 extends one item at a time: each new item j and a pivot from the solved block
 form a `systems` pair system (full, drop-j and drop-pivot slates), costing
 three new oracle values, and b_j is that system's partner map of the pivot
-weight. A final scalar normalization equation recovers the block's share of
-the total mass. Query accounting charges one query per (slate, item) value,
-so the extension phase costs 3 per item and everything else a constant.
+weight. The block's shares of each component's mass, which fix the pivot
+weight, come from one linear least-squares solve on the block items'
+full-slate values. Query accounting charges one query per (slate, item)
+value, so the extension phase costs 3 per item and everything else a
+constant.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .identify import (
     CandidateSolution,
     _close,
-    _coefficient_rows,
     _leads,
     _swap_classes,
     enumerate_candidates,
@@ -35,8 +36,7 @@ from .model import (
     oracle_table,
     sample_empirical,
 )
-from .polynomials import X, Coeffs, RealPolynomial, solve_all_roots
-from .systems import PairSystemInput, pair_equations, partner_map
+from .systems import PairSystemInput, partner_map
 
 
 class LearnError(Exception):
@@ -45,10 +45,6 @@ class LearnError(Exception):
 
 class OracleInconsistentError(LearnError):
     """No admissible block solution: the oracle values are not a 2-MNL."""
-
-
-class DegenerateInstanceError(LearnError):
-    """Normalization equation has no admissible root."""
 
 
 @dataclass(frozen=True)
@@ -84,20 +80,17 @@ class LearnReport:
 
     @property
     def ok(self) -> bool:
-        """An estimate exists and no failure status was raised.
+        """An estimate exists and the block was identifiable.
 
-        Statuses outside the failure set, such as `low-regularity` or
-        `normalization-argmin`, are diagnostics. `mnlmix learn` exits 0
-        exactly when `ok` holds.
+        Other statuses, such as `low-regularity` or `sum-mismatch`, are
+        diagnostics. `mnlmix learn` exits 0 exactly when `ok` holds.
         """
-        bad = {"k-identifiability-violation", "degenerate-normalization"}
-        return self.a_hat is not None and not bad & set(self.status)
+        return self.a_hat is not None and "k-identifiability-violation" not in self.status
 
     @property
     def exit_code(self) -> int:
         """`mnlmix learn`'s exit code: 4 on a block-identifiability
-        violation, 6 on any other failure (degenerate normalization, no
-        positive estimate), else 0."""
+        violation, 6 when no positive estimate came back, else 0."""
         if "k-identifiability-violation" in self.status:
             return 4
         return 0 if self.ok else 6
@@ -171,12 +164,6 @@ C_LOW = 0.01
 # share one basin: at n = 6 with 40000 and 691200 samples per slate, refits
 # of one basin agree within 3e-5 and distinct basins differ by 5e-3 or more
 BASIN_RTOL = 1e-4
-# the normalization fallback scans the block shares 1/ARGMIN_GRID, ..., 1
-ARGMIN_GRID = 2000
-# the tail-weight margin of sampling normalization roots: noisy estimates of
-# small weights wobble below zero, so admit them and let the clamp and the
-# least-squares refit pull them back inside
-NOISY_ADM_MARGIN = 0.05
 
 
 def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
@@ -285,9 +272,9 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
             status=tuple(dict.fromkeys(statuses)),
         )
 
-    # every block basin is carried through the extension, and each of its
-    # starts through the final refit
-    starts = [s for block in blocks for s in _extend_block(oracle, items, block)]
+    # every block basin is carried through the extension, and its start
+    # through the final refit
+    starts = [_extend_block(oracle, items, block) for block in blocks]
     fits = [s for s in starts if s[0] is not None]
     if not fits:
         statuses.extend(starts[0][2] if starts else ())
@@ -302,8 +289,7 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
         # the fit with the lowest loss on all sampled rows wins. Starts that
         # refit into one basin tie up to last-digit drift, so the earliest
         # start whose fit is close to the argmin fit is reported: the start
-        # order (block basins by block loss, then normalization roots by
-        # held-out fit) decides, not the last digits
+        # order (block basins by block loss) decides, not the last digits
         fit = np.hstack((a, b))
         t = int(np.argmin(loss))
         t = next(s for s in range(t + 1) if _close(fit[s], fit[t], BASIN_RTOL))
@@ -318,90 +304,69 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
     return report(tuple(a_hat), tuple(b_hat), err)
 
 
-def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) -> list:
-    """Extend a solved block to all n items; returns its starts.
+def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) -> tuple:
+    """Extend a solved block to all n items; returns one start (a, b,
+    statuses), a and b normalized to sum to one, or None for both when the
+    extension fails.
 
-    A start is (a, b, statuses) with a and b normalized to sum to one: one
-    per admissible normalization root in sampling mode, the best one in
-    exact mode. A failed extension yields one start whose a and b are None.
+    The block's own slates fix a and b on the block only up to the block's
+    shares A and B of each component's mass. Each block item's full-slate
+    value c_p = A a_p + lam B b_p is linear in them, so (A, B) is the
+    least-squares solution of the k block items' equations. The pivot is
+    the block item with the widest gap |B b_p - A a_p|, lam times which is
+    its partner-map denominator. That gap is nonzero: were it 0 on every
+    block item, summing over the block would give A = B, so a = b on the
+    block, which `_solve_block` drops as a collapse.
     """
-    lam, n, noisy = oracle.table.lam, oracle.table.n, oracle.noisy
-    k = len(items)
-    statuses: list = []
-    # pivot: block item with the widest |b - a| gap keeps the partner-map
-    # denominator, lam * (b_pivot - a_pivot), away from zero
-    gaps = [abs(float(x) - float(y)) for x, y in zip(block.a, block.b)]
-    piv_idx = max(range(k), key=gaps.__getitem__)
-    pivot = items[piv_idx]
-    a_rel = [float(x) for x in block.a]
-    b_rel = [float(x) for x in block.b]
-
+    lam, n = float(oracle.table.lam), oracle.table.n
     full = Slate.of(range(1, n + 1))
-    c_piv = float(oracle.value(full, pivot, "extension"))
+    c_block = np.array([oracle.value(full, p, "extension") for p in items], dtype=float)
+    a_rel, b_rel = np.array(block.a, dtype=float), np.array(block.b, dtype=float)
+    shares = np.linalg.lstsq(np.column_stack((a_rel, lam * b_rel)), c_block, rcond=None)[0]
+    a_block, b_block = shares[0] * a_rel, shares[1] * b_rel
+    # argmax takes the first of equal gaps
+    piv_idx = int(np.argmax(abs(b_block - a_block)))
+    pivot = items[piv_idx]
+    a_hat, b_hat = a_block.tolist(), b_block.tolist()
+    statuses: list = []
 
-    if k == n:
-        starts = [(a_rel, b_rel)]
-    else:
-        lamf = float(lam)
+    def drop(t):
+        return Slate.of(i for i in range(1, n + 1) if i != t)
 
-        def drop(t):
-            return Slate.of(i for i in range(1, n + 1) if i != t)
-
-        # one (pivot, j) pair system per tail item j, held as rows of one
-        # system: three new values each, of which the drop-j one is held out
-        # as a residual check on the step
-        values = [
-            (
-                oracle.value(full, j, "extension"),
-                oracle.value(drop(j), pivot, "extension"),
-                oracle.value(drop(pivot), j, "extension"),
-            )
-            for j in range(k + 1, n + 1)
-        ]
-        c_full_j, c_drop_j_i, c_drop_i_j = np.array(values, dtype=float).T[:, :, None]
-        tail = PairSystemInput(lamf, c_piv, c_full_j, c_drop_j_i, c_drop_i_j, pivot=pivot)
-        # ratio-boundedness diagnostic on the large-slate values we paid for
-        lo_prob = min(c_piv, c_full_j.min()) / (1 + lamf)
-        if lo_prob * n < C_LOW:
+    # one (pivot, j) pair system per tail item j, held as rows of one
+    # system: three new values each; the drop-j one does not enter the
+    # partner map
+    values = [
+        (
+            oracle.value(full, j, "extension"),
+            oracle.value(drop(j), pivot, "extension"),
+            oracle.value(drop(pivot), j, "extension"),
+        )
+        for j in range(len(items) + 1, n + 1)
+    ]
+    if values:
+        c_full_j, c_drop_j_i, c_drop_i_j = np.array(values, dtype=float).T
+        tail = PairSystemInput(lam, c_block[piv_idx], c_full_j, c_drop_j_i, c_drop_i_j, pivot=pivot)
+        # ratio-boundedness diagnostic on the large-slate values the tail
+        # paid for
+        if min(c_block[piv_idx], c_full_j.min()) / (1 + lam) * n < C_LOW:
             statuses.append("low-regularity")
-        try:
-            options, fallback = _normalization_scales(
-                b_rel[piv_idx], tail, NOISY_ADM_MARGIN if noisy else 0.0
-            )
-        except DegenerateInstanceError:
-            if not noisy:
-                raise
-            return [(None, None, statuses + ["degenerate-normalization"])]
-        if fallback:
-            statuses.append("normalization-argmin")
-        # exact mode keeps the root that best fits the held-out drop-j
-        # values; under noise that pick can be the wrong root, so every
-        # admissible root goes on to the refit
-        starts = []
-        for scale, b_tail in options if noisy else options[:1]:
-            b_hat = [v * scale for v in b_rel] + b_tail.tolist()
-            a_tail = (c_full_j[:, 0] - lamf * b_tail).tolist()
-            a_piv = c_piv - lamf * b_hat[piv_idx]
-            total_a = a_piv / a_rel[piv_idx]
-            a_hat = [v * total_a for v in a_rel] + a_tail
-            starts.append((a_hat, b_hat))
-    normalized = []
-    for a_hat, b_hat in starts:
-        st = list(statuses)
-        if noisy:
-            # sampling noise can push tiny weights over the edge; clamp before
-            # the least-squares refit, which keeps iterates strictly positive
-            a_hat = [max(v, 1e-9) for v in a_hat]
-            b_hat = [max(v, 1e-9) for v in b_hat]
-        else:
-            if abs(sum(a_hat) - 1) > 1e-8 or abs(sum(b_hat) - 1) > 1e-8:
-                st.append("sum-mismatch")
-            if min(a_hat) <= 0 or min(b_hat) <= 0:
-                normalized.append((None, None, st + ["nonpositive-weight"]))
-                continue
-        sum_a, sum_b = sum(a_hat), sum(b_hat)
-        normalized.append(([v / sum_a for v in a_hat], [v / sum_b for v in b_hat], st))
-    return normalized
+        num, den = partner_map(tail)
+        b_tail = num(b_hat[piv_idx]) / den(b_hat[piv_idx])
+        a_hat += (c_full_j - lam * b_tail).tolist()
+        b_hat += b_tail.tolist()
+    if oracle.noisy:
+        # sampling noise can push tiny weights over the edge; clamp before
+        # the least-squares refit, which keeps iterates strictly positive
+        a_hat = [max(v, 1e-9) for v in a_hat]
+        b_hat = [max(v, 1e-9) for v in b_hat]
+    else:
+        if abs(sum(a_hat) - 1) > 1e-8 or abs(sum(b_hat) - 1) > 1e-8:
+            statuses.append("sum-mismatch")
+        if min(a_hat) <= 0 or min(b_hat) <= 0:
+            return None, None, statuses + ["nonpositive-weight"]
+    sum_a, sum_b = sum(a_hat), sum(b_hat)
+    return [v / sum_a for v in a_hat], [v / sum_b for v in b_hat], statuses
 
 
 def _weights(theta: np.ndarray) -> np.ndarray:
@@ -514,63 +479,6 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
     a = np.where(inside[:, None], w[:, 0], a0)
     b = np.where(inside[:, None], w[:, 1], b0)
     return a, b, loss
-
-
-def _normalization_scales(r: float, tail: PairSystemInput, margin: float) -> tuple:
-    """Block share s of the total mass from the scalar normalization equation.
-
-    `r` is the pivot's weight relative to the block, and `tail` holds the
-    pivot-sharing pair systems of the tail items as rows of (J, 1) fields, so
-    every partner map has the same denominator. With the pivot at x = r s,
-    the tail weights b_j = num_j(x) / den(x) complete the mass to one when
-    (s - 1) den(x) + sum_j num_j(x) = 0, a quadratic in s. A root on (0, 1]
-    is admissible when x lies in (0, 1) and every b_j in (-margin, 1).
-
-    Returns (options, fallback). `options` lists (s, b) for every admissible
-    root, b the (J,) tail weights, best fit to the held-out drop-j values
-    first. When no root is admissible, fallback is True and `options` holds
-    the first admissible scale among 1/ARGMIN_GRID, ..., 1 that minimizes the
-    equation's magnitude (noise can leave the polynomial rootless while a
-    near-solution exists; a sign change on (0, 1] would be one of the roots
-    already tested). Raises DegenerateInstanceError when no grid scale is
-    admissible.
-    """
-    lam = tail.lam
-    num, den = partner_map(tail)
-
-    def score(s: np.ndarray) -> tuple:
-        """At every share in `s`: the cleared equation, the (J, S) tail
-        weights, admissibility and the worst held-out drop-j residual."""
-        x = r * s
-        d, nx = den(x), num(x)
-        ok = abs(d) >= 1e-12 * (1 + lam)
-        with np.errstate(all="ignore"):
-            bj = nx / np.where(ok, d, 1.0)
-            (e, _), (defined, _) = pair_equations(
-                tail, tail.c_full_i - lam * x, tail.c_full_j - lam * bj, x, bj
-            )
-        adm = ok & (0 < x) & (x < 1) & ((-margin < bj) & (bj < 1)).all(axis=0)
-        held = np.where(defined.all(axis=0), abs(e).max(axis=0), np.inf)
-        # Python's sum adds the tail rows in item order at every share
-        return (s - 1) * d + sum(nx), bj, adm, held
-
-    x = r * X
-    tail_sum = sum(map(Coeffs, _coefficient_rows(num(x)).tolist()))
-    poly = RealPolynomial.of((X - 1) * den(x) + tail_sum)
-    roots = []
-    if not poly.is_zero() and poly.degree >= 1:
-        roots = [s for s in solve_all_roots(poly).real_roots if 0 < s <= 1 + 1e-12]
-    _, bj, adm, held = score(np.array(roots))
-    if adm.any():
-        order = sorted(np.flatnonzero(adm), key=lambda t: (held[t], roots[t]))
-        return [(roots[t], bj[:, t]) for t in order], False
-    grid = np.arange(1, ARGMIN_GRID + 1) / ARGMIN_GRID
-    cleared, bj, adm, _ = score(grid)
-    if not adm.any():
-        raise DegenerateInstanceError("no admissible normalization root")
-    # argmin takes the first of equal minima
-    t = np.argmin(np.where(adm, abs(cleared), np.inf))
-    return [(float(grid[t]), bj[:, t])], True
 
 
 def learner_slates(n: int, k: int) -> list:

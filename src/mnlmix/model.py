@@ -374,12 +374,24 @@ def oracle_to_dict(table: OracleTable) -> dict:
 
 
 def oracle_from_dict(data: dict) -> OracleTable:
+    """The table of an `oracle_to_dict` object. A row may list its items in
+    any order, each value with its item; a row whose items repeat or leave
+    1..n, whose items are fewer than two, or whose `C` list differs in
+    length, raises ParameterError."""
     lam = parse_number(_field(data, "lambda"))
+    n = int(parse_number(_field(data, "n")))
     entries = {}
     for row in _field(data, "slates", list):
-        items = tuple(sorted(int(parse_number(i)) for i in _field(row, "items", list)))
-        entries[items] = tuple(parse_number(v) for v in _field(row, "C", list))
-    return OracleTable(int(parse_number(_field(data, "n"))), lam, entries)
+        items = [int(parse_number(i)) for i in _field(row, "items", list)]
+        values = [parse_number(v) for v in _field(row, "C", list)]
+        if len(values) != len(items):
+            raise ParameterError(f"slate {items} has {len(values)} values")
+        if len(items) < 2 or len(set(items)) != len(items) or not all(1 <= i <= n for i in items):
+            raise ParameterError(f"slate {items} needs two or more distinct items in 1..{n}")
+        # the items are distinct, so the sort never compares two values
+        items, values = zip(*sorted(zip(items, values)))
+        entries[items] = values
+    return OracleTable(n, lam, entries)
 
 
 def save_oracle(table: OracleTable, path: str) -> None:

@@ -154,9 +154,9 @@ def test_criterion_5_sample_complexity():
     of N* versus 1/eps over eps in {0.1, 0.05, 0.025} in [1.7, 2.3];
     runtime < 15 min.
 
-    Clause (a) passes once the learner keeps, among its block basins and
-    normalization roots, the fit with the lowest loss on all sampled rows,
-    and samples each tail item in 2-slates with the block items as well.
+    Clause (a) passes once the learner keeps, among the starts of its block
+    basins, the fit with the lowest loss on all sampled rows, and samples
+    each tail item in 2-slates with the block items as well.
     """
     t0 = time.time()
     n, lam, eps = 6, 2.0, 0.05

@@ -320,7 +320,23 @@ def test_oracle_json_roundtrip(tmp_path):
     {"n": 3, "lambda": 2, "slates": 0.5},
     {"n": 3, "lambda": 2, "slates": [{"items": [1, 2]}]},
     {"n": 3, "lambda": 2, "slates": [{"items": None, "C": [1.5, 1.5]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": [1, 2, 2], "C": [1.0, 1.0, 1.0]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": [1, 2], "C": [1.5, 1.0, 0.5]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": [1, 4], "C": [1.5, 1.5]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": [0, 1], "C": [1.5, 1.5]}]},
+    {"n": 3, "lambda": 2, "slates": [{"items": [], "C": []}]},
 ])
 def test_malformed_oracle_dict_raises_parameter_error(data):
     with pytest.raises(ParameterError):
         oracle_from_dict(data)
+
+
+def test_oracle_dict_keeps_each_value_with_its_item():
+    """A row that lists its items out of order loads each value with its
+    own item."""
+    table = oracle_table(random_instance(4, 2.0, 1), all_slates(4))
+    data = oracle_to_dict(table)
+    for row in data["slates"]:
+        row["items"].reverse()
+        row["C"].reverse()
+    assert oracle_from_dict(data).entries == table.entries

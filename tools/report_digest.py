@@ -47,24 +47,27 @@ exception is recorded by its type name, so that every version runs);
 float counterexample, which reaches pair-level residuals that a report
 shows only under pair multiplicity;
 `learn_from_oracle` by n and lambda, on rational models at n = 4, 5
-and 6, whose block solve builds exact quartics, and on n = 5 draws at
+and 6, whose block solve builds exact quartics, on n = 5 draws at
 lambda = 1 with a_1 = b_1 (`pinned_item_one_models`), whose (a, b) order
-the swap-class rule decides; `learn_from_samples` at
+the swap-class rule decides, and on the `pinned_pivot_models` draws at
+n = 4 and 6, whose pinned block items the extension must not pivot on (an
+exception is recorded by its type name); `learn_from_samples` at
 eps = 0.05 on model seeds 1000 + t with sampling seed t, at lambda = 2 for
 n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
-`learn-samples-n6` benchmark's inputs (`regular_instance` draws at N = 691200 per slate, seeds
-from `random.Random(1)`), 4 of whose 100 runs report `normalization-argmin`;
+`learn-samples-n6` benchmark's inputs (`regular_instance` draws at
+N = 691200 per slate, seeds from `random.Random(1)`);
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 36 s on two cores; the `solve_all_roots` families are about
-0.1 s of that, the n = 20 identify family, 10 seeds per lambda, about 1 s,
-the rational families about 5 s, the families near the pair scan's
+takes about 21 s of CPU time on one core of a two-core Xeon: the
+`solve_all_roots` families and the n = 20 identify family about 0.1 s
+each, the other random identify families about 6 s, the rational
+identify families about 1.4 s, the families near the pair scan's
 number-type edges (lambda 1 and 1/2, small denominators, Fraction lambda
-1, perturbed counterexample) 7 to 9 s, the pair-solver families about 3 s, the rational learn-oracle families under
-1 s, the lambda = 1 and 0.7 sampling families about 3 s, the
-benchmark-input sampling family about 4 s, the candidate families about
-2 s (0.9 s at tol = inf, 1.1 s at the default tol), the pinned-pivot
-families about 2 s (1.3 s of reports, 0.5 s of candidates) and the
-experiments about 2 s.
+1, perturbed counterexample) about 2 s, the pair-solver families about
+1.6 s, the candidate families about 2.7 s, the pinned-pivot families
+about 1.4 s (0.8 s of identify reports, 0.3 s of candidates and 0.3 s of
+learn reports), the other learn-oracle families about 0.9 s, the
+sampling families about 4.3 s (1.6 s of them the benchmark inputs) and
+the experiments about 0.9 s.
 """
 
 from __future__ import annotations
@@ -260,6 +263,15 @@ def root_report(row) -> dict:
     return {"roots": [[r.real, r.imag] for r in rs.roots], "real": list(rs.real_flags)}
 
 
+def oracle_learn_report(model) -> dict:
+    """`learn_from_oracle` on `model`, or the name of the exception it
+    raises, so that a draw the learner rejects is part of the record."""
+    try:
+        return learn_from_oracle(model).to_dict()
+    except Exception as err:  # every version's failure is part of the record
+        return {"error": type(err).__name__}
+
+
 def all_candidates(table, items, tol) -> dict:
     """Every admissible full candidate of `enumerate_candidates` with its
     residual at most `tol`; at tol = inf, whatever its size. The empty
@@ -373,6 +385,11 @@ def families():
     yield f"learn-oracle pinned item 1 n=5 lam=1.0 seeds=0..{PINNED_ORACLE_DRAWS - 1}", (
         learn_from_oracle(m).to_dict() for m in pinned_item_one_models()
     )
+    for n, draws in PINNED_PIVOT_DRAWS.items():
+        for lam in PINNED_PIVOT_LAMBDAS:
+            yield f"learn-oracle pinned pivots n={n} lam={lam} first {draws} draws", (
+                oracle_learn_report(m) for m in pinned_pivot_models(n, lam, draws)
+            )
     for n, draws in SAMPLE_DRAWS.items():
         yield f"learn-samples n={n} lam=2.0 eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
             learn_from_samples(

@@ -22,7 +22,6 @@ from .polynomials import (
     count_real_roots_sturm,
     cubic_discriminant,
     deflate_root,
-    is_exact_root,
     solve_all_roots,
     sylvester_resultant,
 )

@@ -5,10 +5,11 @@ Every command is deterministic given --seed; reports are JSON (schema under a
 the JSON. No timestamps are written, so re-runs are byte-identical.
 
 Exit codes: identify returns 0 (unique), 2 (non-unique), 3 (collapse); learn
-returns 0 on success, 4 on a block-identifiability violation, 6 when no
-positive estimate came back or the oracle values are not a 2-MNL on the
-block, so it returns 0 exactly when the report's `ok` holds;
-other validation or I/O failures exit nonzero with a message on stderr.
+writes a report on every run and returns 0 on success, 4 on a
+block-identifiability violation and 6 when no estimate came back, with the
+reason in the report's status, so it returns 0 exactly when the report's
+`ok` holds; other validation or I/O failures exit nonzero with a message on
+stderr.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from fractions import Fraction
 
 from . import experiments as xp
 from .identify import RESIDUAL_TOL, check_identifiability
-from .learn import (
-    LearnConfig,
-    OracleInconsistentError,
-    learn_from_oracle,
-    learn_from_samples,
-)
+from .learn import LearnConfig, learn_from_oracle, learn_from_samples
 from .model import (
     DEFAULT_WEIGHT_FLOOR,
     MixtureModel,
@@ -137,14 +133,10 @@ def cmd_learn(args) -> int:
         samples_per_slate=args.samples,
         seed=args.seed,
     )
-    try:
-        if args.mode == "oracle":
-            report = learn_from_oracle(model, cfg=cfg)
-        else:
-            report = learn_from_samples(model, cfg=cfg)
-    except OracleInconsistentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 6
+    if args.mode == "oracle":
+        report = learn_from_oracle(model, cfg=cfg)
+    else:
+        report = learn_from_samples(model, cfg=cfg)
     _write_json(report.to_dict(), args.out)
     if report.max_rel_error is not None:
         sys.stderr.write(

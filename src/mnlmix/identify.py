@@ -980,12 +980,7 @@ def pair_certified_unique(model: MixtureModel, i: int, j: int) -> bool:
             return False
     except (ParameterError, DegenerateInputError):
         return False
-    pin = sys_ij.pivot_pin()
-    pinned_open = (
-        sys_ij.c_drop_i_j * (1 - sys_ij.c_full_i + sys_ij.lam * pin) == sys_ij.c_full_j
-        or pin == 1
-    )
-    return not pinned_open
+    return partner_map(sys_ij)[0](sys_ij.pivot_pin()) != 0
 
 
 def _trimmed(rows: np.ndarray) -> tuple:

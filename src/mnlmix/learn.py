@@ -39,14 +39,6 @@ from .model import (
 from .systems import PairSystemInput, partner_map
 
 
-class LearnError(Exception):
-    """Unrecoverable learner failure."""
-
-
-class OracleInconsistentError(LearnError):
-    """No admissible block solution: the oracle values are not a 2-MNL."""
-
-
 @dataclass(frozen=True)
 class LearnConfig:
     """Learner knobs; defaults follow the desk-scale experiment setup."""
@@ -90,7 +82,13 @@ class LearnReport:
     @property
     def exit_code(self) -> int:
         """`mnlmix learn`'s exit code: 4 on a block-identifiability
-        violation, 6 when no positive estimate came back, else 0."""
+        violation, 6 when no estimate came back, else 0.
+
+        A report without an estimate says why in its status:
+        `nonpositive-weight` or `nonfinite-weight` when the extension gave
+        no usable weights, `no-block-solution` when the exact block has no
+        admissible candidate, or `collapse` (exit 4).
+        """
         if "k-identifiability-violation" in self.status:
             return 4
         return 0 if self.ok else 6
@@ -221,8 +219,12 @@ def _noisy_block_estimate(table: OracleTable, items: tuple) -> list:
 def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     """Solve the k-item block; returns (candidates, statuses).
 
-    Exact mode yields one candidate. Sampling mode yields every distinct
-    basin of the block refit, lowest block loss first, minus collapsed ones.
+    Exact mode yields one candidate, or none with the status
+    `no-block-solution` when the block's values have no admissible
+    solution: values that are not a 2-MNL, and also valid models whose
+    items 1 and 2 are both pinned (a_i = b_i), which the block enumeration
+    cannot solve yet. Sampling mode yields every distinct basin of the
+    block refit, lowest block loss first, minus collapsed ones.
     """
     statuses: list = []
     block_slates = all_slates(len(items), items=items)
@@ -232,7 +234,8 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     else:
         cands = enumerate_candidates(table, items)
         if not cands:
-            raise OracleInconsistentError("no admissible block solution")
+            # before the collapse filter: an empty list is no collapse
+            return [], ["no-block-solution"]
         if float(table.lam) == 1.0:
             cands, _ = _swap_classes(cands)
         if len(cands) > 1:
@@ -307,7 +310,11 @@ def _learn(oracle: _ValueOracle, k: int, truth: Optional[MixtureModel]) -> Learn
 def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) -> tuple:
     """Extend a solved block to all n items; returns one start (a, b,
     statuses), a and b normalized to sum to one, or None for both when the
-    extension fails.
+    extension fails: with `nonfinite-weight` when a weight is not finite
+    (a partner map that divides by zero or NaN on sampled values), and in
+    exact mode with `nonpositive-weight` when a weight is not positive.
+    A returned start lies inside the open simplex: in sampling mode its
+    finite weights are clamped positive before they are normalized.
 
     The block's own slates fix a and b on the block only up to the block's
     shares A and B of each component's mass. Each block item's full-slate
@@ -352,9 +359,14 @@ def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) 
         if min(c_block[piv_idx], c_full_j.min()) / (1 + lam) * n < C_LOW:
             statuses.append("low-regularity")
         num, den = partner_map(tail)
-        b_tail = num(b_hat[piv_idx]) / den(b_hat[piv_idx])
+        # sampled values can zero the denominator; the finiteness check
+        # below rejects what that gives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_tail = num(b_hat[piv_idx]) / den(b_hat[piv_idx])
         a_hat += (c_full_j - lam * b_tail).tolist()
         b_hat += b_tail.tolist()
+    if not np.isfinite(a_hat + b_hat).all():
+        return None, None, statuses + ["nonfinite-weight"]
     if oracle.noisy:
         # sampling noise can push tiny weights over the edge; clamp before
         # the least-squares refit, which keeps iterates strictly positive
@@ -442,15 +454,16 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
     solves an identity system with a zero right-hand side instead: its step
     is zero, so it stops as a start with no lowering step stops.
 
-    `a0` and `b0` are (S, n) weights. Returns (a, b, loss): the refitted
-    (S, n) weights and each start's sum of squared residuals, inf (with the
-    start's own weights) for a start outside the open simplex.
+    `a0` and `b0` are (S, n) weights, every start inside the open simplex
+    (the mixture splits are by construction, and `_extend_block` returns
+    only such starts). Returns (a, b, loss): the refitted (S, n) weights and
+    each start's sum of squared residuals.
     """
     theta = np.hstack((a0[:, 1:], b0[:, 1:]))
-    res, inside = residuals(theta)
-    loss = np.where(inside, np.einsum("ij,ij->i", res, res), np.inf)
+    res, _ = residuals(theta)
+    loss = np.einsum("ij,ij->i", res, res)
     scales = 0.5 ** np.arange(6)
-    active = np.flatnonzero(inside)
+    active = np.arange(len(theta))
     for _ in range(12):
         if not active.size:
             break
@@ -476,9 +489,7 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
         loss[active] = ss[moved, first]
         active = active[loss[active] >= 1e-28]
     w = _weights(theta)
-    a = np.where(inside[:, None], w[:, 0], a0)
-    b = np.where(inside[:, None], w[:, 1], b0)
-    return a, b, loss
+    return w[:, 0], w[:, 1], loss
 
 
 def learner_slates(n: int, k: int) -> list:

@@ -324,13 +324,6 @@ def deflate_root(p: RealPolynomial, r) -> RealPolynomial:
     return RealPolynomial.of(out)
 
 
-def is_exact_root(p: RealPolynomial, r) -> bool:
-    """Exact-arithmetic membership test: p(r) == 0 with rational inputs."""
-    if not p.exact:
-        raise ValueError("exact root checking needs rational coefficients")
-    return p(Fraction(r)) == 0
-
-
 def sylvester_resultant(p: RealPolynomial, q: RealPolynomial):
     """Resultant of p and q as the determinant of their Sylvester matrix:
     `sylvester_resultants` on one-row stacks, exact when both polynomials

@@ -142,6 +142,33 @@ def test_learn_collapse_exit_code(tmp_path):
                 "--out", str(tmp_path / "r.json")]) == 4
 
 
+def test_learn_samples_nonfinite_weight_writes_report(tmp_path):
+    """One sample per slate zeroes a partner-map denominator on this draw:
+    the run exits 6 with a report that says why."""
+    gen = tmp_path / "m.json"
+    run(["simulate", "--n", "6", "--lambda", "2", "--seed", "2", "--out", str(gen)])
+    rep = tmp_path / "learn.json"
+    code = run(["learn", str(gen), "--mode", "samples", "--samples", "1",
+                "--seed", "2", "--out", str(rep)])
+    data = json.loads(rep.read_text())
+    assert code == 6
+    assert data["a_hat"] is None and "nonfinite-weight" in data["status"]
+
+
+def test_learn_no_block_solution_writes_report(tmp_path):
+    """Items 1 and 2 pinned: the exact block has no admissible candidate,
+    and the run exits 6 with a report, not an error message."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "n": 4, "lambda": "2",
+        "a": ["1/4", "1/4", "1/10", "2/5"], "b": ["1/4", "1/4", "3/10", "1/5"],
+    }))
+    rep = tmp_path / "learn.json"
+    assert run(["learn", str(path), "--mode", "oracle", "--out", str(rep)]) == 6
+    data = json.loads(rep.read_text())
+    assert data["a_hat"] is None and "no-block-solution" in data["status"]
+
+
 def test_experiment_counterexample_cli(tmp_path):
     rep = tmp_path / "x.json"
     assert run(["experiment", "counterexample", "--out", str(rep)]) == 0

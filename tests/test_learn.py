@@ -1,5 +1,7 @@
 """Learner tests: oracle round-trips, query accounting, sampling behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from mnlmix import learn
 from mnlmix.learn import (
     LearnConfig,
-    OracleInconsistentError,
+    LearnReport,
     _cell_residuals,
     _learn,
     _ValueOracle,
@@ -140,7 +142,7 @@ def test_oracle_table_source():
     assert rep.max_rel_error <= 1e-8
 
 
-def test_inconsistent_oracle_raises():
+def test_inconsistent_oracle_reports_no_block_solution():
     m = random_instance(5, 2.0, 3)
     needed = all_slates(4) + [Slate.of(range(1, 6))] + [
         Slate.of([i for i in range(1, 6) if i != j]) for j in range(1, 6)
@@ -155,8 +157,31 @@ def test_inconsistent_oracle_raises():
             bad[items] = tuple(v * scale for v in perturbed)
         else:
             bad[items] = values
-    with pytest.raises(OracleInconsistentError):
-        learn_from_oracle(OracleTable(5, float(m.lam), bad))
+    rep = learn_from_oracle(OracleTable(5, float(m.lam), bad))
+    assert rep.a_hat is None and rep.b_hat is None
+    assert rep.status == ("no-block-solution",)
+    assert rep.exit_code == 6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([5, 6, 8]),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=5),
+)
+def test_small_budgets_return_a_report(n, seed, size):
+    """At one to five samples per slate the partner map can divide by zero;
+    the learner still returns a report, warns nothing, and a report without
+    an estimate exits 6 and says why."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = learn_from_samples(
+            random_instance(n, 2.0, seed), cfg=LearnConfig(samples_per_slate=size, seed=seed)
+        )
+    assert isinstance(rep, LearnReport)
+    if rep.a_hat is None:
+        assert rep.exit_code == 6
+        assert "nonfinite-weight" in rep.status
 
 
 def test_samples_zero_noise_injection_matches_oracle():

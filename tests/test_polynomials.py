@@ -23,7 +23,6 @@ from mnlmix.polynomials import (
     cubic_roots,
     deflate_root,
     interpolate,
-    is_exact_root,
     poly_gcd,
     quadratic_roots,
     solve_all_roots,
@@ -153,8 +152,8 @@ def test_deflate_exact():
 
 def test_exact_root_check():
     p = RealPolynomial.of([Fraction(-1), Fraction(0), Fraction(1)])
-    assert is_exact_root(p, 1)
-    assert not is_exact_root(p, Fraction(1, 3))
+    assert p(Fraction(1)) == 0
+    assert p(Fraction(1, 3)) != 0
 
 
 def test_resultant_self_is_zero():

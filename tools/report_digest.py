@@ -55,19 +55,23 @@ exception is recorded by its type name); `learn_from_samples` at
 eps = 0.05 on model seeds 1000 + t with sampling seed t, at lambda = 2 for
 n = 5 to 8 and at lambda = 1 and 0.7 for n = 6, and on the
 `learn-samples-n6` benchmark's inputs (`regular_instance` draws at
-N = 691200 per slate, seeds from `random.Random(1)`);
+N = 691200 per slate, seeds from `random.Random(1)`), and at 1, 2 and 5
+samples per slate on n = 4, 6 and 8 draws at lambda = 2 with sampling
+seed = model seed (`SMALL_BUDGETS`), where the partner map can divide by
+zero (an exception is recorded by its type name);
 and one small run of each experiment driver (`experiment_families`). A run
-takes about 21 s of CPU time on one core of a two-core Xeon: the
+takes about 18 s of CPU time on one core of a two-core Xeon: the
 `solve_all_roots` families and the n = 20 identify family about 0.1 s
-each, the other random identify families about 6 s, the rational
-identify families about 1.4 s, the families near the pair scan's
-number-type edges (lambda 1 and 1/2, small denominators, Fraction lambda
-1, perturbed counterexample) about 2 s, the pair-solver families about
-1.6 s, the candidate families about 2.7 s, the pinned-pivot families
-about 1.4 s (0.8 s of identify reports, 0.3 s of candidates and 0.3 s of
-learn reports), the other learn-oracle families about 0.9 s, the
-sampling families about 4.3 s (1.6 s of them the benchmark inputs) and
-the experiments about 0.9 s.
+each, the other random identify families about 5.3 s, the rational and
+float-weight identify families about 1 s, the families near the pair
+scan's number-type edges (lambda 1 and 1/2, small denominators, Fraction
+lambda 1, perturbed counterexample) about 1.7 s, the pair-solver
+families about 1.5 s, the candidate families about 2 s, the pinned-pivot
+families about 1.2 s (0.7 s of identify reports, 0.25 s of candidates
+and 0.25 s of learn reports), the other learn-oracle families about
+0.9 s, the eps = 0.05 sampling families about 2.8 s (1.2 s of them the
+benchmark inputs), the small-budget family about 1 s and the experiments
+about 0.7 s.
 """
 
 from __future__ import annotations
@@ -141,6 +145,11 @@ PAIR_DRAWS = 100
 SAMPLE_DRAWS = {6: 150, 5: 25, 7: 25, 8: 25}
 # lambda -> number of n = 6 sampling draws off lambda = 2
 SAMPLE_LAMBDA_DRAWS = {1.0: 40, 0.7: 40}
+# random_instance(n, 2, s) draws, s < SMALL_BUDGET_DRAWS, sampled with seed s
+# at each of SMALL_BUDGETS samples per slate
+SMALL_BUDGET_NS = (4, 6, 8)
+SMALL_BUDGETS = (1, 2, 5)
+SMALL_BUDGET_DRAWS = 40
 # learn-samples-n6 benchmark inputs drawn from random.Random(1)
 BENCH_SAMPLE_DRAWS = 100
 # seeded normal rows per degree given to `solve_all_roots`, and their
@@ -263,11 +272,11 @@ def root_report(row) -> dict:
     return {"roots": [[r.real, r.imag] for r in rs.roots], "real": list(rs.real_flags)}
 
 
-def oracle_learn_report(model) -> dict:
-    """`learn_from_oracle` on `model`, or the name of the exception it
+def learn_report(learner, model, cfg=LearnConfig()) -> dict:
+    """`learner(model, cfg=cfg)` as a dict, or the name of the exception it
     raises, so that a draw the learner rejects is part of the record."""
     try:
-        return learn_from_oracle(model).to_dict()
+        return learner(model, cfg=cfg).to_dict()
     except Exception as err:  # every version's failure is part of the record
         return {"error": type(err).__name__}
 
@@ -388,7 +397,7 @@ def families():
     for n, draws in PINNED_PIVOT_DRAWS.items():
         for lam in PINNED_PIVOT_LAMBDAS:
             yield f"learn-oracle pinned pivots n={n} lam={lam} first {draws} draws", (
-                oracle_learn_report(m) for m in pinned_pivot_models(n, lam, draws)
+                learn_report(learn_from_oracle, m) for m in pinned_pivot_models(n, lam, draws)
             )
     for n, draws in SAMPLE_DRAWS.items():
         yield f"learn-samples n={n} lam=2.0 eps=0.05 seeds=1000+t, t=0..{draws - 1}", (
@@ -404,6 +413,16 @@ def families():
             ).to_dict()
             for t in range(draws)
         )
+    yield (
+        f"learn-samples small budgets n={','.join(map(str, SMALL_BUDGET_NS))} lam=2.0 "
+        f"N={','.join(map(str, SMALL_BUDGETS))} seeds=0..{SMALL_BUDGET_DRAWS - 1}"
+    ), (
+        learn_report(
+            learn_from_samples, random_instance(n, 2.0, s),
+            LearnConfig(samples_per_slate=size, seed=s),
+        )
+        for n in SMALL_BUDGET_NS for size in SMALL_BUDGETS for s in range(SMALL_BUDGET_DRAWS)
+    )
     rng = random.Random(1)
     seeds = [rng.getrandbits(32) for _ in range(BENCH_SAMPLE_DRAWS)]
     yield f"learn-samples benchmark inputs n=6 N=691200 first {BENCH_SAMPLE_DRAWS} seeds", (

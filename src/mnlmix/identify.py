@@ -151,32 +151,35 @@ def _dedup(cands: list) -> list:
     return kept
 
 
-def _rationalize_root(poly: RealPolynomial, r: float):
+def _rationalize_root(poly: RealPolynomial, r: float, ints: list | None = None):
     """The small-denominator rational root that the float root r stands
-    for, else None.
+    for, else None. `ints` are the exact `poly`'s coefficients cleared to
+    integers (`integer_coefficients`), when the caller already has them:
+    `_band_roots` clears each polynomial once for all of its roots.
 
     The float image of an exact polynomial rounds its roots by about 1e-14,
     more than `limit_denominator` can undo for a denominator near 1e7, so r
     first takes one Newton step on the exact polynomial (`_newton_step`),
     and the candidates are the best approximations of the step's result
-    with denominators up to 10, 100, ..., 10^12. An exact root counts only
-    within d times the step of r, d the degree: from near a root of
-    multiplicity m <= d the step moves about 1/m of the way there, so a root
-    farther off is another root of the polynomial (0, or a small denominator
-    near r).
+    with denominators up to 10, 100, ..., 10^12, in that order, all from
+    one walk of its continued fraction (`_best_approximations`). An exact
+    root counts only within d times the step of r, d the degree: from near
+    a root of multiplicity m <= d the step moves about 1/m of the way
+    there, so a root farther off is another root of the polynomial (0, or
+    a small denominator near r).
 
     A candidate p/q in lowest terms can be a nonzero root of the cleared
     integer polynomial only if q divides its leading coefficient and p its
     lowest nonzero one (rational root theorem); the candidates that pass
     take one integer evaluation, the sum of c_k p^k q^(d - k).
     """
-    ints, _ = integer_coefficients(poly.coeffs)
+    if ints is None:
+        ints, _ = integer_coefficients(poly.coeffs)
     lead, low = ints[-1], next((c for c in ints if c), 0)
     x = Fraction(r)
     target = _newton_step(ints, x)
     radius = (len(ints) - 1) * abs(target - x)
-    for digits in range(1, 13):
-        cand = target.limit_denominator(10**digits)
+    for cand in _best_approximations(target, [10**digits for digits in range(1, 13)]):
         p, q = cand.numerator, cand.denominator
         if lead % q or (p and low % p) or abs(cand - x) > radius:
             continue
@@ -186,6 +189,41 @@ def _rationalize_root(poly: RealPolynomial, r: float):
         if acc == 0:
             return cand
     return None
+
+
+def _best_approximations(x: Fraction, bounds):
+    """Yields `x.limit_denominator(m)` for each m of the ascending `bounds`,
+    from one walk of x's continued fraction.
+
+    `limit_denominator(m)` walks the convergents of x until the next
+    denominator would pass m, then takes the closer of the last convergent
+    p1/q1 and the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
+    that keeps its denominator at most m, the convergent on a tie. A larger
+    bound walks on from where a smaller one stopped, so one walk serves
+    every bound. With n/d the complete quotient left and den x's
+    denominator, the convergent lies d / (q1 den) from x, and the two
+    candidates lie on either side of x, 1 / (q1 (q0 + k q1)) apart, so the
+    convergent is the closer one exactly when 2 d (q0 + k q1) <= den: a
+    test in integers, where `limit_denominator` subtracts Fractions.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    for m in bounds:
+        if x.denominator <= m:
+            yield x
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > m:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (m - q0) // q1
+        if 2 * d * (q0 + k * q1) <= x.denominator:
+            yield Fraction(p1, q1)
+        else:
+            yield Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _newton_step(ints: list, x: Fraction) -> Fraction:
@@ -503,9 +541,14 @@ def _band_roots(poly: RealPolynomial) -> list:
     p = poly.as_float()
     if p.is_zero() or p.degree < 1:
         return []
+    roots = solve_all_roots(p).real_roots_in(-TAU_ADM, 1 + TAU_ADM)
+    if not poly.exact or not roots:
+        return list(roots)
+    # one clearing of the denominators serves every root
+    ints, _ = integer_coefficients(poly.coeffs)
     out = []
-    for r in solve_all_roots(p).real_roots_in(-TAU_ADM, 1 + TAU_ADM):
-        fr = _rationalize_root(poly, r) if poly.exact else None
+    for r in roots:
+        fr = _rationalize_root(poly, r, ints)
         out.append(fr if fr is not None else r)
     return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -227,7 +228,7 @@ def _solve_block(oracle: _ValueOracle, items: tuple) -> tuple:
     block refit, lowest block loss first, minus collapsed ones.
     """
     statuses: list = []
-    block_slates = all_slates(len(items), items=items)
+    block_slates = _block_slates(items)
     table = oracle.table_for(block_slates, "kblock")
     if oracle.noisy:
         blocks = _noisy_block_estimate(table, items)
@@ -388,9 +389,28 @@ def _weights(theta: np.ndarray) -> np.ndarray:
     return np.concatenate((1 - rest.sum(axis=2, keepdims=True), rest), axis=2)
 
 
+@lru_cache(maxsize=None)
+def _cell_layout(slates: tuple, items: tuple) -> tuple:
+    """The value-free incidence of `_cell_residuals` over the slate keys
+    `slates` (in order) and `items`: each cell's item column `col_of`, the
+    (items, cells) slate membership `member_T` and the (cells, items - 1)
+    membership and one-hot item column lifted to theta (`member_t`,
+    `hit_t`: each column minus the first). Built once per shape and shared
+    by every table over it, so every array is read-only."""
+    # the layout reads no values
+    member, row_of, col_of, _ = slate_cells([(s, ()) for s in slates], items)
+    n = member.shape[1]
+    member, hit = member[row_of].astype(float), np.eye(n)[col_of]
+    member_t, hit_t = member[:, 1:] - member[:, :1], hit[:, 1:] - hit[:, :1]
+    for arr in (col_of, member, member_t, hit_t):
+        arr.flags.writeable = False
+    return col_of, member.T, member_t, hit_t
+
+
 def _cell_residuals(table: OracleTable, items: Sequence[int]):
     """Residual map of every (row, item) value of `table`, rows in slate
-    order, with its analytic Jacobian, at a stack of S starts.
+    order, at a stack of S starts, with an analytic Jacobian built from the
+    same evaluation.
 
     With slate sums S_a, S_b the model value of a cell is
     q = a_i/S_a + lam b_i/S_b, and dq/da_t = [t = i]/S_a - a_i [t in slate]/S_a^2
@@ -398,38 +418,40 @@ def _cell_residuals(table: OracleTable, items: Sequence[int]):
     sqrt(q): Gauss-Newton on sqrt cells is the asymptotically efficient
     multinomial fit (the row-sum constraint cancels the rank-one Fisher
     term). The first weight is one minus the others, so the incidence is
-    lifted to theta once, as each column minus the first, and the Jacobian
-    is built in theta directly. Returns residuals(theta, with_jac=False) for
-    the (S, 2n - 2) trailing coordinates of `_weights`, which gives
-    (res, inside) or (res, jac, inside): the (S, cells) residuals, the
-    (S, cells, 2n - 2) Jacobian with respect to theta, and the (S,) mask of
-    the starts inside the open simplex. The rows of a start outside it are
-    meaningless.
+    lifted to theta, as each column minus the first, and the Jacobian is
+    built in theta directly. The incidence comes from `_cell_layout`, built
+    once per shape; the targets are read from `table` on every call.
+
+    Returns residuals(theta) for the (S, 2n - 2) trailing coordinates of
+    `_weights`, which evaluates the model once and gives (res, inside,
+    jacobian): the (S, cells) residuals, the (S,) mask of the starts inside
+    the open simplex (the rows of a start outside it are meaningless), and
+    jacobian(rows), the (len(rows), cells, 2n - 2) Jacobian at the
+    evaluated rows `rows`, built from the slate sums, shares and roots that
+    evaluation saved. Every row of an evaluation is computed on its own, so
+    a row's residuals and Jacobian do not depend on what else was stacked
+    with it.
     """
     lam = float(table.lam)
-    rows = [(it, table.entries[it]) for it in sorted(table.entries)]
-    member, row_of, col_of, values = slate_cells(rows, items)
-    n = member.shape[1]
-    # `member` expanded to cells, `hit` the one-hot item column of each cell;
-    # the `_t` forms are lifted to theta
-    member, hit = member[row_of].astype(float), np.eye(n)[col_of]
-    member_t, hit_t = member[:, 1:] - member[:, :1], hit[:, 1:] - hit[:, :1]
+    slates = tuple(sorted(table.entries))
+    col_of, member_T, member_t, hit_t = _cell_layout(slates, tuple(items))
+    values = np.array([c for key in slates for c in table.entries[key]])
     target = np.sqrt(np.maximum(values, 0.0))
 
-    def residuals(theta, with_jac=False):
+    def residuals(theta):
         w = _weights(theta)
         inside = w.min(axis=(1, 2)) > 0
         with np.errstate(all="ignore"):
-            sums = w @ member.T
+            sums = w @ member_T
             share = w[..., col_of] / sums
             root = np.sqrt(share[:, 0] + lam * share[:, 1])
-        res = target - root
-        if not with_jac:
-            return res, inside
-        with np.errstate(all="ignore"):
-            d = (hit_t - share[..., None] * member_t) / sums[..., None]
-        jac = np.concatenate((d[:, 0], lam * d[:, 1]), axis=2) * (-0.5 / root)[..., None]
-        return res, jac, inside
+
+        def jacobian(rows):
+            with np.errstate(all="ignore"):
+                d = (hit_t - share[rows, ..., None] * member_t) / sums[rows, ..., None]
+            return np.concatenate((d[:, 0], lam * d[:, 1]), axis=2) * (-0.5 / root[rows])[..., None]
+
+        return target - root, inside, jacobian
 
     return residuals
 
@@ -447,8 +469,12 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
     and halved up to five times; a start takes the first length that stays
     in the simplex and lowers its loss, and stops when none does or its
     loss falls under 1e-28. All starts step together: one stacked QR of the
-    Jacobians and one batched solve R step = Q^T (-res) give every step, and
-    every length of every start goes through one residual call.
+    Jacobians and one batched solve R step = Q^T (-res) give every step.
+    Each iteration makes one model evaluation: every length of every start
+    goes through one residual call, and the accepted rows' residuals and
+    Jacobian, the next linearization point, are taken from that call. A
+    stacked evaluation computes every row on its own, so the result is bit
+    for bit that of evaluating each accepted point again.
     A start whose Jacobian is rank-deficient at `np.linalg.lstsq`'s default
     cutoff (smallest |R_kk| at most eps * max(cells, p) times the largest)
     solves an identity system with a zero right-hand side instead: its step
@@ -460,14 +486,16 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
     each start's sum of squared residuals.
     """
     theta = np.hstack((a0[:, 1:], b0[:, 1:]))
-    res, _ = residuals(theta)
+    res, _, jacobian = residuals(theta)
     loss = np.einsum("ij,ij->i", res, res)
     scales = 0.5 ** np.arange(6)
-    active = np.arange(len(theta))
+    # `rows` are the active starts' current points among the rows of the
+    # last evaluation
+    active = rows = np.arange(len(theta))
     for _ in range(12):
         if not active.size:
             break
-        base, jac, _ = residuals(theta[active], with_jac=True)
+        base, jac = res[rows], jacobian(rows)
         # the R factor of [jac | -base] holds jac's R and, above its last
         # row, Q^T (-base), so Q is never formed
         p = jac.shape[2]
@@ -479,29 +507,39 @@ def _refit(a0: np.ndarray, b0: np.ndarray, residuals) -> tuple:
         r[~full], rhs[~full] = np.eye(p), 0.0
         step = np.linalg.solve(r, rhs)[..., 0]
         trial = theta[active, None] + scales[:, None] * step[:, None]
-        rt, ok = residuals(trial.reshape(-1, theta.shape[1]))
-        ss = np.where(ok, np.einsum("ij,ij->i", rt, rt), np.inf).reshape(len(active), -1)
+        res, ok, jacobian = residuals(trial.reshape(-1, theta.shape[1]))
+        ss = np.where(ok, np.einsum("ij,ij->i", res, res), np.inf).reshape(len(active), -1)
         better = ss < loss[active, None]
         moved = better.any(axis=1)
         first = better.argmax(axis=1)[moved]
+        rows = np.flatnonzero(moved) * len(scales) + first
         active = active[moved]
         theta[active] = trial[moved, first]
         loss[active] = ss[moved, first]
-        active = active[loss[active] >= 1e-28]
+        keep = loss[active] >= 1e-28
+        active, rows = active[keep], rows[keep]
     w = _weights(theta)
     return w[:, 0], w[:, 1], loss
 
 
-def learner_slates(n: int, k: int) -> list:
+@lru_cache(maxsize=None)
+def _block_slates(items: tuple) -> tuple:
+    """`all_slates` within the block `items`, built once per block."""
+    return tuple(all_slates(len(items), items=items))
+
+
+@lru_cache(maxsize=None)
+def learner_slates(n: int, k: int) -> tuple:
     """The slates both learners read, without repeats: the block slates
     `all_slates(k)`, the full slate, every drop-one slate and each tail
     item's 2-slate with every block item (read only by the sampling refit).
+    Built once per (n, k) and returned as one shared tuple.
     `identify.identify_slates` is its counterpart for identify."""
     universe = range(1, n + 1)
-    slates = all_slates(k) + [Slate.of(universe)]
+    slates = list(_block_slates(tuple(range(1, k + 1)))) + [Slate.of(universe)]
     slates += [Slate.of(i for i in universe if i != j) for j in universe]
     slates += [Slate.of((i, j)) for j in range(k + 1, n + 1) for i in range(1, k + 1)]
-    return list(dict.fromkeys(slates))
+    return tuple(dict.fromkeys(slates))
 
 
 def learn_from_oracle(

@@ -8,7 +8,7 @@ from itertools import combinations, compress, permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mnlmix.identify as identify
@@ -590,6 +590,38 @@ def test_rationalize_root_matches_twelve_tries(case):
     got = identify._rationalize_root(poly, r)
     assert got == _twelve_try_rationalize(poly, r)
     assert got is None or poly(got) == 0
+
+
+# negative, zero, integer, small-denominator and 40-digit Fractions
+_WALKED_FRACTION = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(max_denominator=1000),
+    st.builds(
+        lambda p, q, sign: Fraction(sign * p, q),
+        st.integers(10**39, 10**40),
+        st.integers(10**39, 10**40),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# x midway between the two bounds: 1/2 at bound 1, -5/12 at 3 and 4
+@example(x=Fraction(1, 2), extra=[1])
+@example(x=Fraction(-5, 12), extra=[3, 4])
+@given(
+    x=_WALKED_FRACTION,
+    extra=st.lists(st.one_of(st.integers(1, 40), st.integers(1, 10**15)), max_size=6),
+)
+def test_best_approximations_match_limit_denominator(x, extra):
+    """One continued-fraction walk gives `limit_denominator`'s answer for
+    every bound: the twelve bounds `_rationalize_root` reads, some others
+    (a tie between the two bounds goes to the convergent), and x's own
+    denominator, which `limit_denominator` returns x at."""
+    bounds = sorted({10**digits for digits in range(1, 13)} | set(extra) | {x.denominator})
+    got = list(identify._best_approximations(x, bounds))
+    assert got == [x.limit_denominator(m) for m in bounds]
 
 
 @st.composite

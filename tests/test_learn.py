@@ -28,6 +28,7 @@ from mnlmix.model import (
     all_slates,
     oracle_table,
     random_instance,
+    sample_empirical,
 )
 
 
@@ -371,15 +372,44 @@ def test_cell_residual_jacobian_matches_differences():
         # a_1 = 1 - sum(a_2..a_5) < 0
         (0.5, 0.3, 0.2, 0.1) + m.b.w[1:],
     ])
-    _, jac, inside = residuals(theta, with_jac=True)
+    _, inside, jacobian = residuals(theta)
+    jac = jacobian(np.arange(len(theta)))
     assert inside.tolist() == [True, True, False]
     h = 1e-6
     for t in range(theta.shape[1]):
         bump = np.zeros_like(theta)
         bump[:, t] = h
-        (up, _), (down, _) = residuals(theta + bump), residuals(theta - bump)
+        (up, *_), (down, *_) = residuals(theta + bump), residuals(theta - bump)
         diff = (up - down)[:2] / (2 * h)
         assert np.max(np.abs(diff - jac[:2, :, t])) <= 1e-6
+
+
+def test_cell_layout_is_cached_by_shape_and_values_are_read_per_table(monkeypatch):
+    """Two sampled tables over the same slates share one cached layout, yet
+    give different residuals, each equal to an uncached build's; the cached
+    arrays are read-only, and `learner_slates` is one shared tuple."""
+    slates = learner_slates(6, 4)
+    assert isinstance(slates, tuple) and learner_slates(6, 4) is slates
+    m = random_instance(6, 2.0, 7)
+    tables = [
+        OracleTable(6, 2.0, {s.items: sample_empirical(m, s, 500, seed) for s in slates})
+        for seed in (1, 2)
+    ]
+    items = tuple(range(1, 7))
+    theta = np.array([m.a.w[1:] + m.b.w[1:], m.b.w[1:] + m.a.w[1:]])
+    hits = learn._cell_layout.cache_info().hits
+    cached = [_cell_residuals(table, items)(theta) for table in tables]
+    assert learn._cell_layout.cache_info().hits >= hits + 1
+    assert not np.array_equal(cached[0][0], cached[1][0])
+    layout = learn._cell_layout(tuple(sorted(tables[0].entries)), items)
+    for arr in layout:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    monkeypatch.setattr(learn, "_cell_layout", learn._cell_layout.__wrapped__)
+    for table, (res, inside, jacobian) in zip(tables, cached):
+        want_res, want_inside, want_jacobian = _cell_residuals(table, items)(theta)
+        assert np.array_equal(res, want_res) and np.array_equal(inside, want_inside)
+        assert np.array_equal(jacobian([1, 0]), want_jacobian([1, 0]))
 
 
 def _scalar_refit(a0, b0, residuals) -> tuple:
@@ -388,8 +418,10 @@ def _scalar_refit(a0, b0, residuals) -> tuple:
     strict descent, at most 12 steps, stop under 1e-28."""
 
     def at(theta, with_jac=False):
-        *out, inside = residuals(theta[None], with_jac)
-        return [x[0] for x in out] if inside[0] else None
+        res, inside, jacobian = residuals(theta[None])
+        if not inside[0]:
+            return None
+        return [res[0], jacobian([0])[0]] if with_jac else [res[0]]
 
     n = len(a0)
     theta = np.array(list(a0[1:]) + list(b0[1:]), dtype=float)
@@ -449,6 +481,50 @@ def _assert_matches_scalar(a0, b0, residuals, out) -> list:
     return losses
 
 
+def _two_evaluation_refit(a0, b0, residuals) -> tuple:
+    """The stacked loop `_refit` replaced, kept as its bit-for-bit
+    reference: every iteration evaluates the active starts again for their
+    residuals and Jacobian, then every length of every start in a second
+    call."""
+    theta = np.hstack((a0[:, 1:], b0[:, 1:]))
+    res, _, _ = residuals(theta)
+    loss = np.einsum("ij,ij->i", res, res)
+    scales = 0.5 ** np.arange(6)
+    active = np.arange(len(theta))
+    for _ in range(12):
+        if not active.size:
+            break
+        base, _, jacobian = residuals(theta[active])
+        jac = jacobian(np.arange(len(active)))
+        p = jac.shape[2]
+        rr = np.linalg.qr(np.concatenate((jac, -base[..., None]), axis=2), mode="r")
+        r, rhs = rr[:, :p, :p], rr[:, :p, p:]
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        full = diag.min(axis=1) > np.finfo(float).eps * max(jac.shape[1:]) * diag.max(axis=1)
+        r[~full], rhs[~full] = np.eye(p), 0.0
+        step = np.linalg.solve(r, rhs)[..., 0]
+        trial = theta[active, None] + scales[:, None] * step[:, None]
+        rt, ok, _ = residuals(trial.reshape(-1, theta.shape[1]))
+        ss = np.where(ok, np.einsum("ij,ij->i", rt, rt), np.inf).reshape(len(active), -1)
+        better = ss < loss[active, None]
+        moved = better.any(axis=1)
+        first = better.argmax(axis=1)[moved]
+        active = active[moved]
+        theta[active] = trial[moved, first]
+        loss[active] = ss[moved, first]
+        active = active[loss[active] >= 1e-28]
+    w = learn._weights(theta)
+    return w[:, 0], w[:, 1], loss
+
+
+def _assert_matches_two_evaluations(a0, b0, residuals, out) -> None:
+    """A stacked refit is bit for bit the two-evaluation loop's: the
+    accepted rows' residuals and Jacobian, taken from the trial call, equal
+    those of evaluating the accepted points again."""
+    for got, want in zip(out, _two_evaluation_refit(a0, b0, residuals)):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(t=st.integers(0, 49), size=st.sampled_from([691200, 4000]))
 def test_stacked_refit_matches_scalar_loop(t, size):
@@ -462,6 +538,7 @@ def test_stacked_refit_matches_scalar_loop(t, size):
     assert [a0.shape[1] for a0, *_ in calls] == [4, 6]
     for call in calls:
         _assert_matches_scalar(*call)
+        _assert_matches_two_evaluations(*call)
 
 
 def test_stacked_refit_matches_scalar_loop_from_clamped_start(monkeypatch):
@@ -477,6 +554,7 @@ def test_stacked_refit_matches_scalar_loop_from_clamped_start(monkeypatch):
     clamped = np.minimum(a0.min(axis=1), b0.min(axis=1)) <= 1e-9
     assert clamped.any() and not clamped.all()
     losses = np.array(_assert_matches_scalar(a0, b0, residuals, out))
+    _assert_matches_two_evaluations(a0, b0, residuals, out)
     # the clamped starts refit to the wrong basin's far higher loss
     assert losses[clamped].min() > 10 * losses[~clamped].max()
 
@@ -518,14 +596,20 @@ def test_samples_near_tie_reports_earliest_start_of_winning_basin(model_seed, se
 def _linear_map(pick, y, log):
     """A `_cell_residuals`-shaped map r(theta) = A theta - y, every start
     inside; `pick(theta)` gives each row's (cells, p) matrix A. Appends
-    (theta, with_jac) to `log` for every call."""
+    (theta, False) to `log` for every evaluation and (theta[rows], True)
+    for every Jacobian taken at its evaluated rows."""
 
-    def residuals(theta, with_jac=False):
-        log.append((theta.copy(), with_jac))
+    def residuals(theta):
+        log.append((theta.copy(), False))
         jac = pick(theta)
         res = np.einsum("scp,sp->sc", jac, theta) - y
         inside = np.ones(len(theta), dtype=bool)
-        return (res, jac, inside) if with_jac else (res, inside)
+
+        def jacobian(rows):
+            log.append((theta[rows].copy(), True))
+            return jac[rows]
+
+        return res, inside, jacobian
 
     return residuals
 

@@ -68,9 +68,7 @@ def _load_model_arg(ref: str) -> MixtureModel:
 
 
 def cmd_simulate(args) -> int:
-    if args.model == "counterexample":
-        model = xp.counterexample_model(exact=True)
-    elif args.model == "three-roots":
+    if args.model == "three-roots":
         # formal witness tuple, not a simplex model: written as a witness file
         data = {
             "kind": "three-roots-witness",
@@ -83,7 +81,7 @@ def cmd_simulate(args) -> int:
         _write_json(data, args.out)
         return 0
     elif args.model is not None:
-        model = load_model(args.model)
+        model = _load_model_arg(args.model)
     else:
         if args.n is None:
             raise ParameterError("need --n (or --model)")

@@ -14,24 +14,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .identify import RESIDUAL_TOL, _gate_values, check_identifiability, solve_pair_system
+from .identify import RESIDUAL_TOL, check_identifiability, solve_pair_system
 from .learn import LearnConfig, learn_from_samples
-from .model import MixtureModel, Slate, model_to_dict, oracle_table, random_instance
+from .model import (
+    MixtureModel,
+    ParameterError,
+    model_to_dict,
+    oracle_table,
+    random_instance,
+    rng_stream,
+)
 from .polynomials import (
-    X,
     NotARootError,
     PolynomialShapeError,
     cubic_discriminant,
     deflate_root,
     solve_all_roots,
 )
-from .systems import (
-    cleared_pair_quartic,
-    cleared_pair_slate_quartic,
-    formal_pair_system,
-    pair_quartic,
-    pair_system,
-)
+from .systems import formal_pair_system, pair_quartic, pair_slates, pair_system
 
 SCHEMA = "mnlmix-report-1"
 
@@ -84,48 +84,55 @@ def pair_cubic_from_tuple(lam, a1, a2, b1, b2):
     return deflate_root(pair_quartic(sys), b1)
 
 
+# what a degenerate tuple raises: deflation fails, the cubic loses degree,
+# or a slate equation of its pair system divides by zero
+_DEGENERATE = (NotARootError, PolynomialShapeError, ZeroDivisionError)
+
+
+def _discriminants(lam, point) -> tuple:
+    """Raw and sup-norm-scaled discriminant of the pair cubic at a 4-tuple,
+    in the arithmetic of lam and the point; raises `_DEGENERATE` on a
+    degenerate tuple."""
+    cubic = pair_cubic_from_tuple(lam, *point)
+    return cubic_discriminant(cubic), cubic_discriminant(cubic.scaled_to_unit())
+
+
+def _rationalized(lam, point) -> tuple:
+    """lam and the point as Fractions with denominators up to 10^9."""
+    return tuple(Fraction(v).limit_denominator(10**9) for v in (lam, *point))
+
+
 def discriminant_at(lam, point) -> Optional[dict]:
     """Raw and sup-norm-scaled discriminant of the pair cubic at a 4-tuple.
 
     None when the tuple is degenerate (deflation fails or the cubic loses
     degree), which happens on measure-zero exceptional sets.
     """
-    a1, a2, b1, b2 = point
     try:
-        cubic = pair_cubic_from_tuple(lam, a1, a2, b1, b2)
-        raw = cubic_discriminant(cubic)
-        scaled = cubic_discriminant(cubic.scaled_to_unit())
-    except (NotARootError, PolynomialShapeError, ZeroDivisionError):
+        raw, scaled = _discriminants(lam, point)
+    except _DEGENERATE:
         return None
     if not (math.isfinite(float(raw)) and math.isfinite(float(scaled))):
         return None
     return {"raw": float(raw), "scaled": float(scaled)}
 
 
-def _exact_pair_cubic(lam, point):
-    vals = [Fraction(v).limit_denominator(10**9) for v in point]
-    return pair_cubic_from_tuple(Fraction(lam).limit_denominator(10**9), *vals)
-
-
 def discriminant_exact(lam, a1, a2, b1, b2) -> Fraction:
     """Exact-rational discriminant at a rational 4-tuple."""
-    return cubic_discriminant(_exact_pair_cubic(lam, (a1, a2, b1, b2)))
+    lam, *point = _rationalized(lam, (a1, a2, b1, b2))
+    return _discriminants(lam, point)[0]
 
 
 def _exact_record(lam, point) -> dict:
     """discriminant_at's raw and scaled values, computed in exact arithmetic
     at the rationalized point, with the raw value also as the exact
     Fraction; -inf where the tuple is degenerate."""
+    lam, *point = _rationalized(lam, point)
     try:
-        cubic = _exact_pair_cubic(lam, point)
-        exact = cubic_discriminant(cubic)
-        return {
-            "exact": exact,
-            "raw": float(exact),
-            "scaled": float(cubic_discriminant(cubic.scaled_to_unit())),
-        }
-    except (NotARootError, PolynomialShapeError, ZeroDivisionError):
+        exact, scaled = _discriminants(lam, point)
+    except _DEGENERATE:
         return {"exact": -math.inf, "raw": -math.inf, "scaled": -math.inf}
+    return {"exact": exact, "raw": float(exact), "scaled": float(scaled)}
 
 
 DOMAIN_MARGIN = 1e-7
@@ -184,7 +191,9 @@ def experiment_discriminant_max(
     every endpoint is therefore re-evaluated in exact arithmetic (at its
     rationalization), and the reported values and the maximum are exact ones.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xD15C])))
+    if restarts < 1:
+        raise ParameterError("restarts must be at least 1")
+    rng = rng_stream(seed, 0xD15C)
 
     def f(x) -> float:
         d = discriminant_at(lam, x)
@@ -327,6 +336,8 @@ def experiment_identifiability_sweep(
 ) -> dict:
     """check_identifiability over seeded random instances; non-unique hits are
     dumped in full so candidate counterexamples survive the run."""
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
     counts = {"unique": 0, "non_unique": 0, "collapse": 0, "pair_multiplicity": 0}
     min_gates = []
     dumps = []
@@ -394,6 +405,10 @@ def experiment_sample_complexity(
     default; sqrt(2) tightens the exponent fit at desk scale) and has at most
     40 steps from start_size.
     """
+    if trials < 1:
+        raise ParameterError("trials must be at least 1")
+    if not grid_ratio > 1:
+        raise ParameterError("grid_ratio must exceed 1")
     # each trial's model is drawn once and reused at every (eps, size) step
     draws = [(regular_instance(n, lam, ts), ts) for ts in _sweep_seeds(seed, trials)]
     rows = []
@@ -459,29 +474,13 @@ def sample_complexity_csv(report: dict) -> str:
 def experiment_counterexample(exact: bool = True) -> dict:
     """Verify the two-solution instance: the pair system including the
     two-item slate admits exactly the generating values and the companion
-    pair, and the pair-slate resultant gate vanishes."""
+    pair, and the `pair:2` resultant gate that `check_identifiability`
+    reports vanishes."""
     model = counterexample_model(exact)
-    table = oracle_table(
-        model,
-        [
-            Slate.of((1, 2, 3, 4)),
-            Slate.of((1, 3, 4)),
-            Slate.of((2, 3, 4)),
-            Slate.of((1, 2)),
-        ],
-    )
+    table = oracle_table(model, pair_slates(range(1, model.n + 1), 1, 2))
     sys = pair_system(table, 1, 2, include_pair=True)
     sols = solve_pair_system(sys, tol=1e-9)
-    expected = [
-        (
-            COUNTEREXAMPLE_A[0], COUNTEREXAMPLE_A[1],
-            COUNTEREXAMPLE_B[0], COUNTEREXAMPLE_B[1],
-        ),
-        (
-            COUNTEREXAMPLE_SECOND[0], COUNTEREXAMPLE_SECOND[1],
-            COUNTEREXAMPLE_SECOND[2], COUNTEREXAMPLE_SECOND[3],
-        ),
-    ]
+    expected = [COUNTEREXAMPLE_A[:2] + COUNTEREXAMPLE_B[:2], COUNTEREXAMPLE_SECOND]
     found = [tuple(s.a) + tuple(s.b) for s in sols]
     if exact:
         matched = sorted(found) == sorted(expected)
@@ -490,11 +489,7 @@ def experiment_counterexample(exact: bool = True) -> dict:
             any(max(abs(float(x) - float(y)) for x, y in zip(f, e)) < 1e-9 for e in expected)
             for f in found
         )
-    quartic, slate = (
-        np.array([cleared(sys, X)])
-        for cleared in (cleared_pair_quartic, cleared_pair_slate_quartic)
-    )
-    gate = _gate_values(model.b[0], quartic, slate)["pair:2"]
+    gate = check_identifiability(model).gate_values["pair:2"]
     return {
         "schema": SCHEMA,
         "experiment": "counterexample",

@@ -55,6 +55,7 @@ from .systems import (
     pair_equations,
     pair_quartic,
     pair_slate_quartic,
+    pair_slates,
     pair_system,
     partner_map,
     partner_value,
@@ -183,10 +184,7 @@ def _rationalize_root(poly: RealPolynomial, r: float, ints: list | None = None):
         p, q = cand.numerator, cand.denominator
         if lead % q or (p and low % p) or abs(cand - x) > radius:
             continue
-        acc, qk = 0, 1
-        for c in reversed(ints):
-            acc, qk = acc * p + c * qk, qk * q
-        if acc == 0:
+        if _homogeneous(ints, p, q) == 0:
             return cand
     return None
 
@@ -226,21 +224,23 @@ def _best_approximations(x: Fraction, bounds):
             yield Fraction(p0 + k * p1, q0 + k * q1)
 
 
+def _homogeneous(coeffs: list, num: int, den: int) -> int:
+    """p(num / den) den^d for the integer polynomial `coeffs` (ascending)
+    of degree d: the sum of c_k num^k den^(d - k), by Horner's rule."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc, power = acc * num + c * power, power * den
+    return acc
+
+
 def _newton_step(ints: list, x: Fraction) -> Fraction:
     """One exact Newton step from x on the integer polynomial `ints`
     (ascending coefficients). With x = num/den, P = p(x) den^d and
     D = p'(x) den^(d-1), the step is (num D - P) / (den D); x itself where
     D = 0."""
     num, den = x.numerator, x.denominator
-
-    def homogeneous(coeffs):
-        acc, power = 0, 1
-        for c in reversed(coeffs):
-            acc, power = acc * num + c * power, power * den
-        return acc
-
-    big_p = homogeneous(ints)
-    big_d = homogeneous([k * c for k, c in enumerate(ints)][1:])
+    big_p = _homogeneous(ints, num, den)
+    big_d = _homogeneous([k * c for k, c in enumerate(ints)][1:], num, den)
     return Fraction(num * big_d - big_p, den * big_d) if big_d else x
 
 
@@ -971,7 +971,7 @@ def check_identifiability(
         solutions=tuple(solutions),
         gate_values=gates,
         swap_note=swap_note,
-        codes=tuple(codes),
+        codes=tuple(dict.fromkeys(codes)),
     )
 
 
@@ -1002,17 +1002,11 @@ def pair_certified_unique(model: MixtureModel, i: int, j: int) -> bool:
     needs the partner map's numerator to vanish at the pin, which must fail.
     False means "not proven", never "proven non-unique".
     """
-    universe = range(1, model.n + 1)
-    slates = [
-        Slate.of(universe),
-        Slate.of(t for t in universe if t != i),
-        Slate.of(t for t in universe if t != j),
-        Slate.of((i, j)),
-    ]
     band = (-Fraction(TAU_ADM), 1 + Fraction(TAU_ADM))
     try:
         exact = exact_model(model)
-        sys_ij = pair_system(oracle_table(exact, slates), i, j, include_pair=True)
+        table = oracle_table(exact, pair_slates(range(1, model.n + 1), i, j))
+        sys_ij = pair_system(table, i, j, include_pair=True)
         common = poly_gcd(pair_quartic(sys_ij), pair_slate_quartic(sys_ij))
         if common.is_zero():
             return False

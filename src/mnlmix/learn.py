@@ -37,7 +37,7 @@ from .model import (
     oracle_table,
     sample_empirical,
 )
-from .systems import PairSystemInput, partner_map
+from .systems import PairSystemInput, pair_slates, partner_map
 
 
 @dataclass(frozen=True)
@@ -338,20 +338,18 @@ def _extend_block(oracle: _ValueOracle, items: tuple, block: CandidateSolution) 
     a_hat, b_hat = a_block.tolist(), b_block.tolist()
     statuses: list = []
 
-    def drop(t):
-        return Slate.of(i for i in range(1, n + 1) if i != t)
+    def tail_values(j):
+        _, drop_j, drop_pivot, _ = pair_slates(range(1, n + 1), pivot, j)
+        return (
+            oracle.value(full, j, "extension"),
+            oracle.value(drop_j, pivot, "extension"),
+            oracle.value(drop_pivot, j, "extension"),
+        )
 
     # one (pivot, j) pair system per tail item j, held as rows of one
     # system: three new values each; the drop-j one does not enter the
     # partner map
-    values = [
-        (
-            oracle.value(full, j, "extension"),
-            oracle.value(drop(j), pivot, "extension"),
-            oracle.value(drop(pivot), j, "extension"),
-        )
-        for j in range(len(items) + 1, n + 1)
-    ]
+    values = [tail_values(j) for j in range(len(items) + 1, n + 1)]
     if values:
         c_full_j, c_drop_j_i, c_drop_i_j = np.array(values, dtype=float).T
         tail = PairSystemInput(lam, c_block[piv_idx], c_full_j, c_drop_j_i, c_drop_i_j, pivot=pivot)

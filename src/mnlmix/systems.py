@@ -76,6 +76,16 @@ class PairSystemInput:
         return self.c_full_i / (1 + self.lam)
 
 
+def pair_slates(items: Sequence[int], pivot: int, partner: int) -> tuple:
+    """The slates a (pivot, partner) pair system reads over the universe
+    `items`: the full slate, the slate without the partner, the slate
+    without the pivot and the two-item slate {pivot, partner}."""
+    full = Slate.of(items)
+    # dropping an item from a valid sorted slate leaves it sorted and distinct
+    drops = (Slate(tuple(i for i in full.items if i != t)) for t in (partner, pivot))
+    return (full, *drops, Slate.of((pivot, partner)))
+
+
 def pair_system(
     oracle: OracleTable,
     pivot: int,
@@ -84,13 +94,9 @@ def pair_system(
     include_pair: bool = False,
 ) -> PairSystemInput:
     """Assemble the pair-system inputs from an oracle over the given universe."""
-    full = Slate.of(items if items is not None else range(1, oracle.n + 1))
-    # dropping an item from a valid sorted slate leaves it sorted and distinct
-    drop_partner = Slate(tuple(i for i in full.items if i != partner))
-    drop_pivot = Slate(tuple(i for i in full.items if i != pivot))
-    c_pair = None
-    if include_pair:
-        c_pair = oracle.value_for(Slate.of((pivot, partner)), pivot)
+    universe = items if items is not None else range(1, oracle.n + 1)
+    full, drop_partner, drop_pivot, pair = pair_slates(universe, pivot, partner)
+    c_pair = oracle.value_for(pair, pivot) if include_pair else None
     return PairSystemInput(
         lam=oracle.lam,
         c_full_i=oracle.value_for(full, pivot),

@@ -169,6 +169,15 @@ def test_learn_no_block_solution_writes_report(tmp_path):
     assert data["a_hat"] is None and "no-block-solution" in data["status"]
 
 
+def test_learn_counterexample_three_item_block(tmp_path):
+    """The counterexample's block {1, 2, 3} has two exact solutions: the
+    run warns about 3-item blocks, reports the violation and exits 4."""
+    rep = tmp_path / "learn.json"
+    assert run(["learn", "counterexample", "--k", "3", "--out", str(rep)]) == 4
+    data = json.loads(rep.read_text())
+    assert data["status"] == ["k3-warning", "k-identifiability-violation"]
+
+
 def test_experiment_counterexample_cli(tmp_path):
     rep = tmp_path / "x.json"
     assert run(["experiment", "counterexample", "--out", str(rep)]) == 0
@@ -279,3 +288,36 @@ def test_learn_samples_unusable_budget_reports_error(tmp_path, capsys, flags):
     run(["simulate", "--n", "4", "--lambda", "2", "--seed", "2", "--out", str(path)])
     assert run(["learn", str(path), "--mode", "samples", *flags]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def assert_error_line(capsys, argv, message):
+    """`argv` exits 1 with one `error:` line naming `message` on stderr."""
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample-complexity", "--n", "4", "--lambda", "2", "--trials", "0"],
+     "trials must be at least 1"),
+    (["sample-complexity", "--n", "4", "--lambda", "2", "--grid-ratio", "0.5"],
+     "grid_ratio must exceed 1"),
+    (["identifiability-sweep", "--n", "4", "--lambda", "2", "--trials", "0"],
+     "trials must be at least 1"),
+    (["discriminant-max", "--lambda", "2", "--restarts", "0"],
+     "restarts must be at least 1"),
+    (["lambda-threshold", "--grid", "2,5", "--restarts", "0"],
+     "restarts must be at least 1"),
+    (["identifiability-sweep", "--lambda", "2"], "need --n"),
+    (["sample-complexity", "--lambda", "2"], "need --n"),
+    (["discriminant-max", "--mu", "1.5"], "--mu must lie in (0,1)"),
+    (["discriminant-max"], "need --lambda or --mu"),
+])
+def test_experiment_unusable_arguments_report_error(capsys, argv, message):
+    assert_error_line(capsys, ["experiment", *argv], message)
+
+
+def test_simulate_samples_need_slate(tmp_path, capsys):
+    argv = ["simulate", "--n", "4", "--lambda", "2", "--out", str(tmp_path / "m.json"),
+            "--samples", "10"]
+    assert_error_line(capsys, argv, "--samples needs --slate")

@@ -1,11 +1,15 @@
 """Experiment driver tests (desk-scale parameters for speed)."""
 
+import ast
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mnlmix import experiments as xp
+from mnlmix.identify import check_identifiability
+from mnlmix.model import ParameterError
 
 
 def test_three_roots_witness_report():
@@ -24,6 +28,38 @@ def test_counterexample_report_exact_and_double():
     assert double["verdict"] is True
     assert double["pair_gate"] <= 1e-8
     assert double["two_solutions"] and double["values_match"]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_counterexample_gate_is_the_reported_gate(exact):
+    """The experiment's gate is the `pair:2` gate of identify's report."""
+    rep = xp.experiment_counterexample(exact=exact)
+    gates = check_identifiability(xp.counterexample_model(exact)).gate_values
+    assert rep["pair_gate"] == gates["pair:2"]
+
+
+def test_experiments_import_no_private_name():
+    tree = ast.parse(open(xp.__file__).read())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    assert names and not [n for n in names if n.startswith("_")]
+
+
+def test_discriminant_evaluators_agree():
+    """`discriminant_at` on a rational tuple computes exactly what
+    `discriminant_exact` and `_exact_record` compute, and a tuple that
+    divides by zero gives None, -inf and a ZeroDivisionError."""
+    lam, point = 5, (Fraction(1, 25), Fraction(1, 1000), Fraction(3, 50), Fraction(19, 20))
+    exact = xp.discriminant_exact(lam, *point)
+    assert exact > 0
+    record = xp._exact_record(lam, point)
+    assert record["exact"] == exact and record["raw"] == float(exact)
+    assert xp.discriminant_at(lam, point) == {"raw": float(exact), "scaled": record["scaled"]}
+    bad = (1.0, 0.0, 0.2, 0.3)
+    assert xp.discriminant_at(2.0, bad) is None
+    assert xp._exact_record(2.0, bad)["exact"] == -math.inf
+    with pytest.raises(ZeroDivisionError):
+        xp.discriminant_exact(2.0, *bad)
 
 
 def test_discriminant_at_witness_positive():
@@ -69,6 +105,15 @@ def test_lambda_threshold_single_point():
     rep = xp.experiment_lambda_threshold([2.0], restarts=30, seed=1)
     assert rep["signs"] == ["-"]
     assert rep["threshold_bracket"] is None
+
+
+def test_lambda_threshold_bisection_moves_the_upper_end():
+    """The midpoint 5 of [2, 8] is already '+', so the bisection keeps the
+    lower end and moves the upper one."""
+    rep = xp.experiment_lambda_threshold([2.0, 8.0], restarts=10, seed=0, refine_steps=1)
+    assert rep["signs"] == ["-", "+", "+"]
+    assert [r["lambda"] for r in rep["grid"]] == [2.0, 5.0, 8.0]
+    assert rep["threshold_bracket"] == [2.0, 5.0]
 
 
 def test_lambda_threshold_refinement():
@@ -124,10 +169,27 @@ def test_identifiability_sweep_counts_each_outcome(monkeypatch):
     assert summary["log10_histogram"] == {"-9": 1, "-3": 1}
 
 
-def test_identifiability_sweep_zero_trials():
-    rep = xp.experiment_identifiability_sweep(4, 2.0, trials=0, seed=0)
-    assert rep["counts"]["unique"] == 0
-    assert rep["non_unique_instances"] == []
+def test_identifiability_sweep_rejects_zero_trials():
+    with pytest.raises(ParameterError, match="trials"):
+        xp.experiment_identifiability_sweep(4, 2.0, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -1}, {"grid_ratio": 1.0}, {"grid_ratio": 0.5},
+    {"grid_ratio": float("nan")},
+])
+def test_sample_complexity_rejects_unusable_sizes(kwargs):
+    """No trial gives no success rate, and a grid that does not grow runs
+    40 equal sizes: both are errors before any model is drawn."""
+    with pytest.raises(ParameterError):
+        xp.experiment_sample_complexity(4, 2.0, [0.2], **{"trials": 3, **kwargs})
+
+
+def test_discriminant_max_rejects_zero_restarts():
+    with pytest.raises(ParameterError, match="restarts"):
+        xp.experiment_discriminant_max(2.0, restarts=0)
+    with pytest.raises(ParameterError, match="restarts"):
+        xp.experiment_lambda_threshold([2.0, 5.0], restarts=0)
 
 
 def test_sample_complexity_single_row():

@@ -334,6 +334,26 @@ def test_near_tolerance_pair_flag_certified():
     assert all(pair_certified_unique(m, i, j) for i in range(1, 5) for j in range(i + 1, 5))
 
 
+def test_codes_are_listed_once():
+    """Near the counterexample two pairs carry a pair-level extra that the
+    exact certificate clears: the report lists `pair-certified` once."""
+    a = [F(2, 5) + F(1, 10**8), F(2, 5), F(1, 10), F(1, 10) - F(1, 10**8)]
+    rep = check_identifiability(MixtureModel.of(a, counterexample().b.w, F(2)))
+    assert rep.codes == ("pair-certified",)
+    assert rep.unique
+
+
+def test_homogeneous_is_the_scaled_value():
+    """`_homogeneous(c, p, q)` is p(p/q) q^d, which `_rationalize_root` and
+    `_newton_step` both read."""
+    ints = [6, -5, 0, 7, -3]
+    for p, q in ((0, 1), (3, 2), (-5, 7), (2, 1)):
+        value = sum(c * F(p, q) ** k for k, c in enumerate(ints)) * q**4
+        assert identify._homogeneous(ints, p, q) == value
+    # 2/3 is a root of (3x - 2)(x + 1) = 3x^2 + x - 2
+    assert identify._homogeneous([-2, 1, 3], 2, 3) == 0
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_counterexample_not_certified(exact):
     m = counterexample()

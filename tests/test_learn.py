@@ -690,3 +690,21 @@ def test_lambda_one_block_member_ignores_candidate_order(monkeypatch):
         learn, "enumerate_candidates", lambda table, items: enumerate_candidates(table, items)[::-1]
     )
     assert [learn_from_oracle(m).to_dict() for m in models] == want
+
+
+@pytest.mark.parametrize("factor,status,code", [
+    (1.001, ("sum-mismatch",), 0),
+    (0.5, ("sum-mismatch", "nonpositive-weight"), 6),
+])
+def test_exact_extension_flags_inconsistent_full_slate(factor, status, code):
+    """Item 6's full-slate value scaled off the model's: the exact
+    extension's weights no longer sum to one, and at half the value one
+    is not positive, so no estimate comes back."""
+    table = oracle_table(random_instance(6, 2.0, 3), learner_slates(6, 4))
+    entries = dict(table.entries)
+    full = entries[(1, 2, 3, 4, 5, 6)]
+    entries[(1, 2, 3, 4, 5, 6)] = full[:5] + (full[5] * factor,)
+    rep = learn_from_oracle(OracleTable(6, table.lam, entries))
+    assert rep.status == status
+    assert rep.exit_code == code
+    assert (rep.a_hat is None) == (code == 6)

@@ -35,6 +35,7 @@ from mnlmix.systems import (
     pair_equations,
     pair_quartic,
     pair_slate_quartic,
+    pair_slates,
     pair_system,
     pair_system_residual,
     partner_value,
@@ -433,3 +434,21 @@ def test_gate_aggregate_counterexample_symmetric_pair():
     # variety: its gate vanishes, so its square is ~0
     m = counterexample()
     assert check_identifiability(m).gate_values["drop:3,4"] ** 2 <= 1e-15
+
+
+def test_pair_slates_are_the_slates_pair_system_reads():
+    """The full slate, the drop-partner slate, the drop-pivot slate and the
+    two-item slate, in that order; a table on those four slates alone
+    gives the pair system that the full table gives."""
+    full, drop_partner, drop_pivot, pair = pair_slates(range(1, 6), 4, 2)
+    assert full.items == (1, 2, 3, 4, 5)
+    assert drop_partner.items == (1, 3, 4, 5)
+    assert drop_pivot.items == (1, 2, 3, 5)
+    assert pair.items == (2, 4)
+    m = random_instance(5, 2.0, 8)
+    slates = pair_slates(range(1, 6), 4, 2)
+    small = pair_system(oracle_table(m, slates), 4, 2, include_pair=True)
+    whole = pair_system(oracle_table(m, all_slates(5)), 4, 2, include_pair=True)
+    assert small == whole
+    sub = pair_slates((1, 3, 4), 3, 4)
+    assert [s.items for s in sub] == [(1, 3, 4), (1, 3), (1, 4), (3, 4)]

@@ -59,6 +59,11 @@ N = 691200 per slate, seeds from `random.Random(1)`), and at 1, 2 and 5
 samples per slate on n = 4, 6 and 8 draws at lambda = 2 with sampling
 seed = model seed (`SMALL_BUDGETS`), where the partner map can divide by
 zero (an exception is recorded by its type name);
+the pair cubic's discriminant evaluators `discriminant_at`,
+`discriminant_exact` and `_exact_record` at seeded points, the
+three-roots witness, a collapse tuple, a tuple symmetric in the two
+off-pair items, the float and exact counterexample pair and two tuples
+whose pair system divides by zero (`discriminant_points`);
 and one small run of each experiment driver (`experiment_families`). A run
 takes about 18 s of CPU time on one core of a two-core Xeon: the
 `solve_all_roots` families and the n = 20 identify family about 0.1 s
@@ -152,6 +157,9 @@ SMALL_BUDGETS = (1, 2, 5)
 SMALL_BUDGET_DRAWS = 40
 # learn-samples-n6 benchmark inputs drawn from random.Random(1)
 BENCH_SAMPLE_DRAWS = 100
+# lambda -> number of seeded formal 4-tuples whose pair-cubic discriminants
+# are hashed (`discriminant_points`)
+DISCRIMINANT_DRAWS = {2.0: 20, 5.0: 20, 0.5: 10}
 # seeded normal rows per degree given to `solve_all_roots`, and their
 # leading coefficients relative to the row's other coefficients: as drawn,
 # near the trim cut tau_lead (above it, and below it, where the row is
@@ -270,6 +278,48 @@ def root_report(row) -> dict:
     except Exception as err:  # every version's failure is part of the record
         return {"error": type(err).__name__}
     return {"roots": [[r.real, r.imag] for r in rs.roots], "real": list(rs.real_flags)}
+
+
+def discriminant_points():
+    """(lambda, point) pairs for the discriminant family: seeded uniform
+    draws in [0.005, 0.65]^4, the range `experiment_discriminant_max`
+    starts from, per `DISCRIMINANT_DRAWS`; then the three-roots witness, a
+    collapse tuple (a = b), a tuple whose implied third items equal the
+    second ones, the counterexample's pair in Fractions and in floats, and
+    two tuples whose pair system divides by zero (a_1 = 1, and 1 - b_1 = 0)."""
+    for lam, count in DISCRIMINANT_DRAWS.items():
+        rng = np.random.default_rng(int(lam * 10))
+        for row in rng.uniform(0.005, 0.65, size=(count, 4)):
+            yield lam, tuple(row.tolist())
+    yield xp.THREE_ROOTS_LAMBDA, xp.THREE_ROOTS_TUPLE
+    yield 2.0, (0.48, 0.26, 0.48, 0.26)
+    yield 2.0, (0.58, 0.21, 0.48, 0.26)
+    pair = (*xp.COUNTEREXAMPLE_A[:2], *xp.COUNTEREXAMPLE_B[:2])
+    yield xp.COUNTEREXAMPLE_LAMBDA, pair
+    yield float(xp.COUNTEREXAMPLE_LAMBDA), tuple(float(v) for v in pair)
+    yield 2.0, (1.0, 0.0, 0.2, 0.3)
+    yield 2.0, (0.2, 0.3, 1.0, 0.0)
+
+
+def discriminant_report(lam, point) -> dict:
+    """`discriminant_at`, `discriminant_exact` and `_exact_record` at one
+    point, exact values as strings; an exception is recorded by its type
+    name."""
+
+    def run(fn, *args):
+        try:
+            out = fn(*args)
+        except Exception as err:  # every version's failure is part of the record
+            return {"error": type(err).__name__}
+        if isinstance(out, dict):
+            return {k: str(v) if isinstance(v, Fraction) else v for k, v in out.items()}
+        return str(out) if isinstance(out, Fraction) else out
+
+    return {
+        "at": run(xp.discriminant_at, lam, point),
+        "exact": run(xp.discriminant_exact, lam, *point),
+        "record": run(xp._exact_record, lam, point),
+    }
 
 
 def learn_report(learner, model, cfg=LearnConfig()) -> dict:
@@ -437,6 +487,11 @@ def families():
 def experiment_families():
     """Yield (label, reports) for one small run of each experiment driver,
     called only with arguments that every version of the drivers accepts."""
+    yield "discriminant evaluators " + " ".join(
+        f"lam={lam}:{count}" for lam, count in DISCRIMINANT_DRAWS.items()
+    ) + " seeded, and named tuples", (
+        discriminant_report(lam, point) for lam, point in discriminant_points()
+    )
     for exact in (True, False):
         yield f"experiment counterexample {'exact' if exact else 'float'}", (
             xp.experiment_counterexample(exact=exact),

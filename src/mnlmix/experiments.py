@@ -338,6 +338,8 @@ def experiment_identifiability_sweep(
     dumped in full so candidate counterexamples survive the run."""
     if trials < 1:
         raise ParameterError("trials must be at least 1")
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     counts = {"unique": 0, "non_unique": 0, "collapse": 0, "pair_multiplicity": 0}
     min_gates = []
     dumps = []
@@ -409,6 +411,8 @@ def experiment_sample_complexity(
         raise ParameterError("trials must be at least 1")
     if not grid_ratio > 1:
         raise ParameterError("grid_ratio must exceed 1")
+    if not all(e > 0 for e in eps_grid):
+        raise ParameterError("every accuracy must be positive")
     # each trial's model is drawn once and reused at every (eps, size) step
     draws = [(regular_instance(n, lam, ts), ts) for ts in _sweep_seeds(seed, trials)]
     rows = []

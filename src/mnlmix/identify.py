@@ -700,7 +700,7 @@ def _integer_cells(a, b, lam, cells) -> np.ndarray:
 
 def _tail_weights(batch: PairSystemInput, t: int, sys01, sys10, b1: list, b2: list) -> np.ndarray:
     """The (K, t) weights b_j of the t tail items of the pivot pairs
-    (b1, b2), from a batch whose leading rows are `_enumeration_pairs`'.
+    (b1, b2), from a batch laid out as `_enumerate` reads it.
 
     Each b_j comes from the first pivot's partner map, from the second's
     where the first is pinned (a pin depends on the pivot alone), and is
@@ -733,18 +733,6 @@ def _tail_weights(batch: PairSystemInput, t: int, sys01, sys10, b1: list, b2: li
         y = np.where(live, polished, y)
     out[mapped] = y
     return out
-
-
-def _enumeration_pairs(items: Sequence[int]) -> list:
-    """The pair systems that the enumeration over `items` reads, in its
-    batch order: (second, first) and (first, second), then, from four items
-    on, (first, j) and (second, j) for each later item j (three items are
-    back-substituted)."""
-    first, second, *tail = items
-    if len(tail) < 2:
-        tail = []
-    head = [(second, first), (first, second)]
-    return head + [(first, j) for j in tail] + [(second, j) for j in tail]
 
 
 def _viable_pairs(pairs: list, oracle: OracleTable, sys01: PairSystemInput, tol: float) -> list:
@@ -780,15 +768,17 @@ def enumerate_candidates(
     the candidates whose weights lie within TAU_ADM of [0, 1] and whose full
     residual is at most tol (`_enumerate`, on a batch of its own)."""
     items = tuple(items)
-    batch = _pair_batch(oracle, _enumeration_pairs(items), items, include_pair=False)
+    layout = [(items[1], items[0]), *combinations(items, 2)]
+    batch = _pair_batch(oracle, layout, items, include_pair=False)
     quartic = _coefficient_rows(cleared_pair_quartic(_batch_rows(batch, slice(2)), X))
     return _enumerate(oracle, items, batch, quartic, tol)
 
 
 def _enumerate(oracle: OracleTable, items: tuple, batch: PairSystemInput, quartic, tol: float) -> list:
-    """`enumerate_candidates` on a batch whose leading rows are the systems
-    of `_enumeration_pairs(items)`, with `quartic` the quartic rows of its
-    first two.
+    """`enumerate_candidates` on a batch laid out as (second, first), then
+    every pair of `items` in `combinations` order, so that its (first, j)
+    rows and then its (second, j) rows follow (first, second); `quartic`
+    holds the quartic rows of its first two.
 
     Pivot pairs come from both quartics' roots plus the doubly pinned
     branch, so both degenerate branches are covered; pairs that cannot
@@ -879,8 +869,12 @@ def check_identifiability(
     two-item slate) for pair-level multiplicity, and computes the scaled
     resultant gates, all from one batch of pair systems. Unique means a
     single admissible class at both levels. At lambda = 1 solutions are
-    classes up to component swap (`_swap_classes`).
+    classes up to component swap (`_swap_classes`). The full classes come
+    first, then each scanned pair's extra classes, pair by pair in scan
+    order. Raises `ParameterError` unless tol > 0.
     """
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     n = model.n
     codes: list = []
     if model.collapse_gap() < COLLAPSE_GAP:
@@ -901,12 +895,12 @@ def check_identifiability(
 
     table = oracle_table(model, identify_slates(n))
 
-    # (2, 1), then every pair i < j, so the enumeration's systems lead; the
-    # gates read the (1, j) rows, the screen every row from (1, 2) on. At
-    # n = 3 no pair is scanned
+    # the enumeration's layout: (2, 1), then every pair i < j; the gates read
+    # the (1, j) rows, the screen every row from (1, 2) on. At n = 3 no pair
+    # is scanned
     universe = tuple(range(1, n + 1))
     pairs = list(combinations(universe, 2))
-    batch = _pair_batch(table, [(2, 1)] + (pairs if n >= 4 else pairs[: n - 1]))
+    batch = _pair_batch(table, [(2, 1), *pairs])
     head = _batch_rows(batch, slice(n))
     if n >= 4 and batch.c_full_i.dtype == object:
         # the screen reads the later rows only as floats
@@ -930,13 +924,13 @@ def check_identifiability(
     if not full_cands:
         codes.append("no-solution")
 
+    # each pair's own classes, in scan order
     pair_extra = []
     near_tol = tol * 10.0**-CERT_DECADES
     slate = None
     if n >= 4:
         scanned = _batch_rows(batch, slice(1, None))
         slate = _coefficient_rows(cleared_pair_slate_quartic(_batch_rows(batch, slice(1, n)), X))
-        truth_by_item = {i + 1: (model.a[i], model.b[i]) for i in range(n)}
         pivots = np.array([[float(model.b[i - 1])] for i, _ in pairs])
         for i, j in compress(pairs, _screen_pairs(scanned, quartic[1:], pivots, tol)):
             sys_ij = pair_system(table, i, j, include_pair=True)
@@ -945,8 +939,7 @@ def check_identifiability(
                 sols, _ = _swap_classes(sols)
             if len(sols) <= 1:
                 continue
-            ta = (truth_by_item[i][0], truth_by_item[j][0])
-            tb = (truth_by_item[i][1], truth_by_item[j][1])
+            ta, tb = (model.a[i - 1], model.a[j - 1]), (model.b[i - 1], model.b[j - 1])
             # at lambda = 1 the truth's class may be shown by its swap
             truths = [ta + tb, tb + ta] if is_uniform else [ta + tb]
             extra = [s for s in sols if not any(_close(s.a + s.b, t) for t in truths)]
@@ -960,12 +953,10 @@ def check_identifiability(
             pair_extra.extend(extra)
         if pair_extra:
             codes.append("pair-multiplicity")
-            solutions.extend(_dedup(pair_extra))
+            solutions.extend(pair_extra)
 
     gates = _gate_values(model.b[0], quartic[1:n], slate)
-    unique = (
-        len(full_cands) == 1 and not pair_extra and "no-solution" not in codes
-    )
+    unique = len(full_cands) == 1 and not pair_extra
     return IdentifiabilityReport(
         unique=unique,
         solutions=tuple(solutions),

@@ -308,6 +308,10 @@ def assert_error_line(capsys, argv, message):
      "restarts must be at least 1"),
     (["lambda-threshold", "--grid", "2,5", "--restarts", "0"],
      "restarts must be at least 1"),
+    (["identifiability-sweep", "--n", "4", "--lambda", "2", "--trials", "3", "--tol", "-1"],
+     "tol must be positive"),
+    (["sample-complexity", "--n", "3", "--lambda", "2", "--trials", "1", "--grid", "0"],
+     "every accuracy must be positive"),
     (["identifiability-sweep", "--lambda", "2"], "need --n"),
     (["sample-complexity", "--lambda", "2"], "need --n"),
     (["discriminant-max", "--mu", "1.5"], "--mu must lie in (0,1)"),
@@ -315,6 +319,11 @@ def assert_error_line(capsys, argv, message):
 ])
 def test_experiment_unusable_arguments_report_error(capsys, argv, message):
     assert_error_line(capsys, ["experiment", *argv], message)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_identify_nonpositive_tol_reports_error(capsys, tol):
+    assert_error_line(capsys, ["identify", "counterexample", "--tol", tol], "tol must be positive")
 
 
 def test_simulate_samples_need_slate(tmp_path, capsys):

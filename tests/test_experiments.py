@@ -174,15 +174,24 @@ def test_identifiability_sweep_rejects_zero_trials():
         xp.experiment_identifiability_sweep(4, 2.0, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_identifiability_sweep_rejects_nonpositive_tol_before_any_trial(tol, monkeypatch):
+    monkeypatch.setattr(xp, "_sweep_one", None)
+    with pytest.raises(ParameterError, match="tol"):
+        xp.experiment_identifiability_sweep(4, 2.0, trials=3, seed=0, tol=tol)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"trials": 0}, {"trials": -1}, {"grid_ratio": 1.0}, {"grid_ratio": 0.5},
-    {"grid_ratio": float("nan")},
+    {"grid_ratio": float("nan")}, {"eps_grid": [0.2, 0.0]}, {"eps_grid": [-0.1]},
+    {"eps_grid": [float("nan")]},
 ])
 def test_sample_complexity_rejects_unusable_sizes(kwargs):
-    """No trial gives no success rate, and a grid that does not grow runs
-    40 equal sizes: both are errors before any model is drawn."""
+    """No trial gives no success rate, a grid that does not grow runs 40
+    equal sizes, and no trial reaches an accuracy that is not positive: all
+    are errors before any model is drawn."""
     with pytest.raises(ParameterError):
-        xp.experiment_sample_complexity(4, 2.0, [0.2], **{"trials": 3, **kwargs})
+        xp.experiment_sample_complexity(4, 2.0, **{"eps_grid": [0.2], "trials": 3, **kwargs})
 
 
 def test_discriminant_max_rejects_zero_restarts():

@@ -22,7 +22,15 @@ from mnlmix.identify import (
     pair_certified_unique,
     solve_pair_system,
 )
-from mnlmix.model import MixtureModel, OracleTable, Slate, all_slates, oracle_table, random_instance
+from mnlmix.model import (
+    MixtureModel,
+    OracleTable,
+    ParameterError,
+    Slate,
+    all_slates,
+    oracle_table,
+    random_instance,
+)
 from mnlmix.polynomials import (
     X,
     Coeffs,
@@ -34,6 +42,7 @@ from mnlmix.polynomials import (
     sylvester_resultants,
 )
 from mnlmix.systems import (
+    DROP_DEN_GUARD,
     DegenerateBranchSignal,
     PairSystemInput,
     back_substitute,
@@ -341,6 +350,45 @@ def test_codes_are_listed_once():
     rep = check_identifiability(MixtureModel.of(a, counterexample().b.w, F(2)))
     assert rep.codes == ("pair-certified",)
     assert rep.unique
+
+
+def test_pair_extras_listed_per_pair_in_scan_order():
+    """a = (1/50, 1/50, 1/50, 1/50, 23/25), b = (1/25, 1/25, 1/25, 1/25,
+    21/25), lambda = 2 has a second solution on every pair among items 1 to
+    4: the report lists each pair's own extra, pair by pair in scan order,
+    after the full class."""
+    m = MixtureModel.of([F(1, 50)] * 4 + [F(23, 25)], [F(1, 25)] * 4 + [F(21, 25)], F(2))
+    rep = check_identifiability(m)
+    assert rep.codes == ("pair-multiplicity",) and not rep.unique
+    full, *extras = rep.solutions
+    assert full.level == "full" and [s.level for s in extras] == ["pair"] * 6
+    assert [s.items for s in extras] == list(combinations(range(1, 5), 2))
+    table = oracle_table(m, identify_slates(5))
+    for s in extras:
+        assert s in solve_pair_system(pair_system(table, *s.items, include_pair=True))
+
+
+def test_full_multiplicity_lists_every_full_class_first(monkeypatch):
+    """Two full classes make the report non-unique, exit 2, with
+    `full-multiplicity` listed once; both classes come before the pair
+    extras."""
+    enumerate_ = identify._enumerate
+
+    def two_classes(*args):
+        (truth,) = enumerate_(*args)
+        return [truth, dataclasses.replace(truth, a=truth.b, b=truth.a)]
+
+    monkeypatch.setattr(identify, "_enumerate", two_classes)
+    rep = check_identifiability(counterexample())
+    assert not rep.unique and rep.exit_code == 2
+    assert rep.codes == ("full-multiplicity", "pair-multiplicity")
+    assert [s.level for s in rep.solutions] == ["full", "full", "pair", "pair"]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_check_identifiability_rejects_nonpositive_tol(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        check_identifiability(counterexample(), tol=tol)
 
 
 def test_homogeneous_is_the_scaled_value():
@@ -692,19 +740,19 @@ def test_near_counterexample_pair_solutions_stay_exact(k):
     "model, rows",
     [
         (random_instance(6, 2.0, 0), [(16, False)]),
-        (random_instance(3, 2.0, 0), [(3, False)]),
+        (random_instance(3, 2.0, 0), [(4, False)]),
         (counterexample(), [(4, True), (3, False)]),
-        (exact_model(random_instance(3, 2.0, 0)), [(3, True)]),
+        (exact_model(random_instance(3, 2.0, 0)), [(4, True)]),
     ],
     ids=["float-n6", "float-n3", "exact-n4", "exact-n3"],
 )
 def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
     """`check_identifiability` evaluates each pair quartic row once, the
-    full enumeration's (2, 1) and (1, 2) rows included: on a float table
-    (2, 1) and every pair at n >= 4 in one call, and (2, 1) and the (1, j)
-    pairs of the gates at n = 3; on an exact table (2, 1) and the (1, j)
-    rows, which the enumeration and the gates read, in Fractions and the
-    other rows, which only the screen reads, on the batch's float image."""
+    full enumeration's (2, 1) and (1, 2) rows included: (2, 1) and every
+    pair in one call, on a float table and at n = 3; on an exact table at
+    n >= 4, (2, 1) and the (1, j) rows, which the enumeration and the gates
+    read, in Fractions and the other rows, which only the screen reads, on
+    the batch's float image."""
     seen = []
     cleared = identify.cleared_pair_quartic
 
@@ -718,8 +766,8 @@ def test_one_quartic_evaluation_per_report(model, rows, monkeypatch):
 
 
 def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
-    """At m = 3 the candidates are back-substituted, so the enumeration's
-    batch holds only the two leading pair systems and no tail is extended."""
+    """At m = 3 the candidates are back-substituted, so no tail is
+    extended; the batch holds the one layout, (2, 1) then every pair."""
     built = []
     batch = identify._pair_batch
 
@@ -733,7 +781,7 @@ def test_three_item_enumeration_builds_no_extension_systems(monkeypatch):
     m = random_instance(3, 2.0, 0)
     cands = enumerate_candidates(oracle_table(m, all_slates(3)), (1, 2, 3))
     assert cands
-    assert built == [[(2, 1), (1, 2)]]
+    assert built == [[(2, 1), (1, 2), (1, 3), (2, 3)]]
     assert tails == []
 
 
@@ -1064,18 +1112,60 @@ def _polish_steps(sys, bi, bj) -> int:
     return len(calls) - 1
 
 
+def _first_step(sys, bi, bj):
+    """Where `_polish_pair`'s first Newton step from (b_i, b_j) lands; None
+    when it stops before stepping."""
+    c = identify._float_system(sys)
+    cur = identify._drop_equations(c, bi, bj)
+    if cur is None:
+        return None
+    j11, j12, j21, j22 = identify._drop_jacobian(c, bi, bj)
+    det = j11 * j22 - j12 * j21
+    if abs(det) < identify.POLISH_DET_FLOOR:
+        return None
+    f1, f2 = cur
+    return bi + (-f1 * j22 + f2 * j12) / det, bj + (-j11 * f2 + j21 * f1) / det
+
+
+def _start_stepping_to_guard(sys, bi):
+    """A start (b_i, b_j) whose first Newton step lands within
+    DROP_DEN_GUARD of b_j = 1, a guarded denominator: a bracket of b_j in
+    the band where the landing b_j - 1 changes sign, bisected to adjacent
+    floats. The guarded start (b_i, 1) where no bracket gets that close."""
+
+    def miss(bj):
+        step = _first_step(sys, bi, bj)
+        return None if step is None else step[1] - 1
+
+    grid = np.linspace(0.01, 0.99, 99).tolist()
+    for lo, hi in zip(grid, grid[1:]):
+        f_lo, f_hi = miss(lo), miss(hi)
+        if f_lo is None or f_hi is None or (f_lo > 0) == (f_hi > 0):
+            continue
+        while lo < (mid := (lo + hi) / 2) < hi and (f_mid := miss(mid)) is not None:
+            if (f_mid > 0) == (f_lo > 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        if abs(f_lo) < DROP_DEN_GUARD:
+            return bi, lo
+    return bi, 1.0
+
+
 @st.composite
 def _polish_starts(draw):
     """A float pair system of a random draw and starts on it: near its
     truth, near its pin c_full_i / (1 + lambda), where the partner map's
-    denominator is small, and anywhere in the band."""
+    denominator is small, anywhere in the band, within DROP_DEN_GUARD of
+    the guarded denominator b_j = 1, and where the first step lands there."""
     n = draw(st.sampled_from([4, 6]))
     m = random_instance(n, draw(st.sampled_from([2.0, 1.0, 0.7])), draw(st.integers(0, 2**32 - 1)))
     i, j = draw(st.permutations(range(1, n + 1)))[:2]
     sys = pair_system(oracle_table(m, all_slates(n)), i, j)
     unit = st.floats(0.01, 0.99)
     starts = []
-    for kind in draw(st.lists(st.sampled_from(["truth", "pin", "band"]), min_size=1, max_size=8)):
+    kinds = ["truth", "pin", "band", "guard", "step-to-guard"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
         if kind == "truth":
             e = draw(st.floats(-1e-6, 1e-6))
             starts.append((m.b[i - 1] + e, m.b[j - 1] - e))
@@ -1085,6 +1175,10 @@ def _polish_starts(draw):
                 starts.append((bi, partner_value(bi, sys)))
             except DegenerateBranchSignal:
                 starts.append((bi, m.b[j - 1]))
+        elif kind == "guard":
+            starts.append((draw(unit), 1.0 - draw(st.sampled_from([0.0, 1e-13, -1e-13]))))
+        elif kind == "step-to-guard":
+            starts.append(_start_stepping_to_guard(sys, draw(unit)))
         else:
             starts.append((draw(unit), draw(unit)))
     return sys, starts

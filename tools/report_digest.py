@@ -21,7 +21,9 @@ rational models at n = 3, 4, 5 and 6 (n = 4 drawn as the
 `identify-exact-cli` benchmark draws them), on the exact model with item 1
 pinned, on float weights with the Fraction lambda 3/2 at n = 3, 4 and 6 and
 with the int lambda 2 at n = 4 and 8, on the two-solution counterexample
-(exact and float) and on two edge draws (`EDGE_DRAWS`) whose pair screen
+(exact and float), on exact exchangeable n = 5 models at lambda 2 and 1/2
+(`exchangeable_models`), whose every pair among items 1 to 4 carries a
+second solution, and on two edge draws (`EDGE_DRAWS`) whose pair screen
 sends pairs to the scalar solver; on rational draws at lambda = 1, where
 exact solutions merge up to component swap, and at lambda = 1/2
 (`RATIONAL_LAMBDA_DRAWS`), on rational draws with small denominators
@@ -132,6 +134,15 @@ INT_LAMBDA_DRAWS = {4: 100, 8: 20}
 RATIONAL_LAMBDA_DRAWS = {(4, 1): 30, (4, Fraction(1, 2)): 30, (5, 1): 8, (5, Fraction(1, 2)): 8}
 # (n, denominator limit) -> number of rational draws at lambda = 2
 SMALL_DENOMINATOR_DRAWS = {(4, 12): 30, (4, 30): 30, (5, 30): 8}
+# (x, u) of the exact exchangeable n = 5 models a = (x, x, x, x, 1 - 4x),
+# b = (u, u, u, u, 1 - 4u), at each of EXCHANGEABLE_LAMBDAS: every pair
+# among items 1 to 4 carries a second solution (`exchangeable_models`)
+EXCHANGEABLE_WEIGHTS = (
+    (Fraction(1, 50), Fraction(1, 25)), (Fraction(1, 25), Fraction(1, 50)),
+    (Fraction(1, 20), Fraction(1, 10)), (Fraction(1, 10), Fraction(1, 20)),
+    (Fraction(1, 8), Fraction(1, 5)), (Fraction(1, 6), Fraction(1, 12)),
+)
+EXCHANGEABLE_LAMBDAS = (Fraction(2), Fraction(1, 2))
 # n -> number of float draws at lambda 1.0 given the Fraction lambda 1
 FRACTION_ONE_DRAWS = {4: 30, 6: 8}
 # (n, lambda, seed): b_1 1e-4 from the pin c_1 / (1 + lambda), and a
@@ -209,6 +220,14 @@ def near_counterexamples():
                     continue
                 for lam in (Fraction(2), 2 + e, 2.0):
                     yield MixtureModel.of(a, base.b.w, lam)
+
+
+def exchangeable_models(lam):
+    """The exact n = 5 models a = (x, x, x, x, 1 - 4x), b = (u, u, u, u,
+    1 - 4u) with mixing parameter `lam`, for each (x, u) of
+    EXCHANGEABLE_WEIGHTS."""
+    for x, u in EXCHANGEABLE_WEIGHTS:
+        yield MixtureModel.of([x] * 4 + [1 - 4 * x], [u] * 4 + [1 - 4 * u], lam)
 
 
 def pinned_pivot_models(n: int, lam: float, count: int):
@@ -412,6 +431,10 @@ def families():
     for exact in (True, False):
         yield f"identify counterexample {'exact' if exact else 'float'}", (
             check_identifiability(counterexample_model(exact)).to_dict(),
+        )
+    for lam in EXCHANGEABLE_LAMBDAS:
+        yield f"identify exchangeable n=5 lam={lam} {len(EXCHANGEABLE_WEIGHTS)} models", (
+            check_identifiability(m).to_dict() for m in exchangeable_models(lam)
         )
     for n, draws in PINNED_PIVOT_DRAWS.items():
         for lam in PINNED_PIVOT_LAMBDAS:

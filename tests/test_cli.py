@@ -308,14 +308,14 @@ def assert_error_line(capsys, argv, message):
      "restarts must be at least 1"),
     (["lambda-threshold", "--grid", "2,5", "--restarts", "0"],
      "restarts must be at least 1"),
-    (["identifiability-sweep", "--n", "4", "--lambda", "2", "--trials", "3", "--tol", "-1"],
-     "tol must be positive"),
-    (["sample-complexity", "--n", "3", "--lambda", "2", "--trials", "1", "--grid", "0"],
-     "every accuracy must be positive"),
     (["identifiability-sweep", "--lambda", "2"], "need --n"),
     (["sample-complexity", "--lambda", "2"], "need --n"),
     (["discriminant-max", "--mu", "1.5"], "--mu must lie in (0,1)"),
     (["discriminant-max"], "need --lambda or --mu"),
+    (["identifiability-sweep", "--n", "4", "--lambda", "2", "--trials", "3", "--tol", "-1"],
+     "tol must be positive"),
+    (["sample-complexity", "--n", "3", "--lambda", "2", "--trials", "1", "--grid", "0"],
+     "every accuracy must be positive"),
 ])
 def test_experiment_unusable_arguments_report_error(capsys, argv, message):
     assert_error_line(capsys, ["experiment", *argv], message)

@@ -4,12 +4,18 @@ Every command is deterministic given --seed; reports are JSON (schema under a
 "schema" key) and sample-complexity curves additionally land in CSV next to
 the JSON. No timestamps are written, so re-runs are byte-identical.
 
+Each command, and each experiment kind, takes only the flags it reads
+(`mnlmix experiment <kind> --help` lists a kind's); `--lambda` and `--mu`
+exclude each other, and `--seed` exists only where a seed is read.
+
 Exit codes: identify returns 0 (unique), 2 (non-unique), 3 (collapse); learn
 writes a report on every run and returns 0 on success, 4 on a
 block-identifiability violation and 6 when no estimate came back, with the
 reason in the report's status, so it returns 0 exactly when the report's
-`ok` holds; other validation or I/O failures exit nonzero with a message on
-stderr.
+`ok` holds; experiment returns 2 when its report's verdict is false and 0
+otherwise. A usage error (an unknown or unread flag, a missing required
+flag, `--lambda` with `--mu`) exits 2 with argparse's usage line; other
+validation or I/O failures exit 1 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -68,17 +74,18 @@ def _load_model_arg(ref: str) -> MixtureModel:
 
 
 def cmd_simulate(args) -> int:
+    if args.model is not None and (args.n, args.lam, args.mu) != (None, None, None):
+        raise ParameterError("--model takes no --n, --lambda or --mu")
+    if args.samples is None and (args.slate or args.samples_out):
+        raise ParameterError("--slate and --samples-out need --samples")
+    if args.samples is not None and not args.slate:
+        raise ParameterError("--samples needs --slate")
     if args.model == "three-roots":
+        if args.samples is not None:
+            raise ParameterError("the three-roots witness takes no --samples")
         # formal witness tuple, not a simplex model: written as a witness file
-        data = {
-            "kind": "three-roots-witness",
-            "lambda": xp.THREE_ROOTS_LAMBDA,
-            "a1": xp.THREE_ROOTS_TUPLE[0],
-            "a2": xp.THREE_ROOTS_TUPLE[1],
-            "b1": xp.THREE_ROOTS_TUPLE[2],
-            "b2": xp.THREE_ROOTS_TUPLE[3],
-        }
-        _write_json(data, args.out)
+        data = {"kind": "three-roots-witness", "lambda": xp.THREE_ROOTS_LAMBDA}
+        _write_json({**data, **dict(zip(("a1", "a2", "b1", "b2"), xp.THREE_ROOTS_TUPLE))}, args.out)
         return 0
     elif args.model is not None:
         model = _load_model_arg(args.model)
@@ -92,9 +99,7 @@ def cmd_simulate(args) -> int:
     else:
         _write_json(model_to_dict(model), None)
 
-    if args.samples:
-        if not args.slate:
-            raise ParameterError("--samples needs --slate")
+    if args.samples is not None:
         slate = Slate.of(int(t) for t in args.slate.split(","))
         counts = sample_counts(model, slate, args.samples, args.seed)
         data = {
@@ -103,13 +108,11 @@ def cmd_simulate(args) -> int:
             "lambda": float(model.lam),
             "size": args.samples,
             "seed": args.seed,
-            "slates": [
-                {
-                    "items": list(slate.items),
-                    "C": [float((1 + model.lam) * c / args.samples) for c in counts],
-                    "counts": list(counts),
-                }
-            ],
+            "slates": [{
+                "items": list(slate.items),
+                "C": [float((1 + model.lam) * c / args.samples) for c in counts],
+                "counts": list(counts),
+            }],
         }
         out = args.samples_out or (args.out + ".samples.json" if args.out else None)
         _write_json(data, out)
@@ -124,13 +127,10 @@ def cmd_identify(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    if args.samples is not None and args.mode != "samples":
+        raise ParameterError("--samples needs --mode samples")
     model = _load_model_arg(args.model)
-    cfg = LearnConfig(
-        k=args.k,
-        eps=args.eps,
-        samples_per_slate=args.samples,
-        seed=args.seed,
-    )
+    cfg = LearnConfig(k=args.k, eps=args.eps, samples_per_slate=args.samples, seed=args.seed)
     if args.mode == "oracle":
         report = learn_from_oracle(model, cfg=cfg)
     else:
@@ -145,60 +145,22 @@ def cmd_learn(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    kind = args.kind
-    if kind == "discriminant-max":
-        extra = [xp.THREE_ROOTS_TUPLE] if args.witness_start else []
-        report = xp.experiment_discriminant_max(
-            _resolve_lambda(args),
-            restarts=args.restarts,
-            seed=args.seed,
-            extra_starts=extra,
-        )
-    elif kind == "three-roots":
-        report = xp.experiment_three_roots()
-    elif kind == "counterexample":
-        report = xp.experiment_counterexample(exact=args.exact)
-    elif kind == "lambda-threshold":
-        grid = [float(t) for t in args.grid.split(",")]
-        report = xp.experiment_lambda_threshold(
-            grid, restarts=args.restarts, seed=args.seed, refine_steps=args.refine
-        )
-    elif kind == "identifiability-sweep":
-        if args.n is None:
-            raise ParameterError("need --n")
-        report = xp.experiment_identifiability_sweep(
-            args.n,
-            _resolve_lambda(args),
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-            jobs=args.jobs,
-        )
-    elif kind == "sample-complexity":
-        if args.n is None:
-            raise ParameterError("need --n")
-        grid = [float(t) for t in args.grid.split(",")] if args.grid else [args.eps]
-        report = xp.experiment_sample_complexity(
-            args.n,
-            _resolve_lambda(args),
-            grid,
-            trials=args.trials,
-            seed=args.seed,
-            k=args.k,
-            grid_ratio=args.grid_ratio,
-            jobs=args.jobs,
-        )
-        if args.out:
-            csv_path = os.path.splitext(args.out)[0] + ".csv"
-            with open(csv_path, "w") as fh:
-                fh.write(xp.sample_complexity_csv(report))
-    else:
-        raise ParameterError(f"unknown experiment kind {kind!r}")
+    report = args.run(args)
+    if args.out and args.csv:
+        with open(os.path.splitext(args.out)[0] + ".csv", "w") as fh:
+            fh.write(args.csv(report))
     _write_json(report, args.out)
-    verdict = report.get("verdict")
-    if verdict is False:
-        return 2
-    return 0
+    return 2 if report.get("verdict") is False else 0
+
+
+def float_list(text: str) -> list:
+    return [float(t) for t in text.split(",")]
+
+
+def _add_lambda(p) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lambda", dest="lam", type=float)
+    group.add_argument("--mu", type=float, help="mixing weight in (0,1), converts to lambda")
 
 
 @functools.cache
@@ -211,15 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
         "identifiability checks, learning, and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output path (default: stdout)")
+    out = {"help": "output path (default: stdout)"}
 
     p_sim = sub.add_parser("simulate", help="generate model files and samples")
     p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--lambda", dest="lam", type=float)
-    p_sim.add_argument("--mu", type=float, help="mixing weight, converts to lambda")
+    _add_lambda(p_sim)
     p_sim.add_argument("--floor", type=float, default=DEFAULT_WEIGHT_FLOOR)
     p_sim.add_argument(
         "--model",
@@ -230,13 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=int, help="also draw N samples per slate")
     p_sim.add_argument("--slate", help="comma-separated items, e.g. 1,2,3")
     p_sim.add_argument("--samples-out")
-    common(p_sim)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--out", **out)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_id = sub.add_parser("identify", help="uniqueness check for a model file")
     p_id.add_argument("model", help="model file path or 'counterexample'")
     p_id.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-    common(p_id)
+    p_id.add_argument("--out", **out)
     p_id.set_defaults(func=cmd_identify)
 
     p_learn = sub.add_parser("learn", help="recover weights from oracle or samples")
@@ -244,51 +203,88 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--mode", choices=["oracle", "samples"], default="oracle")
     p_learn.add_argument("--k", type=int, default=4)
     p_learn.add_argument("--eps", type=float, default=0.05)
-    p_learn.add_argument("--samples", type=int, help="per-slate sample size")
-    common(p_learn)
+    p_learn.add_argument("--samples", type=int, help="per-slate sample size (--mode samples)")
+    p_learn.add_argument("--seed", type=int)
+    p_learn.add_argument("--out", **out)
     p_learn.set_defaults(func=cmd_learn)
 
-    p_exp = sub.add_parser("experiment", help="run a named experiment")
-    p_exp.add_argument(
-        "kind",
-        choices=[
-            "discriminant-max",
-            "three-roots",
-            "counterexample",
-            "identifiability-sweep",
-            "sample-complexity",
-            "lambda-threshold",
-        ],
+    kinds = sub.add_parser("experiment", help="run a named experiment").add_subparsers(
+        dest="kind", required=True, metavar="kind"
     )
-    p_exp.add_argument("--n", type=int)
-    p_exp.add_argument("--lambda", dest="lam", type=float)
-    p_exp.add_argument("--mu", type=float)
-    p_exp.add_argument("--k", type=int, default=4)
-    p_exp.add_argument("--eps", type=float, default=0.05)
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--restarts", type=int, default=500)
-    p_exp.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-    p_exp.add_argument("--grid", help="comma-separated grid (eps or lambda values)")
-    p_exp.add_argument("--grid-ratio", type=float, default=2.0)
-    p_exp.add_argument("--refine", type=int, default=0)
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--witness-start", action="store_true")
-    p_exp.add_argument(
-        "--exact",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="rational arithmetic for the named-instance verifications",
-    )
-    common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
+    flags = {
+        "--n": {"type": int},
+        "--k": {"type": int, "default": 4},
+        "--eps": {"type": float, "default": 0.05, "help": "the accuracy when --grid is absent"},
+        "--trials": {"type": int, "default": 100},
+        "--restarts": {"type": int, "default": 500},
+        "--tol": {"type": float, "default": RESIDUAL_TOL},
+        "--grid": {"type": float_list, "help": "comma-separated grid (eps or lambda values)"},
+        "--grid-ratio": {"type": float, "default": 2.0},
+        "--refine": {"type": int, "default": 0},
+        "--jobs": {"type": int, "default": 1},
+        "--witness-start": {"action": "store_true"},
+        "--exact": {"action": argparse.BooleanOptionalAction, "default": True},
+        "--seed": {"type": int},
+    }
 
+    def kind(name, summary, run, *names, required=(), csv=None):
+        """One experiment kind: its flags, `--out`, and the call that runs it."""
+        p = kinds.add_parser(name, help=summary)
+        for flag in names:
+            if flag == "--lambda":
+                _add_lambda(p)
+            else:
+                p.add_argument(flag, required=flag in required, **flags[flag])
+        p.add_argument("--out", **out)
+        p.set_defaults(func=cmd_experiment, run=run, csv=csv)
+
+    kind(
+        "discriminant-max", "maximize the pair cubic's discriminant at one lambda",
+        lambda a: xp.experiment_discriminant_max(
+            _resolve_lambda(a), restarts=a.restarts, seed=a.seed,
+            extra_starts=[xp.THREE_ROOTS_TUPLE] if a.witness_start else [],
+        ),
+        "--lambda", "--restarts", "--witness-start", "--seed",
+    )
+    kind("three-roots", "verify the three-real-roots witness", lambda a: xp.experiment_three_roots())
+    kind(
+        "counterexample", "verify the two-solution instance (rational unless --no-exact)",
+        lambda a: xp.experiment_counterexample(exact=a.exact),
+        "--exact",
+    )
+    kind(
+        "lambda-threshold", "sign of the maximized discriminant along a lambda grid",
+        lambda a: xp.experiment_lambda_threshold(
+            a.grid, restarts=a.restarts, seed=a.seed, refine_steps=a.refine
+        ),
+        "--grid", "--restarts", "--refine", "--seed",
+        required=("--grid",),
+    )
+    kind(
+        "identifiability-sweep", "identify seeded random instances and count the verdicts",
+        lambda a: xp.experiment_identifiability_sweep(
+            a.n, _resolve_lambda(a), trials=a.trials, seed=a.seed, tol=a.tol, jobs=a.jobs
+        ),
+        "--n", "--lambda", "--trials", "--tol", "--jobs", "--seed",
+        required=("--n",),
+    )
+    kind(
+        "sample-complexity", "smallest per-slate sample size per accuracy (also writes CSV)",
+        lambda a: xp.experiment_sample_complexity(
+            a.n, _resolve_lambda(a), a.grid or [a.eps], trials=a.trials, seed=a.seed,
+            k=a.k, grid_ratio=a.grid_ratio, jobs=a.jobs,
+        ),
+        "--n", "--lambda", "--k", "--eps", "--trials", "--grid", "--grid-ratio", "--jobs", "--seed",
+        required=("--n",),
+        csv=xp.sample_complexity_csv,
+    )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except (ParameterError, OSError, ValueError) as exc:

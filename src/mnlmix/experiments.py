@@ -405,7 +405,8 @@ def experiment_sample_complexity(
 
     The sample-size grid is geometric with the given ratio (doubling by
     default; sqrt(2) tightens the exponent fit at desk scale) and has at most
-    40 steps from start_size.
+    40 steps from start_size, none above the 2^63 - 1 samples numpy can draw;
+    an accuracy that no step reaches gets n_star None.
     """
     if trials < 1:
         raise ParameterError("trials must be at least 1")
@@ -421,6 +422,8 @@ def experiment_sample_complexity(
         found = None
         for _ in range(40):
             size_int = int(math.ceil(size))
+            if size_int > np.iinfo(np.int64).max:
+                break
             succ = _success_rate(draws, eps, size_int, k, jobs)
             if succ >= 0.9:
                 found = (size_int, succ)

@@ -577,7 +577,10 @@ def solve_pair_system(sys: PairSystemInput, tol: float = RESIDUAL_TOL) -> list:
     Takes the real quartic roots inside the admissible band, back-substitutes
     each to a full 4-tuple, then appends the pinned-branch candidates; only
     candidates whose equation residual stays at or below tol survive.
+    Raises `ParameterError` unless tol > 0.
     """
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     lam = sys.lam
     raw = []
     for bi, bj in _pivot_pairs(sys, _band_roots(pair_quartic(sys))):
@@ -766,7 +769,10 @@ def enumerate_candidates(
 ) -> list:
     """All admissible full assignments over `items` consistent with the oracle:
     the candidates whose weights lie within TAU_ADM of [0, 1] and whose full
-    residual is at most tol (`_enumerate`, on a batch of its own)."""
+    residual is at most tol (`_enumerate`, on a batch of its own). Raises
+    `ParameterError` unless tol > 0."""
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     items = tuple(items)
     layout = [(items[1], items[0]), *combinations(items, 2)]
     batch = _pair_batch(oracle, layout, items, include_pair=False)

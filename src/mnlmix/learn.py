@@ -566,14 +566,14 @@ def learn_from_samples(model: MixtureModel, cfg: LearnConfig = LearnConfig()) ->
     """Recover the weights from per-slate empirical estimates.
 
     Every slate of `learner_slates` is sampled cfg.samples_per_slate times
-    (8 n^3 / eps^2 when it is None; ParameterError under one sample) with
-    a stream derived from (cfg.seed, slate). The final refit uses every
-    sampled row: at a fixed per-slate budget the drop-one slates buy a
-    sizable accuracy margin for the tail items, and the tail items'
-    2-slates pin down what the large slates alone leave loose. The oracle
-    pipeline runs on the perturbed values: the block is fitted by least
-    squares from mixture-split starts, and the final refit decides among
-    the candidate fits.
+    (8 n^3 / eps^2 when it is None; ParameterError under one sample or
+    over 2^63 - 1) with a stream derived from (cfg.seed, slate). The final
+    refit uses every sampled row: at a fixed per-slate budget the drop-one
+    slates buy a sizable accuracy margin for the tail items, and the tail
+    items' 2-slates pin down what the large slates alone leave loose. The
+    oracle pipeline runs on the perturbed values: the block is fitted by
+    least squares from mixture-split starts, and the final refit decides
+    among the candidate fits.
     """
     n, k = model.n, cfg.block_size(model.n)
     size = cfg.auto_samples(n) if cfg.samples_per_slate is None else cfg.samples_per_slate

@@ -299,9 +299,12 @@ def random_instance(
 
 
 def sample_counts(model: MixtureModel, slate: Slate, size: int, seed: int) -> tuple:
-    """Counts of size i.i.d. choices from the slate, one multinomial draw."""
+    """Counts of size i.i.d. choices from the slate, one multinomial draw;
+    numpy draws at most 2^63 - 1 samples at once."""
     if size < 1:
         raise ParameterError("need at least one sample")
+    if size > np.iinfo(np.int64).max:
+        raise ParameterError(f"cannot draw {size} samples at once (at most 2^63 - 1)")
     rng = rng_stream(seed, *slate.items)
     dist = np.array([float(d) for d in slate_distribution(model, slate)])
     dist = dist / dist.sum()

@@ -2,10 +2,24 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mnlmix.cli import main
+import mnlmix.experiments as xp
+from mnlmix.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+KINDS = [
+    "discriminant-max",
+    "three-roots",
+    "counterexample",
+    "lambda-threshold",
+    "identifiability-sweep",
+    "sample-complexity",
+]
 
 
 def run(argv, capsys=None):
@@ -308,8 +322,8 @@ def assert_error_line(capsys, argv, message):
      "restarts must be at least 1"),
     (["lambda-threshold", "--grid", "2,5", "--restarts", "0"],
      "restarts must be at least 1"),
-    (["identifiability-sweep", "--lambda", "2"], "need --n"),
-    (["sample-complexity", "--lambda", "2"], "need --n"),
+    (["identifiability-sweep", "--n", "4", "--mu", "0"], "--mu must lie in (0,1)"),
+    (["sample-complexity", "--n", "4"], "need --lambda or --mu"),
     (["discriminant-max", "--mu", "1.5"], "--mu must lie in (0,1)"),
     (["discriminant-max"], "need --lambda or --mu"),
     (["identifiability-sweep", "--n", "4", "--lambda", "2", "--trials", "3", "--tol", "-1"],
@@ -330,3 +344,106 @@ def test_simulate_samples_need_slate(tmp_path, capsys):
     argv = ["simulate", "--n", "4", "--lambda", "2", "--out", str(tmp_path / "m.json"),
             "--samples", "10"]
     assert_error_line(capsys, argv, "--samples needs --slate")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["learn", "counterexample", "--samples", "5"], "--samples needs --mode samples"),
+    (["simulate", "--model", "counterexample", "--n", "9"],
+     "--model takes no --n, --lambda or --mu"),
+    (["simulate", "--model", "counterexample", "--lambda", "2"],
+     "--model takes no --n, --lambda or --mu"),
+    (["simulate", "--n", "4", "--lambda", "2", "--slate", "1,2"],
+     "--slate and --samples-out need --samples"),
+    (["simulate", "--n", "4", "--lambda", "2", "--samples-out", "s.json"],
+     "--slate and --samples-out need --samples"),
+    (["simulate", "--model", "three-roots", "--samples", "5", "--slate", "1,2"],
+     "the three-roots witness takes no --samples"),
+])
+def test_flag_without_its_partner_reports_error(tmp_path, capsys, argv, message):
+    """A flag that is read only together with another flag is an error, and
+    nothing is written before it is reported."""
+    assert_error_line(capsys, [*argv, "--out", str(tmp_path / "out.json")], message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("size,message", [
+    (0, "need at least one sample"),
+    (10**19, f"cannot draw {10**19} samples at once (at most 2^63 - 1)"),
+])
+def test_unusable_sample_size_reports_error(tmp_path, capsys, size, message):
+    """No sample, or more than numpy can draw (2^63 - 1), is an error line
+    for both `learn` and `simulate`."""
+    path = tmp_path / "m.json"
+    run(["simulate", "--n", "4", "--lambda", "2", "--seed", "2", "--out", str(path)])
+    learn = ["learn", str(path), "--mode", "samples", "--samples", str(size)]
+    assert_error_line(capsys, learn, message)
+    simulate = ["simulate", "--model", str(path), "--samples", str(size), "--slate", "1,2"]
+    assert_error_line(capsys, simulate, message)
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["experiment", "identifiability-sweep", "--n", "4", "--lambda", "2", "--exact"],
+                 "unrecognized arguments: --exact", id="sweep-exact"),
+    pytest.param(["experiment", "three-roots", "--n", "4"],
+                 "unrecognized arguments: --n 4", id="three-roots-n"),
+    pytest.param(["experiment", "counterexample", "--seed", "1"],
+                 "unrecognized arguments: --seed 1", id="counterexample-seed"),
+    pytest.param(["experiment", "lambda-threshold", "--restarts", "5"],
+                 "the following arguments are required: --grid", id="threshold-needs-grid"),
+    pytest.param(["experiment", "discriminant-max", "--lambda", "2", "--mu", "0.5"],
+                 "argument --mu: not allowed with argument --lambda", id="lambda-and-mu"),
+    pytest.param(["identify", "counterexample", "--seed", "1"],
+                 "unrecognized arguments: --seed 1", id="identify-seed"),
+    pytest.param(["experiment", "identifiability-sweep", "--lambda", "2"],
+                 "the following arguments are required: --n", id="sweep-needs-n"),
+    pytest.param(["experiment", "sample-complexity", "--lambda", "2"],
+                 "the following arguments are required: --n", id="sample-complexity-needs-n"),
+    pytest.param(["simulate", "--n", "4", "--lambda", "2", "--mu", "0.5"],
+                 "argument --mu: not allowed with argument --lambda", id="simulate-lambda-and-mu"),
+])
+def test_unread_or_missing_flag_is_usage_error(capsys, argv, message):
+    """argparse rejects a flag the command or kind does not read, a missing
+    required flag and `--lambda` with `--mu`: exit 2, a usage line, no
+    traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mnlmix") and err.rstrip().endswith(message)
+    assert "Traceback" not in err
+
+
+def test_experiment_false_verdict_exits_2(tmp_path, monkeypatch):
+    """A report whose verdict is False is written, and the command exits 2."""
+    report = {"schema": xp.SCHEMA, "experiment": "three-roots", "verdict": False}
+    monkeypatch.setattr(xp, "experiment_three_roots", lambda: report)
+    rep = tmp_path / "x.json"
+    assert run(["experiment", "three-roots", "--out", str(rep)]) == 2
+    assert json.loads(rep.read_text()) == report
+
+
+def readme_commands() -> list:
+    """The `mnlmix` lines of README's "Command line" block, one argv each."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("mnlmix ")]
+
+
+def test_readme_commands_parse():
+    """Every command README shows is accepted by the parser (not run); the
+    block shows every experiment kind."""
+    commands = readme_commands()
+    assert len(commands) >= len(KINDS)
+    for argv in commands:
+        build_parser().parse_args(argv)
+    shown = {argv[1] for argv in commands if argv[0] == "experiment"}
+    assert shown == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_experiment_kind_help(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        run(["experiment", kind, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mnlmix experiment {kind}")

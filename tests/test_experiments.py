@@ -214,6 +214,16 @@ def test_sample_complexity_single_row():
     assert len(lines) == 2
 
 
+def test_sample_complexity_grid_ends_below_numpy_draw_limit():
+    """At ratio 10 the grid reaches 10^18 samples; the next step, 10^19,
+    passes 2^63 - 1, so the grid ends there and the unreached accuracy gets
+    n_star None."""
+    rep = xp.experiment_sample_complexity(4, 2.0, [1e-9], trials=1, grid_ratio=10)
+    assert rep["rows"] == [{"eps": 1e-9, "n_star": None, "success": None}]
+    assert rep["fitted_exponent"] is None and rep["empirical_constant"] is None
+    assert xp.sample_complexity_csv(rep) == "eps,n_star,success\n1e-09,,\n"
+
+
 def test_sample_complexity_scaling_shape():
     rep = xp.experiment_sample_complexity(
         4, 2.0, [0.2, 0.1], trials=8, seed=0, start_size=2000, grid_ratio=2.0

@@ -391,6 +391,47 @@ def test_check_identifiability_rejects_nonpositive_tol(tol):
         check_identifiability(counterexample(), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_public_solvers_reject_nonpositive_tol(tol):
+    """`enumerate_candidates` and `solve_pair_system` reject a tolerance
+    that is not positive, as `check_identifiability` does, rather than
+    return no solution."""
+    table = oracle_table(random_instance(4, 2.0, 0), identify_slates(4))
+    with pytest.raises(ParameterError, match="tol must be positive"):
+        enumerate_candidates(table, (1, 2, 3, 4), tol=tol)
+    with pytest.raises(ParameterError, match="tol must be positive"):
+        solve_pair_system(pair_system(table, 1, 2, include_pair=True), tol=tol)
+
+
+@pytest.mark.parametrize("failure", ["zero-gcd", "sturm-degenerate"])
+def test_unproven_pair_certificate_counts_pair_multiplicity(monkeypatch, failure):
+    """The near-tolerance (2, 3) extra of `test_near_tolerance_pair_flag_certified`
+    is certified only while the exact proof goes through. A zero gcd, or a
+    Sturm count that raises `DegenerateInputError`, leaves it unproven:
+    `pair_certified_unique` returns False and the report counts the extra
+    as `pair-multiplicity`."""
+    m = random_instance(4, 2.0, 3652574863)
+    gcd = identify.poly_gcd
+    if failure == "zero-gcd":
+        monkeypatch.setattr(identify, "poly_gcd", lambda p, q: RealPolynomial.of([F(0)]))
+    else:
+        # a common root at 3, outside the band, sends the proof to the Sturm count
+        monkeypatch.setattr(
+            identify, "poly_gcd", lambda p, q: RealPolynomial.of(Coeffs(gcd(p, q).coeffs) * (X - 3))
+        )
+        assert pair_certified_unique(m, 2, 3)
+
+        def degenerate(*args):
+            raise identify.DegenerateInputError("endpoint stays a root")
+
+        monkeypatch.setattr(identify, "count_real_roots_sturm", degenerate)
+    assert not pair_certified_unique(m, 2, 3)
+    rep = check_identifiability(m)
+    assert rep.codes == ("pair-multiplicity",)
+    assert not rep.unique and rep.exit_code == 2
+    assert [(s.level, s.items) for s in rep.solutions[1:]] == [("pair", (2, 3))]
+
+
 def test_homogeneous_is_the_scaled_value():
     """`_homogeneous(c, p, q)` is p(p/q) q^d, which `_rationalize_root` and
     `_newton_step` both read."""

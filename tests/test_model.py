@@ -235,6 +235,15 @@ def test_sampling_determinism():
     assert sample_counts(m, s, 1000, 9) != sample_counts(m, s, 1000, 10)
 
 
+def test_sample_counts_rejects_sizes_numpy_cannot_draw():
+    """2^63 - 1 samples is numpy's largest draw; one more is an error."""
+    m = random_instance(4, 2.0, 5)
+    s = Slate.of([1, 2, 4])
+    assert sum(sample_counts(m, s, 2**63 - 1, 9)) == 2**63 - 1
+    with pytest.raises(ParameterError, match="cannot draw"):
+        sample_counts(m, s, 2**63, 9)
+
+
 def test_sample_empirical_near_deterministic():
     delta = 1e-9
     w = [1 - 2 * delta, delta, delta]

@@ -6,7 +6,11 @@ the JSON. No timestamps are written, so re-runs are byte-identical.
 
 Each command, and each experiment kind, takes only the flags it reads
 (`mnlmix experiment <kind> --help` lists a kind's); `--lambda` and `--mu`
-exclude each other, and `--seed` exists only where a seed is read.
+exclude each other, and `--seed` exists only where a seed is read. Where a
+flag is read only next to another (learn's `--samples`, `--eps` and
+`--seed` only in `--mode samples`, and `--eps` only without `--samples`;
+simulate's `--slate` and `--samples-out` only with `--samples`), giving it
+where it is not read is a validation error.
 
 Exit codes: identify returns 0 (unique), 2 (non-unique), 3 (collapse); learn
 writes a report on every run and returns 0 on success, 4 on a
@@ -94,14 +98,18 @@ def cmd_simulate(args) -> int:
             raise ParameterError("need --n (or --model)")
         model = random_instance(args.n, _resolve_lambda(args), args.seed, args.floor)
 
+    if args.samples is not None:
+        # drawn before the model is written, so an unusable size or slate
+        # writes nothing
+        slate = Slate.of(int(t) for t in args.slate.split(","))
+        counts = sample_counts(model, slate, args.samples, args.seed)
+
     if args.out:
         save_model(model, args.out)
     else:
         _write_json(model_to_dict(model), None)
 
     if args.samples is not None:
-        slate = Slate.of(int(t) for t in args.slate.split(","))
-        counts = sample_counts(model, slate, args.samples, args.seed)
         data = {
             "schema": xp.SCHEMA,
             "n": model.n,
@@ -126,11 +134,21 @@ def cmd_identify(args) -> int:
     return report.exit_code
 
 
+def _check_learn(args) -> None:
+    """Reject the learn flags given where they are not read. Runs on the
+    flags as given, before `main` fills in the default seed."""
+    if args.mode != "samples":
+        for flag, value in (("--samples", args.samples), ("--eps", args.eps), ("--seed", args.seed)):
+            if value is not None:
+                raise ParameterError(f"{flag} needs --mode samples")
+    elif args.samples is not None and args.eps is not None:
+        raise ParameterError("--samples takes no --eps")
+
+
 def cmd_learn(args) -> int:
-    if args.samples is not None and args.mode != "samples":
-        raise ParameterError("--samples needs --mode samples")
     model = _load_model_arg(args.model)
-    cfg = LearnConfig(k=args.k, eps=args.eps, samples_per_slate=args.samples, seed=args.seed)
+    eps = LearnConfig.eps if args.eps is None else args.eps
+    cfg = LearnConfig(k=args.k, eps=eps, samples_per_slate=args.samples, seed=args.seed)
     if args.mode == "oracle":
         report = learn_from_oracle(model, cfg=cfg)
     else:
@@ -202,9 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("model", help="model file path or 'counterexample'")
     p_learn.add_argument("--mode", choices=["oracle", "samples"], default="oracle")
     p_learn.add_argument("--k", type=int, default=4)
-    p_learn.add_argument("--eps", type=float, default=0.05)
+    p_learn.add_argument(
+        "--eps", type=float,
+        help="accuracy that sets the default per-slate sample size 8 n^3/eps^2 "
+        "(--mode samples without --samples; default 0.05)",
+    )
     p_learn.add_argument("--samples", type=int, help="per-slate sample size (--mode samples)")
-    p_learn.add_argument("--seed", type=int)
+    p_learn.add_argument("--seed", type=int, help="sampling seed (--mode samples)")
     p_learn.add_argument("--out", **out)
     p_learn.set_defaults(func=cmd_learn)
 
@@ -284,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.func is cmd_learn:
+            _check_learn(args)
         if "seed" in vars(args) and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)

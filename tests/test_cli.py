@@ -262,10 +262,13 @@ def test_experiment_lambda_threshold_cli(tmp_path):
 def test_default_seed_env(tmp_path, monkeypatch):
     """A seedless run reads MNLMIX_DEFAULT_SEED when it is called, not when
     the parser was built: two seedless runs in one process, under two env
-    values, each match the run with that seed given explicitly."""
+    values, each match the run with that seed given explicitly. The default
+    fills in a seed that was not given, so an oracle `learn`, which takes no
+    `--seed`, still runs."""
     texts = []
     for seed in ("31", "7"):
         monkeypatch.setenv("MNLMIX_DEFAULT_SEED", seed)
+        assert run(["learn", "counterexample", "--out", str(tmp_path / "learn.json")]) == 0
         seedless = tmp_path / f"env{seed}.json"
         assert run(["simulate", "--n", "3", "--lambda", "1", "--out", str(seedless)]) == 0
         monkeypatch.delenv("MNLMIX_DEFAULT_SEED")
@@ -358,6 +361,12 @@ def test_simulate_samples_need_slate(tmp_path, capsys):
      "--slate and --samples-out need --samples"),
     (["simulate", "--model", "three-roots", "--samples", "5", "--slate", "1,2"],
      "the three-roots witness takes no --samples"),
+    (["learn", "counterexample", "--eps", "0.3"], "--eps needs --mode samples"),
+    (["learn", "counterexample", "--seed", "5"], "--seed needs --mode samples"),
+    (["learn", "counterexample", "--mode", "oracle", "--eps", "0.3", "--seed", "5"],
+     "--eps needs --mode samples"),
+    (["learn", "counterexample", "--mode", "samples", "--samples", "5000", "--eps", "0.3"],
+     "--samples takes no --eps"),
 ])
 def test_flag_without_its_partner_reports_error(tmp_path, capsys, argv, message):
     """A flag that is read only together with another flag is an error, and
@@ -372,13 +381,17 @@ def test_flag_without_its_partner_reports_error(tmp_path, capsys, argv, message)
 ])
 def test_unusable_sample_size_reports_error(tmp_path, capsys, size, message):
     """No sample, or more than numpy can draw (2^63 - 1), is an error line
-    for both `learn` and `simulate`."""
+    for both `learn` and `simulate`; `simulate` checks the size before it
+    writes the model, so it leaves no `--out` file."""
     path = tmp_path / "m.json"
     run(["simulate", "--n", "4", "--lambda", "2", "--seed", "2", "--out", str(path)])
     learn = ["learn", str(path), "--mode", "samples", "--samples", str(size)]
     assert_error_line(capsys, learn, message)
-    simulate = ["simulate", "--model", str(path), "--samples", str(size), "--slate", "1,2"]
+    out = tmp_path / "x.json"
+    simulate = ["simulate", "--model", str(path), "--samples", str(size), "--slate", "1,2",
+                "--out", str(out)]
     assert_error_line(capsys, simulate, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -439,6 +452,19 @@ def test_readme_commands_parse():
         build_parser().parse_args(argv)
     shown = {argv[1] for argv in commands if argv[0] == "experiment"}
     assert shown == set(KINDS)
+
+
+def test_readme_samples_learn_line_runs(tmp_path):
+    """README's sampling `learn` line (`--mode samples --eps 0.05 --seed 1`)
+    runs on a simulated model, exits 0 and reports an error within eps."""
+    (argv,) = [a for a in readme_commands() if a[0] == "learn" and "samples" in a]
+    model, out = tmp_path / "model.json", tmp_path / "learn.json"
+    run(["simulate", "--n", "6", "--lambda", "2", "--seed", "1", "--out", str(model)])
+    argv = [str(model) if a == "model.json" else str(out) if a == "learn.json" else a for a in argv]
+    assert argv[1:7] == [str(model), "--mode", "samples", "--eps", "0.05", "--seed"]
+    assert run(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["max_rel_error"] <= 0.05
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,5 +1,6 @@
 """Learner tests: oracle round-trips, query accounting, sampling behavior."""
 
+import random
 import warnings
 
 import numpy as np
@@ -415,7 +416,8 @@ def test_cell_layout_is_cached_by_shape_and_values_are_read_per_table(monkeypatc
 def _scalar_refit(a0, b0, residuals) -> tuple:
     """The one-start Gauss-Newton loop that `_refit` must match start by
     start: an `np.linalg.lstsq` step, six lengths from full halving down,
-    strict descent, at most 12 steps, stop under 1e-28."""
+    strict descent, at most 12 steps, stop once an accepted step lowers
+    the loss by at most REFIT_FTOL of it."""
 
     def at(theta, with_jac=False):
         res, inside, jacobian = residuals(theta[None])
@@ -440,12 +442,12 @@ def _scalar_refit(a0, b0, residuals) -> tuple:
             if rt is not None:
                 ss = float(rt[0] @ rt[0])
                 if ss < best_ss:
-                    best_ss, best_theta = ss, trial
+                    prev, best_ss, best_theta = best_ss, ss, trial
                     theta = trial
                     moved = True
                     break
             scale /= 2
-        if not moved or best_ss < 1e-28:
+        if not moved or prev - best_ss <= learn.REFIT_FTOL * prev:
             break
     a = [1 - best_theta[: n - 1].sum()] + best_theta[: n - 1].tolist()
     b = [1 - best_theta[n - 1:].sum()] + best_theta[n - 1:].tolist()
@@ -510,9 +512,10 @@ def _two_evaluation_refit(a0, b0, residuals) -> tuple:
         moved = better.any(axis=1)
         first = better.argmax(axis=1)[moved]
         active = active[moved]
+        prev = loss[active]
         theta[active] = trial[moved, first]
         loss[active] = ss[moved, first]
-        active = active[loss[active] >= 1e-28]
+        active = active[prev - loss[active] > learn.REFIT_FTOL * prev]
     w = learn._weights(theta)
     return w[:, 0], w[:, 1], loss
 
@@ -557,6 +560,55 @@ def test_stacked_refit_matches_scalar_loop_from_clamped_start(monkeypatch):
     _assert_matches_two_evaluations(a0, b0, residuals, out)
     # the clamped starts refit to the wrong basin's far higher loss
     assert losses[clamped].min() > 10 * losses[~clamped].max()
+
+
+def _counted(residuals, log):
+    """`residuals`, appending the number of rows of every evaluation to `log`."""
+
+    def wrapped(theta):
+        log.append(len(theta))
+        return residuals(theta)
+
+    return wrapped
+
+
+def _bench_final_refit(monkeypatch):
+    """(a0, b0, residual map, result) of the final refit of the first
+    `learn-samples-n6` benchmark input (regular n = 6, N = 691200)."""
+    seed = random.Random(1).getrandbits(32)
+    m = regular_instance(6, 2.0, seed)
+    calls = _refit_calls(
+        monkeypatch, m, LearnConfig(eps=0.05, samples_per_slate=691200, seed=seed)
+    )
+    return calls[-1]
+
+
+def test_refit_start_at_its_optimum_stops_after_one_iteration(monkeypatch):
+    """Restarted where the final refit of a sampled n = 6 table ended, the
+    winning start takes one step, which lowers the loss by at most
+    REFIT_FTOL of it or not at all, and stops: the start's evaluation and
+    one evaluation of its step lengths."""
+    _, _, residuals, (a, b, loss) = _bench_final_refit(monkeypatch)
+    t = int(np.argmin(loss))
+    log = []
+    _, _, again = learn._refit(a[t:t + 1].copy(), b[t:t + 1].copy(), _counted(residuals, log))
+    assert log == [1, 6]
+    assert loss[t] - again[0] <= learn.REFIT_FTOL * loss[t]
+
+
+def test_refit_winning_start_converges_before_the_step_cap(monkeypatch):
+    """On a `learn-samples-n6` input the final refit's winning start stops
+    on convergence well before the 12-step cap: within 6 iterations (one
+    evaluation each, after the start's own), where stepping until no step
+    length lowered the loss took 9. Refitted alone it lands where the
+    stacked refit took it."""
+    a0, b0, residuals, (a, b, loss) = _bench_final_refit(monkeypatch)
+    t = int(np.argmin(loss))
+    log = []
+    alone = learn._refit(a0[t:t + 1].copy(), b0[t:t + 1].copy(), _counted(residuals, log))
+    assert len(log) - 1 <= 6
+    for got, want in zip(alone, (a, b, loss)):
+        assert np.array_equal(got[0], want[t])
 
 
 @pytest.mark.parametrize("model_seed, seed", [(1028, 28), (1146, 146)])
